@@ -182,7 +182,9 @@ class Scenario:
             raise ParameterError(f"scenario {self.name!r} has a fixed-capacity supply")
         return TriangularMfd(
             max_throughput=self.max_throughput,
-            jam_accumulation=jam_accumulation or self.default_jam_accumulation,
+            jam_accumulation=(
+                self.default_jam_accumulation if jam_accumulation is None else jam_accumulation
+            ),
             freeflow_speed=self.freeflow_speed,
             trip_distance=self.trip_distance,
         )

@@ -8,8 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from scipy.optimize import brentq
-
 from . import bottleneck, mfd, sweep, verify
 from .calibration import (
     BUILTIN_SCENARIOS,
@@ -43,7 +41,10 @@ def _parse_eta_range(text: str) -> list[float]:
 
 
 def static_ro_toll_dollars(
-    scenario: Scenario, eta: float, jam_accumulation: float | None = None, grid_points: int = 4096
+    scenario: Scenario,
+    eta: float,
+    jam_accumulation: float | None = None,
+    grid_points: int = mfd.DEFAULT_GRID_POINTS,
 ) -> float:
     """Revenue-optimal flat toll at a given eta, converted to dollars."""
     params = scenario.params(eta)
@@ -69,6 +70,7 @@ def crossover_eta(
     if scenario.implemented_toll is None:
         raise ParameterError(f"scenario {scenario.name!r} has no implemented toll to match")
     target = scenario.implemented_toll
+    from scipy.optimize import brentq  # deferred: scipy.optimize dominates import time
 
     if target == 0.0:
         # The optimal toll is zero for every eta with a nonpositive gap;
@@ -213,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="builtin name (bay_bridge, nyc) or a scenario file path",
         )
         p.add_argument("--nj", type=float, default=None, help="jam-accumulation override (vehicles)")
-        p.add_argument("--grid", type=int, default=4096, help="grid points for flat-toll searches")
+        p.add_argument(
+            "--grid", type=int, default=mfd.DEFAULT_GRID_POINTS, help="grid points for flat-toll searches"
+        )
 
     p_analyze = sub.add_parser("analyze", help="single-eta report for one scenario")
     add_common(p_analyze)

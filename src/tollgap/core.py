@@ -28,7 +28,6 @@ __all__ = [
     "Regime",
     "StaticToll",
     "TrapezoidToll",
-    "TollPolicy",
     "EquilibriumOutcome",
     "CostBreakdown",
     "classify_regime",
@@ -209,9 +208,6 @@ class TrapezoidToll:
         if t <= self.peak_end:
             return self.peak
         return max(self.peak - self.fall_slope * (t - self.peak_end), 0.0)
-
-
-TollPolicy = StaticToll | TrapezoidToll
 
 
 @dataclass(frozen=True)

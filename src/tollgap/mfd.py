@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from . import bottleneck
 from .core import BottleneckParams, CostBreakdown, DomainError, ParameterError
@@ -122,86 +125,93 @@ def static_lower_toll(params: BottleneckParams, mfd: TriangularMfd) -> float:
     return max(0.0, params.cost_gap - (n_j / mfd.max_throughput) * math.expm1(spread))
 
 
-def _check_toll_domain(params: BottleneckParams, mfd: TriangularMfd, toll: float) -> None:
+def _check_toll_domain(
+    params: BottleneckParams, mfd: TriangularMfd, toll: float | np.ndarray
+) -> None:
     lo = static_lower_toll(params, mfd)
     hi = params.cost_gap
     slack = 1e-9 * max(1.0, abs(hi))
-    if toll < lo - slack or toll > hi + slack:
+    if np.min(toll) < lo - slack or np.max(toll) > hi + slack:
         raise DomainError(
             f"toll {toll!r} outside the mixed-mode band [{lo!r}, {hi!r}]; "
             "the all-car congested regime is not modeled"
         )
 
 
-def _log_term(mfd: TriangularMfd, wait: float) -> float:
-    return math.log1p(wait * mfd.max_throughput / mfd.jam_accumulation)
+def _flat_toll(
+    params: BottleneckParams, mfd: TriangularMfd, toll: float | np.ndarray
+) -> CostBreakdown:
+    """Cost pieces and revenue of a flat toll, unchecked; ``toll`` is a float or an array.
 
-
-def _car_counts(
-    params: BottleneckParams, mfd: TriangularMfd, wait: float
-) -> tuple[float, float, float]:
-    """(shoulder car users, peak-wait outflow, flat-segment length)."""
-    n_j = mfd.jam_accumulation
-    shoulder = n_j / params.schedule_factor * _log_term(mfd, wait)
-    peak_flow = throughput_from_wait(mfd, wait)
-    flat_len = (params.total_demand - shoulder) / params.arrival_rate
-    return shoulder, peak_flow, flat_len
-
-
-def _revenue_at(params: BottleneckParams, mfd: TriangularMfd, toll: float) -> float:
-    wait = max(params.cost_gap - toll, 0.0)
-    shoulder, peak_flow, flat_len = _car_counts(params, mfd, wait)
-    return toll * (shoulder + peak_flow * flat_len)
-
-
-def static_revenue(params: BottleneckParams, mfd: TriangularMfd, toll: float) -> float:
-    """Revenue of a flat toll on the urban network (closed log form).
-
-    ``toll * [shoulder_users + peak_outflow * flat_length]`` where the
-    shoulder count is ``n_j*(e+L)/(eL) * log(1 + W*mu_f/n_j)`` for peak wait
-    ``W = gap - toll``.  Valid on ``[static_lower_toll, gap]``; outside that
-    band the all-car congested equilibrium is not modeled and a
-    :class:`~tollgap.core.DomainError` is raised.
+    The one implementation of the urban flat-toll formulas: the public
+    functions and both searches evaluate it, a search on a whole grid at once.
     """
-    _check_toll_domain(params, mfd, toll)
-    return _revenue_at(params, mfd, toll)
-
-
-def _cost_at(params: BottleneckParams, mfd: TriangularMfd, toll: float) -> CostBreakdown:
-    wait = max(params.cost_gap - toll, 0.0)
     n_j = mfd.jam_accumulation
     a = n_j / mfd.max_throughput
     lam = params.arrival_rate
     e, late = params.early_penalty, params.late_penalty
-    log_term = _log_term(mfd, wait)
-    shoulder, peak_flow, flat_len = _car_counts(params, mfd, wait)
+    wait = np.maximum(params.cost_gap - toll, 0.0)
+    log_term = np.log1p(wait * mfd.max_throughput / n_j)
+    shoulder = n_j / params.schedule_factor * log_term
+    peak_flow = n_j / (a + wait)
+    flat_len = (params.total_demand - shoulder) / lam
     car_users = shoulder + peak_flow * flat_len
 
     transit = params.transit_cost * (params.total_demand - car_users)
     car = params.car_freeflow_cost * car_users
     queue_flat = flat_len * peak_flow * wait
     queue_shoulders = (n_j / e + n_j / late) * (wait - a * log_term)
-    if wait > 0.0:
-        sched_core = (wait - (n_j / lam) * log_term) * (1.0 - (a / wait) * log_term)
-    else:
-        sched_core = 0.0
+    # At zero wait (a / wait) * log_term is inf * 0; the schedule term is 0 there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sched_core = np.where(
+            wait > 0.0, (wait - (n_j / lam) * log_term) * (1.0 - (a / wait) * log_term), 0.0
+        )
     schedule = (n_j / e + n_j / late) * sched_core
     return CostBreakdown(transit, car, queue_flat + queue_shoulders, schedule, toll * car_users)
 
 
+def static_revenue(
+    params: BottleneckParams, mfd: TriangularMfd, toll: float | np.ndarray
+) -> float | np.ndarray:
+    """Revenue of a flat toll on the urban network (closed log form).
+
+    ``toll * [shoulder_users + peak_outflow * flat_length]`` where the
+    shoulder count is ``n_j*(e+L)/(eL) * log(1 + W*mu_f/n_j)`` for peak wait
+    ``W = gap - toll``.  Valid on ``[static_lower_toll, gap]``; outside that
+    band the all-car congested equilibrium is not modeled and a
+    :class:`~tollgap.core.DomainError` is raised.  ``toll`` may be a float or
+    a numpy array of tolls, and the revenue comes back in the same shape.
+    """
+    _check_toll_domain(params, mfd, toll)
+    return _flat_toll(params, mfd, toll).revenue
+
+
 def static_system_cost(
-    params: BottleneckParams, mfd: TriangularMfd, toll: float
+    params: BottleneckParams, mfd: TriangularMfd, toll: float | np.ndarray
 ) -> CostBreakdown:
     """System cost of a flat toll on the urban network, from its seven pieces.
 
     Transit and free-flow car costs scale with the mode split; queuing splits
     into the flat-segment block plus closed antiderivatives over the rising
     and falling shoulders; schedule delay uses the closed shoulder forms.
-    Every congestion piece vanishes at ``toll == gap``.  Domain as in
-    :func:`static_revenue`.
+    Every congestion piece vanishes at ``toll == gap``.  Domain and array
+    tolls as in :func:`static_revenue`; an array toll gives array pieces.
     """
     _check_toll_domain(params, mfd, toll)
-    return _cost_at(params, mfd, toll)
+    return _flat_toll(params, mfd, toll)
+
+
+def _search_band(
+    params: BottleneckParams, mfd: TriangularMfd, grid_points: int, objective: Callable, refine: Callable
+) -> tuple[float, float]:
+    """``refine(objective, lo, hi, grid_points)`` on the toll band ``[lo, hi]``."""
+    if grid_points < 2:
+        raise DomainError("grid_points must be >= 2")
+    lo, hi = static_lower_toll(params, mfd), params.cost_gap
+    if hi <= lo:
+        toll = max(hi, 0.0)
+        return toll, objective(toll)
+    return refine(objective, lo, hi, grid_points)
 
 
 def static_revenue_optimal(
@@ -211,31 +221,19 @@ def static_revenue_optimal(
 
     The revenue curve is Lipschitz on the band, so the grid resolution bounds
     the optimality gap; the refinement makes boundary optima exact.  An
-    empty band (nonpositive gap) degenerates to the gap itself.
+    empty band (nonpositive gap) degenerates to the toll ``max(gap, 0)``.
     """
-    if grid_points < 2:
-        raise DomainError("grid_points must be >= 2")
-    lo = static_lower_toll(params, mfd)
-    hi = params.cost_gap
-    if hi <= lo:
-        toll = max(hi, 0.0)
-        return toll, _revenue_at(params, mfd, toll)
-    return grid_refine_max(lambda t: _revenue_at(params, mfd, t), lo, hi, grid_points)
+    return _search_band(
+        params, mfd, grid_points, lambda t: _flat_toll(params, mfd, t).revenue, grid_refine_max
+    )
 
 
 def static_sc_optimal(
     params: BottleneckParams, mfd: TriangularMfd, grid_points: int = DEFAULT_GRID_POINTS
 ) -> tuple[float, float]:
     """System-cost-minimizing flat toll, same search scheme as the revenue one."""
-    if grid_points < 2:
-        raise DomainError("grid_points must be >= 2")
-    lo = static_lower_toll(params, mfd)
-    hi = params.cost_gap
-    if hi <= lo:
-        toll = max(hi, 0.0)
-        return toll, _cost_at(params, mfd, toll).total
-    return grid_refine_min(
-        lambda t: _cost_at(params, mfd, t).total, lo, hi, grid_points
+    return _search_band(
+        params, mfd, grid_points, lambda t: _flat_toll(params, mfd, t).total, grid_refine_min
     )
 
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import BottleneckParams, CostBreakdown, DomainError, EquilibriumOutcome, classify_regime
 from .mfd import TriangularMfd
@@ -269,6 +268,7 @@ def mfd_shoulder_quadrature(
     e, late = params.early_penalty, params.late_penalty
     if wait == 0.0:
         return {"queue_early": 0.0, "queue_late": 0.0, "sched_early": 0.0, "sched_late": 0.0}
+    from scipy.integrate import quad  # deferred: only this function needs scipy
 
     def queue_piece(slope: float) -> float:
         span = wait / slope

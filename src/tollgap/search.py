@@ -1,9 +1,11 @@
-"""Scalar search utilities: uniform grid scan with golden-section refinement."""
+"""Search utilities: uniform grid scan with golden-section refinement."""
 
 from __future__ import annotations
 
 import math
 from typing import Callable
+
+import numpy as np
 
 __all__ = ["golden_section_min", "grid_refine_min", "grid_refine_max"]
 
@@ -43,25 +45,22 @@ def golden_section_min(
     return (lo + d) / 2.0 if yc < yd else (c + hi) / 2.0
 
 
-def grid_refine_min(
-    fn: Callable[[float], float], lo: float, hi: float, grid_points: int
-) -> tuple[float, float]:
+def grid_refine_min(fn: Callable, lo: float, hi: float, grid_points: int) -> tuple[float, float]:
     """Minimize on [lo, hi]: uniform scan, then one golden-section pass.
 
-    The golden-section pass runs on the bracket around the grid argmin; the
-    final answer is the best of {refined point, grid argmin, both interval
-    endpoints}, so an optimum sitting exactly on a boundary is returned
-    exactly rather than to within the refinement tolerance.
+    ``fn`` takes a float or a numpy array: the scan evaluates the whole grid
+    in one call, the refinement one float at a time.  The golden-section pass
+    runs on the bracket around the grid argmin; the final answer is the best
+    of {refined point, grid argmin, both interval endpoints}, so an optimum
+    sitting exactly on a boundary is returned exactly rather than to within
+    the refinement tolerance.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     if hi <= lo:
         return lo, fn(lo)
-    step = (hi - lo) / (grid_points - 1)
-    xs = [lo + i * step for i in range(grid_points)]
-    xs[-1] = hi
-    ys = [fn(x) for x in xs]
-    i = min(range(grid_points), key=ys.__getitem__)
+    xs = np.linspace(lo, hi, grid_points)
+    i = int(np.argmin(fn(xs)))
     b_lo = xs[max(i - 1, 0)]
     b_hi = xs[min(i + 1, grid_points - 1)]
     refined = golden_section_min(fn, b_lo, b_hi, tol=max((hi - lo) * 1e-12, 1e-15))
@@ -70,9 +69,7 @@ def grid_refine_min(
     return best, fn(best)
 
 
-def grid_refine_max(
-    fn: Callable[[float], float], lo: float, hi: float, grid_points: int
-) -> tuple[float, float]:
+def grid_refine_max(fn: Callable, lo: float, hi: float, grid_points: int) -> tuple[float, float]:
     """Maximize on [lo, hi] via :func:`grid_refine_min` on the negated function."""
     x, neg = grid_refine_min(lambda t: -fn(t), lo, hi, grid_points)
     return x, -neg

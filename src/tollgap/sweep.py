@@ -1,14 +1,12 @@
 """Discomfort-multiplier sweeps: one row of policy metrics per eta value.
 
-Rows are computed independently (safe to parallelize) and written in eta
-order with a fixed 8-decimal format, so identical inputs produce
-byte-identical CSV output.
+Rows are computed one eta at a time and written in eta order with a fixed
+8-decimal format, so identical inputs produce byte-identical CSV output.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import bottleneck, mfd
@@ -175,11 +173,11 @@ def compute_rows(
     grid_points: int = mfd.DEFAULT_GRID_POINTS,
     max_workers: int | None = None,
 ) -> list[SweepRow]:
-    """Rows for every eta, computed in parallel, returned in eta order."""
-    etas = list(etas)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(lambda v: compute_row(scenario, v, jam_accumulation, grid_points), etas))
-    return [row for _, row in sorted(zip(etas, rows), key=lambda pair: pair[0])]
+    """Rows for every eta, in eta order.
+
+    ``max_workers`` is accepted and ignored: rows are computed serially.
+    """
+    return [compute_row(scenario, eta, jam_accumulation, grid_points) for eta in sorted(etas)]
 
 
 def nj_divergence(

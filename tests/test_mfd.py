@@ -1,8 +1,11 @@
+import random
+
+import numpy as np
 import pytest
 
 from tollgap import BottleneckParams, DomainError, ParameterError, TriangularMfd
 from tollgap import bottleneck as bn
-from tollgap import mfd
+from tollgap import mfd, verify
 from tollgap.calibration import builtin_scenario
 
 NYC = builtin_scenario("nyc")
@@ -159,6 +162,47 @@ class TestOptimizers:
             cost = mfd.static_system_cost(params, net, toll).total
             values.append((toll, revenue, cost))
         assert all(v == values[0] for v in values)
+
+
+def sampled_bands(seed: int, per_regime: int):
+    """Seeded urban draws with a nonempty toll band, in all three regimes."""
+    rng = random.Random(seed)
+    draws = []
+    for regime in ("low", "mid", "high"):
+        while sum(1 for d in draws if d[0] == regime) < per_regime:
+            params = verify.sample_params(rng, regime=regime)
+            net = verify.sample_mfd(rng, params)
+            if params.cost_gap > mfd.static_lower_toll(params, net):
+                draws.append((regime, params, net))
+    return draws
+
+
+class TestArrayPath:
+    """Array tolls take the same arithmetic as float tolls, element by element."""
+
+    @pytest.mark.parametrize("regime, params, net", sampled_bands(seed=11, per_regime=4))
+    def test_array_equals_float_calls(self, regime, params, net):
+        tolls = np.linspace(mfd.static_lower_toll(params, net), params.cost_gap, 257)
+        revenue = mfd.static_revenue(params, net, tolls)
+        cost = mfd.static_system_cost(params, net, tolls).total
+        assert revenue.shape == cost.shape == tolls.shape
+        assert revenue.tolist() == [mfd.static_revenue(params, net, float(t)) for t in tolls]
+        assert cost.tolist() == [
+            mfd.static_system_cost(params, net, float(t)).total for t in tolls
+        ]
+
+    @pytest.mark.parametrize("regime, params, net", sampled_bands(seed=12, per_regime=4))
+    def test_optima_inside_band(self, regime, params, net):
+        lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
+        for search in (mfd.static_revenue_optimal, mfd.static_sc_optimal):
+            toll, _ = search(params, net)
+            assert lo <= toll <= hi
+
+    def test_array_outside_band_rejected(self):
+        params, net = nyc_setup(18.0)
+        tolls = np.linspace(0.0, params.cost_gap + 1.0, 5)
+        with pytest.raises(DomainError):
+            mfd.static_revenue(params, net, tolls)
 
 
 class TestDynamicBenchmarks:

@@ -112,6 +112,12 @@ class TestCli:
         assert cli.main(["analyze", "--scenario", "/nope/missing.scenario", "--eta", "2"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_jam_accumulation_is_validation_error(self, capsys):
+        assert cli.main(["analyze", "--scenario", "nyc", "--eta", "3", "--nj", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "jam_accumulation" in err
+        assert "Traceback" not in err
+
     def test_verify_zero_cases_vacuous(self, capsys):
         assert cli.main(["verify", "--cases", "0"]) == 0
         assert "vacuous" in capsys.readouterr().out
