@@ -25,7 +25,6 @@ from .core import (
     TrapezoidToll,
     classify_regime,
     regime_thresholds,
-    rush_window,
 )
 from .mfd import TriangularMfd
 
@@ -43,6 +42,5 @@ __all__ = [
     "TriangularMfd",
     "classify_regime",
     "regime_thresholds",
-    "rush_window",
     "__version__",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "CostBreakdown",
     "classify_regime",
     "regime_thresholds",
-    "rush_window",
 ]
 
 
@@ -155,11 +154,6 @@ def classify_regime(params: BottleneckParams) -> Regime:
     if gap <= high:
         return Regime.MIXED_MID
     return Regime.MIXED_HIGH
-
-
-def rush_window(params: BottleneckParams) -> tuple[float, float]:
-    """Desired-crossing window on the rush clock: (0, total_demand/arrival_rate)."""
-    return 0.0, params.rush_length
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -28,10 +27,7 @@ __all__ = [
     "grid_search_dynamic_fraction",
     "integrate_mfd_revenue",
     "mfd_shoulder_quadrature",
-    "write_trace_csv",
 ]
-
-TRACE_CSV_COLUMNS = ("t", "wait", "toll", "throughput", "cum_arrivals", "cum_departures")
 
 
 @dataclass(frozen=True)
@@ -305,18 +301,3 @@ def mfd_shoulder_quadrature(
         "sched_late": sched_piece(late),
     }
 
-
-def write_trace_csv(trace: EquilibriumTrace, path: str) -> None:
-    """Dump a trace for external plotting; columns fixed by TRACE_CSV_COLUMNS."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_CSV_COLUMNS)
-        for row in zip(
-            trace.times,
-            trace.wait,
-            trace.toll,
-            trace.throughput,
-            trace.cum_arrivals,
-            trace.cum_departures,
-        ):
-            writer.writerow([f"{v:.10g}" for v in row])

@@ -5,10 +5,16 @@ its independently computed counterpart (trapezoid quadrature, adaptive
 quadrature, exhaustive search), and reports the worst discrepancy seen.
 The suites are pure and shardable; the CLI ``verify`` command and the
 acceptance tests both run them.
+
+Each check is written once, for one parameter set, and returns ``(worst gap,
+failure messages)`` with the messages tagged ``case 7`` or ``eta=2.5``; the
+random and the scenario suites share the checks, and every guarantee is
+checked under exactly the precondition ``bottleneck.performance_bounds`` states.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass, field
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bottleneck, mfd, oracle
-from .core import BottleneckParams, regime_thresholds
+from .core import BottleneckParams, ParameterError, Regime, regime_thresholds
 
 __all__ = [
     "CheckResult",
@@ -44,6 +50,9 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return f"[{status}] {self.name}: {self.detail}"
+
+
+_Outcome = tuple[float, list[str]]
 
 
 def _rel_gap(got: float, want: float, floor: float = 1e-12) -> float:
@@ -90,6 +99,121 @@ def sample_mfd(rng: random.Random, params: BottleneckParams) -> mfd.TriangularMf
     )
 
 
+def _check_oracle(
+    params: BottleneckParams, toll: float, tag: str, dt: float, rel_tol: float
+) -> _Outcome:
+    """Revenue, the four cost components and ``n_transit`` at one toll vs quadrature."""
+    _, outcome, sim_cost = oracle.simulate_static_bottleneck(params, toll, dt)
+    closed_cost = bottleneck.static_system_cost(params, toll)
+    closed_eq = bottleneck.static_equilibrium(params, toll)
+    # Component scale sets the floor: a discrepancy smaller than one grid
+    # cell of users' worth of time is below the oracle's own resolution.
+    floor = dt * params.arrival_rate * max(params.transit_cost, 1.0)
+    pairs = [
+        ("revenue", sim_cost.revenue, closed_cost.revenue),
+        ("transit", sim_cost.transit, closed_cost.transit),
+        ("car_freeflow", sim_cost.car_freeflow, closed_cost.car_freeflow),
+        ("queuing", sim_cost.queuing, closed_cost.queuing),
+        ("schedule", sim_cost.schedule, closed_cost.schedule),
+        ("n_transit", outcome.n_transit, closed_eq.n_transit),
+    ]
+    worst = 0.0
+    failures: list[str] = []
+    for label, got, want in pairs:
+        gap_ = _rel_gap(got, want, floor)
+        worst = max(worst, gap_)
+        if gap_ > rel_tol:
+            failures.append(f"{tag} toll={toll:.6g} {label}: oracle {got:.10g} vs closed {want:.10g}")
+    return worst, failures
+
+
+def _check_recovery(params: BottleneckParams, tag: str, grid_points: int) -> _Outcome:
+    """Grid search finds the flat-toll and trapezoid-fraction optima within one step.
+
+    The worst gap is the flat argmax error minus the step (nonpositive on a pass).
+    """
+    failures: list[str] = []
+    gap = params.cost_gap
+    toll_star, rev_star = bottleneck.static_revenue_optimal_toll(params)
+    toll_hat, rev_hat = oracle.grid_search_static(params, grid_points)
+    step = gap / (grid_points - 1) if gap > 0 else 0.0
+    err = abs(toll_hat - toll_star)
+    if err > step * 1.0000001:
+        failures.append(f"{tag}: flat argmax {toll_hat:.8g} vs closed {toll_star:.8g}")
+    # Grid revenue can never beat the closed-form optimum.
+    if rev_hat > rev_star * (1 + 1e-9):
+        failures.append(f"{tag}: grid revenue {rev_hat} exceeds optimum {rev_star}")
+
+    design = bottleneck.dynamic_revenue_optimal(params)
+    frac_hat, _ = oracle.grid_search_dynamic_fraction(params, grid_points)
+    f_lo = 1.0 - min(gap / bottleneck.max_wait_car_only(params), 1.0)
+    f_step = (1.0 - f_lo) / (grid_points - 1)
+    if abs(frac_hat - design.flat_fraction) > f_step * 1.0000001:
+        failures.append(
+            f"{tag}: fraction argmax {frac_hat:.8g} vs closed {design.flat_fraction:.8g}"
+        )
+    return err - step, failures
+
+
+def _check_guarantees(params: BottleneckParams, tag: str, argmax_grid: int = 2000) -> _Outcome:
+    """Every stated performance guarantee at one parameter set.
+
+    Also certifies the closed-form flat optimum against a dense revenue grid
+    (no grid point may beat it by more than the curve's Lipschitz constant
+    times the grid step).  The worst gap is the revenue ratio's margin over
+    its lower bound (infinite when the dynamic revenue is zero).
+    """
+    failures: list[str] = []
+    report = bottleneck.performance_bounds(params)
+    toll_star, rev_static = bottleneck.static_revenue_optimal_toll(params)
+    design = bottleneck.dynamic_revenue_optimal(params)
+    if design.revenue < rev_static * (1 - 1e-9):
+        failures.append(f"{tag}: dynamic optimum below flat optimum")
+    gap = params.cost_gap
+    if gap > 0:
+        grid = np.linspace(0.0, gap, argmax_grid)
+        curve_max = float(oracle._static_revenue_curve(params, grid).max())
+        mu, lam = params.capacity, params.arrival_rate
+        lipschitz = max(
+            params.total_demand,
+            mu * params.total_demand / lam + 2.0 * mu * gap / params.schedule_factor,
+        )
+        slack = lipschitz * gap / (argmax_grid - 1) + 1e-9 * abs(rev_static)
+        if curve_max > rev_static + slack:
+            failures.append(
+                f"{tag}: grid revenue {curve_max:.8g} beats closed optimum "
+                f"{rev_static:.8g} beyond resolution slack"
+            )
+    margin = math.inf
+    if design.revenue > 0:
+        ratio = rev_static / design.revenue
+        margin = ratio - report.revenue_ratio_lower_bound
+        if ratio < report.revenue_ratio_lower_bound * (1 - 1e-9):
+            failures.append(
+                f"{tag}: revenue ratio {ratio:.6f} below bound "
+                f"{report.revenue_ratio_lower_bound:.6f} ({report.regime.value})"
+            )
+        if ratio < 0.5 - 1e-9:
+            failures.append(f"{tag}: revenue ratio {ratio:.6f} under the 1/2 floor")
+    if report.sc_ratio_upper_bound is not None:
+        cap = report.sc_ratio_upper_bound * bottleneck.optimal_system_cost(params) * (1 + 1e-9)
+        if bottleneck.static_system_cost(params, toll_star).total > cap:
+            failures.append(f"{tag}: flat-toll system cost beats 2x bound")
+        if bottleneck.dynamic_ro_system_cost(params).total > cap:
+            failures.append(f"{tag}: dynamic system cost beats 2x bound")
+    return margin, failures
+
+
+def _check_urban_revenue(
+    params: BottleneckParams, net: mfd.TriangularMfd, toll: float, tag: str, dt: float, rel_tol: float
+) -> _Outcome:
+    """Log-form urban revenue at one toll vs trapezoid quadrature."""
+    numeric = oracle.integrate_mfd_revenue(params, net, toll, dt)
+    closed = mfd.static_revenue(params, net, toll)
+    gap_ = _rel_gap(numeric, closed, floor=1e-9 * params.total_demand)
+    return gap_, [f"{tag}: urban revenue quadrature gap {gap_:.3e}"] if gap_ > rel_tol else []
+
+
 def oracle_agreement_suite(
     seed: int,
     n_cases: int,
@@ -108,28 +232,9 @@ def oracle_agreement_suite(
         if hi > 0:
             tolls[0] = rng.uniform(lo, hi)  # keep at least one toll in the mixed band
         for toll in tolls:
-            _, outcome, sim_cost = oracle.simulate_static_bottleneck(params, toll, dt)
-            closed_cost = bottleneck.static_system_cost(params, toll)
-            closed_eq = bottleneck.static_equilibrium(params, toll)
-            # Component scale sets the floor: a discrepancy smaller than one
-            # grid cell of users' worth of time is below the oracle's own
-            # resolution.
-            floor = dt * params.arrival_rate * max(params.transit_cost, 1.0)
-            pairs = [
-                ("revenue", sim_cost.revenue, closed_cost.revenue),
-                ("transit", sim_cost.transit, closed_cost.transit),
-                ("car_freeflow", sim_cost.car_freeflow, closed_cost.car_freeflow),
-                ("queuing", sim_cost.queuing, closed_cost.queuing),
-                ("schedule", sim_cost.schedule, closed_cost.schedule),
-                ("n_transit", outcome.n_transit, closed_eq.n_transit),
-            ]
-            for label, got, want in pairs:
-                gap_ = abs(got - want) / max(abs(want), floor)
-                worst = max(worst, gap_)
-                if gap_ > rel_tol:
-                    failures.append(
-                        f"case {case} toll={toll:.6g} {label}: oracle {got:.10g} vs closed {want:.10g}"
-                    )
+            gap_, found = _check_oracle(params, toll, f"case {case}", dt, rel_tol)
+            worst = max(worst, gap_)
+            failures += found
     return CheckResult(
         name="oracle agreement (trapezoid quadrature vs closed forms)",
         ok=not failures,
@@ -145,30 +250,9 @@ def optimizer_recovery_suite(seed: int, n_cases: int, grid_points: int = 10_000)
     worst = 0.0
     failures: list[str] = []
     for case in range(n_cases):
-        params = sample_params(rng)
-        gap = params.cost_gap
-
-        toll_star, _ = bottleneck.static_revenue_optimal_toll(params)
-        toll_hat, rev_hat = oracle.grid_search_static(params, grid_points)
-        step = gap / (grid_points - 1) if gap > 0 else 0.0
-        err = abs(toll_hat - toll_star)
-        worst = max(worst, err - step)
-        if err > step * 1.0000001:
-            failures.append(f"case {case}: flat argmax {toll_hat:.8g} vs closed {toll_star:.8g}")
-        # Grid revenue can never beat the closed-form optimum.
-        rev_star = bottleneck.static_revenue(params, toll_star)
-        if rev_hat > rev_star * (1 + 1e-9):
-            failures.append(f"case {case}: grid revenue {rev_hat} exceeds optimum {rev_star}")
-
-        design = bottleneck.dynamic_revenue_optimal(params)
-        frac_hat, _ = oracle.grid_search_dynamic_fraction(params, grid_points)
-        max_wait = bottleneck.max_wait_car_only(params)
-        f_lo = 1.0 - min(gap / max_wait, 1.0)
-        f_step = (1.0 - f_lo) / (grid_points - 1)
-        if abs(frac_hat - design.flat_fraction) > f_step * 1.0000001:
-            failures.append(
-                f"case {case}: fraction argmax {frac_hat:.8g} vs closed {design.flat_fraction:.8g}"
-            )
+        excess, found = _check_recovery(sample_params(rng), f"case {case}", grid_points)
+        worst = max(worst, excess)
+        failures += found
     return CheckResult(
         name="optimizer recovery (exhaustive search vs closed-form optima)",
         ok=not failures,
@@ -182,79 +266,23 @@ def bound_property_suite(seed: int, n_cases: int, argmax_grid: int = 2000) -> Ch
     """Every stated performance guarantee, on random draws across all regimes.
 
     Also certifies the closed-form flat optimum against a dense revenue grid
-    on every draw (no grid point may beat it by more than the curve's
-    Lipschitz constant times the grid step).
+    on every draw, and the exact cost ratio in the degenerate corner.
     """
     rng = random.Random(seed)
     failures: list[str] = []
     worst_margin = math.inf
     for case in range(n_cases):
-        params = sample_params(rng)
-        toll_star, rev_static = bottleneck.static_revenue_optimal_toll(params)
-        design = bottleneck.dynamic_revenue_optimal(params)
-        if design.revenue < rev_static * (1 - 1e-9):
-            failures.append(f"case {case}: dynamic optimum below flat optimum")
-        gap = params.cost_gap
-        if gap > 0:
-            grid = np.linspace(0.0, gap, argmax_grid)
-            curve_max = float(oracle._static_revenue_curve(params, grid).max())
-            mu, lam = params.capacity, params.arrival_rate
-            lipschitz = max(
-                params.total_demand,
-                mu * params.total_demand / lam + 2.0 * mu * gap / params.schedule_factor,
-            )
-            slack = lipschitz * gap / (argmax_grid - 1) + 1e-9 * abs(rev_static)
-            if curve_max > rev_static + slack:
-                failures.append(
-                    f"case {case}: grid revenue {curve_max:.8g} beats closed optimum "
-                    f"{rev_static:.8g} beyond resolution slack"
-                )
-        if design.revenue > 0:
-            ratio = rev_static / design.revenue
-            report = bottleneck.performance_bounds(params)
-            margin = ratio - report.revenue_ratio_lower_bound
-            worst_margin = min(worst_margin, margin)
-            if margin < -1e-9:
-                failures.append(
-                    f"case {case}: revenue ratio {ratio:.6f} below bound "
-                    f"{report.revenue_ratio_lower_bound:.6f} ({report.regime.value})"
-                )
-            if ratio < 0.5 - 1e-9:
-                failures.append(f"case {case}: revenue ratio {ratio:.6f} under the 1/2 floor")
-        sc_opt = bottleneck.optimal_system_cost(params)
-        if params.cost_gap <= bottleneck.max_wait_car_only(params):
-            sc_static = bottleneck.static_system_cost(params, toll_star).total
-            sc_dyn = bottleneck.dynamic_ro_system_cost(params).total
-            if sc_static > 2.0 * sc_opt * (1 + 1e-9):
-                failures.append(f"case {case}: flat-toll system cost beats 2x bound")
-            if sc_dyn > 2.0 * sc_opt * (1 + 1e-9):
-                failures.append(f"case {case}: dynamic system cost beats 2x bound")
+        margin, found = _check_guarantees(sample_params(rng), f"case {case}", argmax_grid)
+        worst_margin = min(worst_margin, margin)
+        failures += found
 
     # Exact degenerate-corner ratio: zero car free-flow cost, gap beyond the
     # saturation threshold.
     for case in range(max(n_cases // 10, 10)):
-        base = sample_params(rng)
-        zero_car = BottleneckParams(
-            base.total_demand,
-            base.arrival_rate,
-            base.capacity,
-            base.early_penalty,
-            base.late_penalty,
-            0.0,
-            0.0,
-        )
+        zero_car = dataclasses.replace(sample_params(rng), car_freeflow_cost=0.0, transit_cost=0.0)
         low, _ = regime_thresholds(zero_car)
         threshold = low * (2 * zero_car.arrival_rate - zero_car.capacity) / zero_car.capacity
-        gap = threshold * rng.uniform(1.01, 3.0)
-        params = BottleneckParams(
-            base.total_demand,
-            base.arrival_rate,
-            base.capacity,
-            base.early_penalty,
-            base.late_penalty,
-            0.0,
-            gap,
-        )
+        params = dataclasses.replace(zero_car, transit_cost=threshold * rng.uniform(1.01, 3.0))
         report = bottleneck.performance_bounds(params)
         toll_star, _ = bottleneck.static_revenue_optimal_toll(params)
         got = bottleneck.static_system_cost(params, toll_star).total / bottleneck.optimal_system_cost(
@@ -292,13 +320,9 @@ def mfd_agreement_suite(
             continue
         # Keep shoulder spans short enough for the cheap trapezoid oracle.
         toll = max(lo, hi - rng.uniform(0.0, min(hi - lo, 4.0)))
-
-        closed = mfd.static_revenue(params, net, toll)
-        numeric = oracle.integrate_mfd_revenue(params, net, toll, dt)
-        gap_ = _rel_gap(numeric, closed, floor=1e-9 * params.total_demand)
+        gap_, found = _check_urban_revenue(params, net, toll, f"case {case}", dt, revenue_tol)
         worst = max(worst, gap_)
-        if gap_ > revenue_tol:
-            failures.append(f"case {case}: revenue quadrature gap {gap_:.3e}")
+        failures += found
 
         cost = mfd.static_system_cost(params, net, toll)
         pieces = oracle.mfd_shoulder_quadrature(params, net, toll)
@@ -320,18 +344,19 @@ def mfd_agreement_suite(
         if gap_ > quad_tol:
             failures.append(f"case {case}: schedule quadrature gap {gap_:.3e}")
 
-        # Guarantee regime: gap below demand*eL/((lam-mu_f)(e+L)) means the
-        # top-of-band toll keeps 2/(3 - mu_f/lam) of dynamic revenue and at
-        # most twice the optimal cost.
-        low_thr, _ = regime_thresholds(params)
-        if params.cost_gap <= low_thr:
-            bench = mfd.dynamic_benchmarks(params, net)
+        # At the top of the band the wait is zero and the network runs as the
+        # bottleneck at mu_f, so the bottleneck guarantees apply under their
+        # own preconditions: the low-band revenue floor, and the factor-2
+        # cost bound while the gap stays within the car-only peak wait.
+        report = bottleneck.performance_bounds(params)
+        bench = mfd.dynamic_benchmarks(params, net)
+        if report.regime is Regime.MIXED_LOW and bench.ro.revenue > 0:
             rev_at_gap = mfd.static_revenue(params, net, params.cost_gap)
-            floor_frac = 2.0 / (3.0 - params.capacity / params.arrival_rate)
-            if bench.ro.revenue > 0 and rev_at_gap < floor_frac * bench.ro.revenue * (1 - 1e-9):
+            if rev_at_gap < report.revenue_ratio_lower_bound * bench.ro.revenue * (1 - 1e-9):
                 failures.append(f"case {case}: top-of-band revenue under the guarantee floor")
+        if report.sc_ratio_upper_bound is not None:
             sc_at_gap = mfd.static_system_cost(params, net, params.cost_gap).total
-            if sc_at_gap > 2.0 * bench.sc_opt * (1 + 1e-9):
+            if sc_at_gap > report.sc_ratio_upper_bound * bench.sc_opt * (1 + 1e-9):
                 failures.append(f"case {case}: top-of-band system cost over the 2x guarantee")
 
     # Fixed-capacity limit: a huge jam accumulation reduces the log forms to
@@ -368,9 +393,10 @@ def mfd_agreement_suite(
 def scenario_suite(scenario, dt: float = 1e-4) -> CheckResult:
     """Deterministic checks along a calibrated scenario's eta sweep.
 
-    At every sweep point: oracle vs closed forms at three tolls, optimum
-    recovery by grid search, the regime-appropriate performance bounds, and
-    (for urban scenarios) the log-form revenue against quadrature.
+    At every sweep point the random suites' checks run: oracle vs closed
+    forms at three tolls, optimum recovery by grid search, every performance
+    guarantee, and (for urban scenarios) the log-form revenue against
+    quadrature.
     """
     failures: list[str] = []
     worst = 0.0
@@ -379,44 +405,20 @@ def scenario_suite(scenario, dt: float = 1e-4) -> CheckResult:
         gap = params.cost_gap
         if gap < 0 or params.capacity >= params.arrival_rate:
             continue
-        floor = dt * params.arrival_rate * max(params.transit_cost, 1.0)
+        tag = f"eta={eta:g}"
         for frac in (0.0, 0.5, 1.0):
-            toll = frac * gap
-            _, _, sim_cost = oracle.simulate_static_bottleneck(params, toll, dt)
-            closed = bottleneck.static_system_cost(params, toll)
-            for label in ("revenue", "transit", "car_freeflow", "queuing", "schedule"):
-                got, want = getattr(sim_cost, label), getattr(closed, label)
-                gap_ = abs(got - want) / max(abs(want), floor)
-                worst = max(worst, gap_)
-                if gap_ > 1e-6:
-                    failures.append(f"eta={eta:g} toll={toll:.4g} {label}: rel gap {gap_:.3e}")
-        toll_star, rev_star = bottleneck.static_revenue_optimal_toll(params)
-        toll_hat, _ = oracle.grid_search_static(params, 10_000)
-        if abs(toll_hat - toll_star) > gap / 9999 * 1.0000001 + 1e-15:
-            failures.append(f"eta={eta:g}: grid argmax {toll_hat:.6g} vs closed {toll_star:.6g}")
-        design = bottleneck.dynamic_revenue_optimal(params)
-        if design.revenue < rev_star * (1 - 1e-9):
-            failures.append(f"eta={eta:g}: dynamic optimum below flat optimum")
-        report = bottleneck.performance_bounds(params)
-        if design.revenue > 0 and rev_star / design.revenue < report.revenue_ratio_lower_bound * (
-            1 - 1e-9
-        ):
-            failures.append(f"eta={eta:g}: revenue ratio under its lower bound")
-        if report.sc_ratio_upper_bound is not None:
-            sc_opt = bottleneck.optimal_system_cost(params)
-            if bottleneck.static_system_cost(params, toll_star).total > 2.0 * sc_opt * (1 + 1e-9):
-                failures.append(f"eta={eta:g}: factor-2 cost bound violated")
+            gap_, found = _check_oracle(params, frac * gap, tag, dt, 1e-6)
+            worst = max(worst, gap_)
+            failures += found
+        failures += _check_recovery(params, tag, 10_000)[1]
+        failures += _check_guarantees(params, tag)[1]
         if scenario.is_mfd:
             net = scenario.mfd()
             lo = mfd.static_lower_toll(params, net)
-            toll = lo + 0.5 * (gap - lo)
             if gap > lo:
-                got = oracle.integrate_mfd_revenue(params, net, toll, dt)
-                want = mfd.static_revenue(params, net, toll)
-                gap_ = _rel_gap(got, want, floor=floor)
+                gap_, found = _check_urban_revenue(params, net, lo + 0.5 * (gap - lo), tag, dt, 1e-6)
                 worst = max(worst, gap_)
-                if gap_ > 1e-6:
-                    failures.append(f"eta={eta:g}: urban revenue quadrature gap {gap_:.3e}")
+                failures += found
     return CheckResult(
         name=f"scenario suite ({scenario.name})",
         ok=not failures,
@@ -429,8 +431,13 @@ def scenario_suite(scenario, dt: float = 1e-4) -> CheckResult:
 def run_all_suites(
     seed: int = 42, n_cases: int = 1000, dt: float = 1e-4
 ) -> list[CheckResult]:
-    """Everything the ``verify`` command runs, in a deterministic order."""
-    if n_cases <= 0:
+    """Everything the ``verify`` command runs, in a deterministic order.
+
+    Zero cases is a vacuous pass with a warning; a negative count is rejected.
+    """
+    if n_cases < 0:
+        raise ParameterError(f"the number of cases must be nonnegative, got {n_cases}")
+    if n_cases == 0:
         return [
             CheckResult(
                 name="verification",

@@ -9,7 +9,6 @@ from tollgap import (
     TrapezoidToll,
     classify_regime,
     regime_thresholds,
-    rush_window,
 )
 from tollgap.calibration import builtin_scenario
 from tollgap.core import CostBreakdown
@@ -128,15 +127,17 @@ class TestClassifyRegime:
 
 
 class TestRushWindow:
+    """The desired-crossing window is [0, rush_length] on the rush clock."""
+
     def test_bay_bridge(self):
-        assert rush_window(bay_params(1.5)) == (0.0, 5.0)
+        assert bay_params(1.5).rush_length == 5.0
 
     def test_unit_window(self):
         p = BottleneckParams(7.0, 7.0, 3.0, 0.5, 2.0, 0.0, 1.0)
-        assert rush_window(p) == (0.0, 1.0)
+        assert p.rush_length == 1.0
 
     def test_nyc(self):
-        assert rush_window(builtin_scenario("nyc").params(1.5)) == (0.0, 5.0)
+        assert builtin_scenario("nyc").params(1.5).rush_length == 5.0
 
 
 class TestTollPolicies:

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -68,16 +66,6 @@ class TestSimulation:
         )
         ceiling = params.cost_gap + 1e-9
         assert np.all(trace.wait + trace.toll <= ceiling)
-
-    def test_trace_csv_dump(self, tmp_path):
-        params = BAY.params(2.0)
-        trace, _, _ = oracle.simulate_static_bottleneck(params, 0.05, dt=1e-2)
-        out = tmp_path / "trace.csv"
-        oracle.write_trace_csv(trace, str(out))
-        with open(out) as handle:
-            rows = list(csv.reader(handle))
-        assert tuple(rows[0]) == oracle.TRACE_CSV_COLUMNS
-        assert len(rows) == trace.times.size + 1
 
 
 class TestGridSearches:

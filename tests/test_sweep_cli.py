@@ -122,6 +122,12 @@ class TestCli:
         assert cli.main(["verify", "--cases", "0"]) == 0
         assert "vacuous" in capsys.readouterr().out
 
+    def test_verify_negative_cases_is_validation_error(self, capsys):
+        assert cli.main(["verify", "--cases", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert "[PASS]" not in captured.out
+
     def test_verify_small_run_passes(self, capsys):
         assert cli.main(["verify", "--cases", "5", "--dt", "1e-3", "--seed", "7"]) == 0
         out = capsys.readouterr().out
