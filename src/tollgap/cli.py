@@ -17,6 +17,7 @@ from .calibration import (
     load_scenario,
 )
 from .core import DomainError, ParameterError, Regime
+from .search import bisect_root
 
 __all__ = ["main", "static_ro_toll_dollars", "crossover_eta"]
 
@@ -60,17 +61,18 @@ def crossover_eta(
     jam_accumulation: float | None = None,
     eta_lo: float = 1.0,
     eta_hi: float = 30.0,
+    grid_points: int = mfd.DEFAULT_GRID_POINTS,
 ) -> float | None:
     """Discomfort multiplier at which the flat optimum matches the live toll.
 
     Root of ``toll*(eta) * value_of_time - implemented_toll`` on
-    [eta_lo, eta_hi]; None when no sign change exists in the window.  A zero
-    implemented toll resolves to the eta at which the cost gap vanishes.
+    [eta_lo, eta_hi], by bisection to 1e-10; None when no sign change exists
+    in the window.  A zero implemented toll resolves to the eta at which the
+    cost gap vanishes.
     """
     if scenario.implemented_toll is None:
         raise ParameterError(f"scenario {scenario.name!r} has no implemented toll to match")
     target = scenario.implemented_toll
-    from scipy.optimize import brentq  # deferred: scipy.optimize dominates import time
 
     if target == 0.0:
         # The optimal toll is zero for every eta with a nonpositive gap;
@@ -82,19 +84,14 @@ def crossover_eta(
             return eta_lo
         if gap_fn(eta_hi) < 0:
             return None
-        return float(brentq(gap_fn, eta_lo, eta_hi, xtol=1e-10))
+        return bisect_root(gap_fn, eta_lo, eta_hi, xtol=1e-10)
 
     def objective(eta: float) -> float:
-        return static_ro_toll_dollars(scenario, eta, jam_accumulation) - target
+        return static_ro_toll_dollars(scenario, eta, jam_accumulation, grid_points) - target
 
-    f_lo, f_hi = objective(eta_lo), objective(eta_hi)
-    if f_lo == 0.0:
-        return eta_lo
-    if f_hi == 0.0:
-        return eta_hi
-    if f_lo * f_hi > 0:
+    if objective(eta_lo) * objective(eta_hi) > 0:
         return None
-    return float(brentq(objective, eta_lo, eta_hi, xtol=1e-10))
+    return bisect_root(objective, eta_lo, eta_hi, xtol=1e-10)
 
 
 def _fmt_money(hours: float, value_of_time: float) -> str:
@@ -162,6 +159,7 @@ def cmd_sweep(
 
 def cmd_verify(scenario_spec: str, seed: int, cases: int, dt: float) -> int:
     if scenario_spec != "random":
+        verify.check_case_count(cases)  # unused by the scenario suite, but still validated
         results = [verify.scenario_suite(_load(scenario_spec), dt=dt)]
     else:
         results = verify.run_all_suites(seed=seed, n_cases=cases, dt=dt)
@@ -174,15 +172,15 @@ def cmd_verify(scenario_spec: str, seed: int, cases: int, dt: float) -> int:
     return 2 if failed else 0
 
 
-def cmd_crossover(scenario: Scenario, jam_accumulation: float | None) -> int:
-    eta = crossover_eta(scenario, jam_accumulation)
+def cmd_crossover(scenario: Scenario, jam_accumulation: float | None, grid: int) -> int:
+    eta = crossover_eta(scenario, jam_accumulation, grid_points=grid)
     print(f"scenario: {scenario.name}")
     if scenario.implemented_toll is not None:
         print(f"  implemented flat toll: ${scenario.implemented_toll:.2f}")
     if eta is None:
         print("  no crossover in eta range [1, 30]  (informational, not an error)")
         return 0
-    row = sweep.compute_row(scenario, eta, jam_accumulation)
+    row = sweep.compute_row(scenario, eta, jam_accumulation, grid)
     print(f"  crossover eta: {eta:.4f}")
     print(f"  static-RO revenue ratio at crossover: {row.rev_ratio(row.rev_static_ro):.5f}")
     print(f"  static-RO system-cost ratio at crossover: {row.sc_ratio(row.sc_static_ro):.5f}")
@@ -253,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
             etas = _parse_eta_range(args.eta_range) if args.eta_range else list(scenario.eta_sweep)
             return cmd_sweep(scenario, etas, args.out, args.nj, args.grid)
         if args.command == "crossover":
-            return cmd_crossover(scenario, args.nj)
+            return cmd_crossover(scenario, args.nj, args.grid)
         parser.error(f"unknown command {args.command!r}")
     except (ScenarioFormatError, ParameterError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from .mfd import TriangularMfd
 
 __all__ = [
     "EquilibriumTrace",
+    "static_bottleneck_costs",
     "simulate_static_bottleneck",
     "grid_search_static",
     "grid_search_dynamic_fraction",
@@ -55,23 +56,25 @@ def _segment_nodes(a: float, b: float, dt: float) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
-def simulate_static_bottleneck(
-    params: BottleneckParams, toll: float, dt: float = 1e-4
-) -> tuple[EquilibriumTrace, EquilibriumOutcome, CostBreakdown]:
-    """Rebuild the flat-toll equilibrium numerically and integrate its costs.
-
-    The wait profile is the trapezoid with peak ``clamp(gap - toll, 0,
-    car-only max wait)``, slopes equal to the schedule penalties, and
-    endpoints anchored by service-rate accounting (cars desiring the early
-    window are exactly the cars served over the rising segment, and
-    symmetrically for the late one).  Revenue and the four cost components
-    come from trapezoid quadrature over that profile; mode counts are read
-    off the cumulative curves.
-    """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+def _check_dt(params: BottleneckParams, dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError("dt must be finite and positive")
     if dt > params.rush_length / 100.0:
         raise DomainError("dt coarser than 1/100 of the rush window: verification meaningless")
+
+
+# (times, wait) on the rising, flat and falling segments of the wait profile.
+_Segments = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _static_equilibrium(
+    params: BottleneckParams, toll: float, dt: float
+) -> tuple[_Segments | None, EquilibriumOutcome, CostBreakdown]:
+    """Wait-profile geometry and trapezoid quadrature of one flat-toll equilibrium.
+
+    The segments are None when the toll prices every car out.
+    """
+    _check_dt(params, dt)
     if params.cost_gap < 0:
         raise DomainError("simulation requires transit_cost >= car_freeflow_cost")
     if toll < 0:
@@ -85,12 +88,9 @@ def simulate_static_bottleneck(
 
     if toll > gap:
         # Strictly dominated car: nothing flows, everything is transit.
-        times = np.array([0.0, params.rush_length])
-        zeros = np.zeros_like(times)
-        trace = EquilibriumTrace(times, zeros, np.full_like(times, toll), zeros, zeros, zeros)
         outcome = EquilibriumOutcome(0, 0, 0, demand, 0, 0, 0, 0, 0, regime)
         cost = CostBreakdown(params.transit_cost * demand, 0.0, 0.0, 0.0, 0.0)
-        return trace, outcome, cost
+        return None, outcome, cost
 
     # Car-only peak wait, rebuilt from the slope geometry: serving all demand
     # at rate mu takes demand/mu hours split e:L across rise and fall.
@@ -147,7 +147,45 @@ def simulate_static_bottleneck(
     outcome = EquilibriumOutcome(
         n_early, n_late, n_ontime, n_transit, peak_wait, start, peak_start, peak_end, end, regime
     )
+    return ((t_rise, w_rise), (t_flat, w_flat), (t_fall, w_fall)), outcome, cost
 
+
+def static_bottleneck_costs(
+    params: BottleneckParams, toll: float, dt: float = 1e-4
+) -> tuple[EquilibriumOutcome, CostBreakdown]:
+    """Rebuild the flat-toll equilibrium numerically and integrate its costs.
+
+    The wait profile is the trapezoid with peak ``clamp(gap - toll, 0,
+    car-only max wait)``, slopes equal to the schedule penalties, and
+    endpoints anchored by service-rate accounting (cars desiring the early
+    window are exactly the cars served over the rising segment, and
+    symmetrically for the late one).  Revenue and the four cost components
+    come from trapezoid quadrature over that profile; mode counts are read
+    off the service interval.
+    """
+    _, outcome, cost = _static_equilibrium(params, toll, dt)
+    return outcome, cost
+
+
+def simulate_static_bottleneck(
+    params: BottleneckParams, toll: float, dt: float = 1e-4
+) -> tuple[EquilibriumTrace, EquilibriumOutcome, CostBreakdown]:
+    """:func:`static_bottleneck_costs` plus the sampled equilibrium profiles.
+
+    The outcome and the cost are exactly those of ``static_bottleneck_costs``.
+    """
+    segments, outcome, cost = _static_equilibrium(params, toll, dt)
+    if segments is None:
+        times = np.array([0.0, params.rush_length])
+        zeros = np.zeros_like(times)
+        trace = EquilibriumTrace(times, zeros, np.full_like(times, toll), zeros, zeros, zeros)
+        return trace, outcome, cost
+
+    mu = min(params.capacity, params.arrival_rate)
+    e, late = params.early_penalty, params.late_penalty
+    start, peak_start, peak_end = outcome.start, outcome.peak_start, outcome.peak_end
+    peak_wait = outcome.peak_wait
+    (t_rise, w_rise), (t_flat, w_flat), (t_fall, w_fall) = segments
     times = np.concatenate([t_rise, t_flat[1:], t_fall[1:]])
     wait = np.concatenate([w_rise, w_flat[1:], w_fall[1:]])
     cum_dep = mu * (times - start)
@@ -165,7 +203,7 @@ def simulate_static_bottleneck(
             mu * ((times + peak_wait + late * peak_end) / (1.0 + late) - start),
         ),
     )
-    cum_arr = np.minimum(cum_arr, n_car)
+    cum_arr = np.minimum(cum_arr, mu * (outcome.end - start))
     trace = EquilibriumTrace(
         times, wait, np.full_like(times, float(toll)), np.full_like(times, mu), cum_arr, cum_dep
     )
@@ -223,10 +261,7 @@ def integrate_mfd_revenue(
     segment's length comes from counting shoulder cars numerically, not from
     the closed log expression.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    if dt > params.rush_length / 100.0:
-        raise DomainError("dt coarser than 1/100 of the rush window: verification meaningless")
+    _check_dt(params, dt)
     gap = params.cost_gap
     if toll < 0 or toll > gap + 1e-12 * max(1.0, abs(gap)):
         raise DomainError("toll must lie in [0, gap]")

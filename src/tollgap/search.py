@@ -1,4 +1,4 @@
-"""Search utilities: uniform grid scan with golden-section refinement."""
+"""Search utilities: uniform grid scan with golden-section refinement, bisection."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["golden_section_min", "grid_refine_min", "grid_refine_max"]
+__all__ = ["bisect_root", "golden_section_min", "grid_refine_min", "grid_refine_max"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -73,3 +73,33 @@ def grid_refine_max(fn: Callable, lo: float, hi: float, grid_points: int) -> tup
     """Maximize on [lo, hi] via :func:`grid_refine_min` on the negated function."""
     x, neg = grid_refine_min(lambda t: -fn(t), lo, hi, grid_points)
     return x, -neg
+
+
+def bisect_root(fn: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-10) -> float:
+    """Root of ``fn`` on the bracket [lo, hi] by bisection.
+
+    ``fn(lo)`` and ``fn(hi)`` must differ in sign, else ``ValueError``; an
+    endpoint where ``fn`` is exactly zero is returned as is.  Otherwise the
+    bracket is halved until it is no longer than ``xtol`` and its midpoint,
+    within ``xtol / 2`` of a sign change of ``fn``, is returned.
+    """
+    if not xtol > 0.0:
+        raise ValueError("xtol must be positive")
+    f_lo, f_hi = fn(lo), fn(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: f = {f_lo!r}, {f_hi!r}")
+    n = max(int(math.ceil(math.log2(abs(hi - lo) / xtol))), 0)
+    for _ in range(n):
+        mid = (lo + hi) / 2.0
+        f_mid = fn(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0

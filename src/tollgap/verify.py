@@ -33,6 +33,7 @@ __all__ = [
     "bound_property_suite",
     "mfd_agreement_suite",
     "scenario_suite",
+    "check_case_count",
     "run_all_suites",
 ]
 
@@ -103,7 +104,7 @@ def _check_oracle(
     params: BottleneckParams, toll: float, tag: str, dt: float, rel_tol: float
 ) -> _Outcome:
     """Revenue, the four cost components and ``n_transit`` at one toll vs quadrature."""
-    _, outcome, sim_cost = oracle.simulate_static_bottleneck(params, toll, dt)
+    outcome, sim_cost = oracle.static_bottleneck_costs(params, toll, dt)
     closed_cost = bottleneck.static_system_cost(params, toll)
     closed_eq = bottleneck.static_equilibrium(params, toll)
     # Component scale sets the floor: a discrepancy smaller than one grid
@@ -428,6 +429,12 @@ def scenario_suite(scenario, dt: float = 1e-4) -> CheckResult:
     )
 
 
+def check_case_count(n_cases: int) -> None:
+    """Reject a negative number of cases with :class:`ParameterError`."""
+    if n_cases < 0:
+        raise ParameterError(f"the number of cases must be nonnegative, got {n_cases}")
+
+
 def run_all_suites(
     seed: int = 42, n_cases: int = 1000, dt: float = 1e-4
 ) -> list[CheckResult]:
@@ -435,8 +442,7 @@ def run_all_suites(
 
     Zero cases is a vacuous pass with a warning; a negative count is rejected.
     """
-    if n_cases < 0:
-        raise ParameterError(f"the number of cases must be nonnegative, got {n_cases}")
+    check_case_count(n_cases)
     if n_cases == 0:
         return [
             CheckResult(

@@ -1,9 +1,13 @@
+import dataclasses
+import math
+import random
+
 import numpy as np
 import pytest
 
 from tollgap import BottleneckParams, DomainError
 from tollgap import bottleneck as bn
-from tollgap import mfd, oracle
+from tollgap import mfd, oracle, verify
 from tollgap.calibration import builtin_scenario
 
 BAY = builtin_scenario("bay_bridge")
@@ -66,6 +70,48 @@ class TestSimulation:
         )
         ceiling = params.cost_gap + 1e-9
         assert np.all(trace.wait + trace.toll <= ceiling)
+
+
+class TestCostsEntryPoint:
+    """``static_bottleneck_costs`` returns exactly what the traced entry point returns."""
+
+    @staticmethod
+    def assert_same(params, toll, dt=1e-4):
+        _, outcome, cost = oracle.simulate_static_bottleneck(params, toll, dt)
+        assert oracle.static_bottleneck_costs(params, toll, dt) == (outcome, cost)
+
+    def test_mixed_band_and_car_only(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            params = verify.sample_params(rng)
+            lo, hi = bn.feasible_toll_band(params)
+            self.assert_same(params, rng.uniform(lo, hi))
+            # Below the band the peak wait is clamped at the car-only maximum.
+            self.assert_same(params, rng.uniform(0.0, lo))
+
+    def test_toll_above_gap(self):
+        rng = random.Random(12)
+        for _ in range(10):
+            params = verify.sample_params(rng)
+            self.assert_same(params, params.cost_gap * rng.uniform(1.01, 3.0) + 1e-6)
+
+    def test_capacity_at_or_above_arrival_rate(self):
+        rng = random.Random(13)
+        for _ in range(10):
+            base = verify.sample_params(rng)
+            for factor in (1.0, rng.uniform(1.01, 3.0)):
+                params = dataclasses.replace(base, capacity=base.arrival_rate * factor)
+                self.assert_same(params, rng.uniform(0.0, params.cost_gap))
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1e-4])
+    def test_rejects_nonfinite_or_nonpositive_dt(self, dt):
+        params = BAY.params(1.5)
+        with pytest.raises(DomainError, match="dt"):
+            oracle.static_bottleneck_costs(params, 0.0, dt)
+        with pytest.raises(DomainError, match="dt"):
+            oracle.simulate_static_bottleneck(params, 0.0, dt)
+        with pytest.raises(DomainError, match="dt"):
+            oracle.integrate_mfd_revenue(NYC.params(1.5), NYC.mfd(), 0.0, dt)
 
 
 class TestGridSearches:

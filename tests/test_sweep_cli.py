@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tollgap import cli, sweep
+import tollgap
+from tollgap import cli, mfd, sweep
 from tollgap.calibration import builtin_scenario, serialize_scenario
 from tollgap.verify import CheckResult
 
@@ -128,6 +133,26 @@ class TestCli:
         assert "error:" in captured.err and "Traceback" not in captured.err
         assert "[PASS]" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--cases", "5", "--dt", "nan"],
+            ["verify", "--scenario", "bay_bridge", "--dt", "nan"],
+            ["verify", "--scenario", "nyc", "--dt", "nan"],
+        ],
+    )
+    def test_verify_nonfinite_dt_is_validation_error(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: dt must be finite and positive" in captured.err
+        assert "Traceback" not in captured.err and "[PASS]" not in captured.out
+
+    def test_verify_scenario_negative_cases_is_validation_error(self, capsys):
+        assert cli.main(["verify", "--scenario", "nyc", "--cases", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert "error: the number of cases must be nonnegative, got -3" in captured.err
+        assert "[PASS]" not in captured.out
+
     def test_verify_small_run_passes(self, capsys):
         assert cli.main(["verify", "--cases", "5", "--dt", "1e-3", "--seed", "7"]) == 0
         out = capsys.readouterr().out
@@ -156,6 +181,48 @@ class TestCli:
         assert "crossover eta: 1.7622" in out
         assert "eta = 2.1" in out
         assert "informational" in out
+
+    def test_crossover_honours_grid(self, monkeypatch, capsys):
+        seen = []
+        search = mfd.static_revenue_optimal
+
+        def spy(params, net, grid_points=mfd.DEFAULT_GRID_POINTS):
+            seen.append(grid_points)
+            return search(params, net, grid_points)
+
+        monkeypatch.setattr(mfd, "static_revenue_optimal", spy)
+        assert cli.main(["crossover", "--scenario", "nyc", "--grid", "512"]) == 0
+        assert "crossover eta: 1.8261" in capsys.readouterr().out
+        assert len(seen) > 2 and set(seen) == {512}  # the root search and the report row
+
+    def test_crossover_grid_one_is_validation_error(self, capsys):
+        assert cli.main(["crossover", "--scenario", "nyc", "--grid", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "error: grid_points must be >= 2" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_cli_commands_import_no_scipy(self, tmp_path):
+        # Only verify's urban shoulder quadrature needs scipy.
+        script = (
+            "import sys\n"
+            "from tollgap import cli\n"
+            "for s in ('nyc', 'bay_bridge'):\n"
+            "    assert cli.main(['crossover', '--scenario', s]) == 0\n"
+            "    assert cli.main(['analyze', '--scenario', s, '--eta', '2']) == 0\n"
+            "    assert cli.main(['sweep', '--scenario', s, '--out', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(tollgap.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out.csv")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_crossover_zero_toll_solves_gap_root(self):
         import dataclasses
