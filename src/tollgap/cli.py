@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input/validation error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import bottleneck, mfd, sweep, verify
@@ -34,6 +35,8 @@ def _parse_eta_range(text: str) -> list[float]:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise ScenarioFormatError(f"--eta-range expects lo:hi:n, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ScenarioFormatError(f"--eta-range bounds must be finite, got {text!r}")
     if n < 1 or hi < lo:
         raise ScenarioFormatError("--eta-range needs hi >= lo and n >= 1")
     if n == 1:
@@ -209,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
             required=scenario_required,
             help="builtin name (bay_bridge, nyc) or a scenario file path",
         )
-        p.add_argument("--nj", type=float, default=None, help="jam-accumulation override (vehicles)")
+        p.add_argument("--nj", type=float, default=None, help="jam-accumulation override, urban only")
         p.add_argument(
-            "--grid", type=int, default=mfd.DEFAULT_GRID_POINTS, help="grid points for flat-toll searches"
+            "--grid", type=int, default=mfd.DEFAULT_GRID_POINTS, help="grid points (>= 2), urban searches only"
         )
 
     p_analyze = sub.add_parser("analyze", help="single-eta report for one scenario")
@@ -244,19 +247,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.scenario, args.seed, args.cases, args.dt)
+        if args.grid < 2:  # for every scenario, although only urban searches read it
+            raise DomainError("grid_points must be >= 2")
         scenario = _load(args.scenario)
         if args.command == "analyze":
+            if not math.isfinite(args.eta):
+                raise ParameterError(f"--eta must be finite, got {args.eta}")
             return cmd_analyze(scenario, args.eta, args.nj, args.grid)
         if args.command == "sweep":
             etas = _parse_eta_range(args.eta_range) if args.eta_range else list(scenario.eta_sweep)
             return cmd_sweep(scenario, etas, args.out, args.nj, args.grid)
-        if args.command == "crossover":
-            return cmd_crossover(scenario, args.nj, args.grid)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_crossover(scenario, args.nj, args.grid)  # argparse admits no other command
     except (ScenarioFormatError, ParameterError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

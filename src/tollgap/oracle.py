@@ -4,7 +4,7 @@ Nothing here reuses the closed-form revenue or cost expressions from
 ``tollgap.bottleneck`` / ``tollgap.mfd``: equilibria are rebuilt on a time
 grid from first principles (wait slopes, service-rate accounting, the
 indifference ceiling), revenues and cost components are integrated by the
-trapezoid rule, shoulder integrals are evaluated by adaptive quadrature, and
+trapezoid rule, shoulder integrals by fixed Gauss–Legendre quadrature, and
 optima are recovered by exhaustive search.  Where a search needs a revenue
 curve, the curve is an independent transcription evaluated point by point,
 so agreement is evidence rather than tautology.
@@ -12,6 +12,7 @@ so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,11 +50,30 @@ class EquilibriumTrace:
     cum_departures: np.ndarray
 
 
+MAX_SEGMENT_NODES = 10**7  # per wait-profile segment: 80 MB per array
+GAUSS_LEGENDRE_NODES = 128  # shoulder rule; 256 nodes move no piece by 1e-12 relative
+
+
 def _segment_nodes(a: float, b: float, dt: float) -> np.ndarray:
     if b <= a:
         return np.array([a])
+    if (b - a) / dt > MAX_SEGMENT_NODES:
+        raise DomainError(f"dt={dt:g} needs over {MAX_SEGMENT_NODES:.0e} nodes on a {b - a:.4g} h segment")
     n = max(int(math.ceil((b - a) / dt)), 1)
     return np.linspace(a, b, n + 1)
+
+
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss  # deferred: importing tollgap skips it
+
+    return leggauss(n)
+
+
+def _gauss_legendre(f, span: float) -> float:
+    """Integral of the vectorized ``f`` over ``[0, span]``."""
+    nodes, weights = _legendre_rule(GAUSS_LEGENDRE_NODES)
+    return 0.5 * span * float(weights @ f(0.5 * span * (nodes + 1.0)))
 
 
 def _check_dt(params: BottleneckParams, dt: float) -> None:
@@ -285,54 +305,36 @@ def integrate_mfd_revenue(
 def mfd_shoulder_quadrature(
     params: BottleneckParams, mfd: TriangularMfd, toll: float
 ) -> dict[str, float]:
-    """Adaptive quadrature of the four shoulder cost integrals.
+    """Gauss–Legendre quadrature of the four shoulder cost integrals, plus the flat queue.
 
     Integrands are written exactly as the closed antiderivatives' sources:
     outflow at the shoulder wait times the queuing wait (queue terms) or
-    times the linearly shrinking schedule offset (schedule terms).
+    times the linearly shrinking schedule offset (schedule terms).  The flat
+    block ``queue_flat`` takes its length from the integrated shoulder counts.
     """
-    gap = params.cost_gap
-    wait = max(gap - toll, 0.0)
-    n_j, mu_f = mfd.jam_accumulation, mfd.max_throughput
-    lam = params.arrival_rate
-    a = n_j / mu_f
-    e, late = params.early_penalty, params.late_penalty
+    wait = max(params.cost_gap - toll, 0.0)
+    n_j, lam = mfd.jam_accumulation, params.arrival_rate
+    a = n_j / mfd.max_throughput
     if wait == 0.0:
-        return {"queue_early": 0.0, "queue_late": 0.0, "sched_early": 0.0, "sched_late": 0.0}
-    from scipy.integrate import quad  # deferred: only this function needs scipy
+        keys = ("queue_early", "queue_late", "queue_flat", "sched_early", "sched_late")
+        return dict.fromkeys(keys, 0.0)
 
-    def queue_piece(slope: float) -> float:
+    def shoulder(slope: float) -> tuple[float, float, float]:
+        """(queue, served cars, schedule) over one shoulder."""
         span = wait / slope
-        value, _ = quad(
-            lambda x: n_j * (wait - slope * x) / (a + wait - slope * x),
-            0.0,
-            span,
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=200,
-        )
-        return value
-
-    def sched_piece(slope: float) -> float:
-        span = wait / slope
-        served, _ = quad(
-            lambda x: n_j / (a + wait - slope * x), 0.0, span, epsabs=1e-12, epsrel=1e-12, limit=200
-        )
+        queue = _gauss_legendre(lambda x: n_j * (wait - slope * x) / (a + wait - slope * x), span)
+        served = _gauss_legendre(lambda x: n_j / (a + wait - slope * x), span)
         offset = span - served / lam  # shoulder duration minus desired-window share
-        value, _ = quad(
-            lambda x: (n_j / (a + wait - slope * x)) * offset * (span - x) / span,
-            0.0,
-            span,
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=200,
-        )
-        return slope * value
+        sched = _gauss_legendre(lambda x: (n_j / (a + wait - slope * x)) * offset * (span - x) / span, span)
+        return queue, served, slope * sched
 
+    queue_early, served_early, sched_early = shoulder(params.early_penalty)
+    queue_late, served_late, sched_late = shoulder(params.late_penalty)
+    flat_len = (params.total_demand - (served_early + served_late)) / lam
     return {
-        "queue_early": queue_piece(e),
-        "queue_late": queue_piece(late),
-        "sched_early": sched_piece(e),
-        "sched_late": sched_piece(late),
+        "queue_early": queue_early,
+        "queue_late": queue_late,
+        "queue_flat": flat_len * n_j / (a + wait) * wait,
+        "sched_early": sched_early,
+        "sched_late": sched_late,
     }
-

@@ -1,0 +1,71 @@
+"""Property test over the argparse surface: every invocation ends in an exit code.
+
+Finite, nonfinite, zero and negative values for the numeric flags must give
+exit 0, 1 or 2 (or argparse's own ``SystemExit(2)``), never an uncaught
+exception.  Draws stay cheap: at most 2 random cases, coarse or rejected
+oracle steps, small search grids and at most 4 eta-range points.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tollgap import cli
+
+EDGE_FLOATS = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e-300, 1e300]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-50.0, 50.0))
+JAM = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1e6, 1e6))
+# Oracle steps: rejected (nonpositive, nonfinite, too fine for the node
+# budget, coarser than the rush window allows) and two cheap valid ones.
+DT = st.sampled_from([1e-300, 0.0, -1e-4, math.nan, math.inf, -math.inf, 1.0, 1e-2, 1e-3])
+SCENARIOS = st.sampled_from(["bay_bridge", "nyc"])
+
+
+def _flag(name: str, value) -> list[str]:
+    # ``--flag=value`` keeps argparse from reading "-inf" as an option.
+    return [] if value is None else [f"--{name}={value!r}"]
+
+
+@st.composite
+def cli_argv(draw, out_path: str) -> list[str]:
+    command = draw(st.sampled_from(["analyze", "crossover", "sweep", "verify"]))
+    if command == "verify":
+        return [
+            "verify",
+            "--scenario",
+            draw(st.sampled_from(["random", "bay_bridge", "nyc"])),
+            *_flag("cases", draw(st.integers(-3, 2))),
+            *_flag("dt", draw(DT)),
+        ]
+    argv = [command, "--scenario", draw(SCENARIOS)]
+    argv += _flag("nj", draw(st.none() | JAM))
+    argv += _flag("grid", draw(st.none() | st.integers(-5, 64)))
+    if command == "analyze":
+        argv += _flag("eta", draw(FLOATS))
+    if command == "sweep":
+        if draw(st.booleans()):
+            lo, hi, n = draw(FLOATS), draw(FLOATS), draw(st.integers(-1, 4))
+            argv.append(f"--eta-range={lo!r}:{hi!r}:{n}")
+        argv += ["--out", out_path]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory) -> str:
+    return str(tmp_path_factory.mktemp("cli") / "sweep.csv")
+
+
+def test_every_invocation_exits_with_a_code(out_path):
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(argv=cli_argv(out_path))
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 1, 2), argv
+
+    run()

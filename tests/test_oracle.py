@@ -113,6 +113,18 @@ class TestCostsEntryPoint:
         with pytest.raises(DomainError, match="dt"):
             oracle.integrate_mfd_revenue(NYC.params(1.5), NYC.mfd(), 0.0, dt)
 
+    @pytest.mark.parametrize("dt", [1e-300, 1e-12])
+    def test_rejects_dt_beyond_node_budget(self, dt):
+        # A finite but tiny step must not reach np.linspace with billions of nodes.
+        params = BAY.params(1.5)
+        with pytest.raises(DomainError, match="nodes"):
+            oracle.static_bottleneck_costs(params, 0.0, dt)
+        with pytest.raises(DomainError, match="nodes"):
+            oracle.simulate_static_bottleneck(params, 0.0, dt)
+        urban = NYC.params(18.0)
+        with pytest.raises(DomainError, match="nodes"):
+            oracle.integrate_mfd_revenue(urban, NYC.mfd(), 0.5 * urban.cost_gap, dt)
+
 
 class TestGridSearches:
     def test_flat_argmax_low_regime(self):
@@ -198,3 +210,26 @@ class TestMfdIntegration:
         assert quad_queue == pytest.approx(cost.queuing - queue_flat, rel=1e-8)
         quad_sched = pieces["sched_early"] + pieces["sched_late"]
         assert quad_sched == pytest.approx(cost.schedule, rel=1e-8)
+
+    def test_gauss_legendre_order_is_converged(self, monkeypatch):
+        # Doubling the rule's order moves no shoulder piece, at the suite's
+        # tolls and at the band bottom where the shoulders are longest.
+        rng = random.Random(5)
+        cases = []
+        while len(cases) < 60:
+            params = verify.sample_params(rng, regime=rng.choice(["low", "mid"]))
+            net = verify.sample_mfd(rng, params)
+            lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
+            if hi > lo:
+                cases += [(params, net, rng.uniform(lo, hi)), (params, net, lo)]
+        coarse = [oracle.mfd_shoulder_quadrature(*case) for case in cases]
+        monkeypatch.setattr(oracle, "GAUSS_LEGENDRE_NODES", 256)
+        fine = [oracle.mfd_shoulder_quadrature(*case) for case in cases]
+        for got, want in zip(coarse, fine):
+            assert got.keys() == want.keys()
+            for key in ("queue_early", "queue_late", "sched_early", "sched_late"):
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-300), key
+            # The flat block is N minus the shoulder counts, which cancels to
+            # rounding noise at the band bottom: judge it on the queue's scale.
+            scale = want["queue_early"] + want["queue_late"]
+            assert got["queue_flat"] == pytest.approx(want["queue_flat"], rel=1e-12, abs=1e-12 * scale)

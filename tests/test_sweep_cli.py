@@ -202,15 +202,19 @@ class TestCli:
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_cli_commands_import_no_scipy(self, tmp_path):
-        # Only verify's urban shoulder quadrature needs scipy.
+        # numpy is the only runtime dependency: every command, verify included,
+        # runs with scipy made unimportable.
         script = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from tollgap import cli\n"
             "for s in ('nyc', 'bay_bridge'):\n"
             "    assert cli.main(['crossover', '--scenario', s]) == 0\n"
             "    assert cli.main(['analyze', '--scenario', s, '--eta', '2']) == 0\n"
             "    assert cli.main(['sweep', '--scenario', s, '--out', sys.argv[1]]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "    assert cli.main(['verify', '--scenario', s]) == 0\n"
+            "assert cli.main(['verify', '--cases', '5']) == 0\n"
+            "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod))\n"
         )
         src = str(Path(tollgap.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -223,6 +227,53 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--scenario", "bay_bridge", "--eta", "2", "--grid", "1"],
+            ["crossover", "--scenario", "bay_bridge", "--grid", "0"],
+            ["sweep", "--scenario", "bay_bridge", "--grid", "-5"],
+            ["sweep", "--scenario", "nyc", "--grid", "1"],
+        ],
+    )
+    def test_grid_below_two_is_validation_error_for_every_scenario(self, argv, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: grid_points must be >= 2" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_help_says_grid_is_urban_only(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["sweep", "--help"])
+        assert "grid points (>= 2), urban searches only" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("bounds", ["1:inf:2", "nan:2:2", "-inf:3:4"])
+    def test_nonfinite_eta_range_names_the_flag(self, bounds, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert cli.main(["sweep", "--scenario", "bay_bridge", f"--eta-range={bounds}", "--out", out]) == 1
+        assert "error: --eta-range bounds must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-inf"])
+    def test_nonfinite_eta_names_the_flag(self, eta, capsys):
+        assert cli.main(["analyze", "--scenario", "nyc", f"--eta={eta}"]) == 1
+        assert f"error: --eta must be finite, got {eta}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--cases", "3", "--dt", "1e-300"],
+            ["verify", "--scenario", "nyc", "--dt", "1e-300"],
+            ["verify", "--scenario", "bay_bridge", "--dt", "1e-300"],
+        ],
+    )
+    def test_verify_dt_beyond_node_budget_is_validation_error(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: dt=1e-300 needs" in captured.err and "[PASS]" not in captured.out
 
     def test_crossover_zero_toll_solves_gap_root(self):
         import dataclasses

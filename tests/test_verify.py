@@ -41,3 +41,17 @@ def test_urban_cost_guarantee_catches_planted_fault(monkeypatch):
     assert within
     assert len(flagged) == len(within)
     assert len(result.failures) == len(flagged)
+
+
+def test_urban_queuing_check_catches_planted_fault(monkeypatch):
+    # mfd's own queuing total is compared with the oracle's shoulder and flat blocks.
+    real = mfd.static_system_cost
+
+    def skewed_queue(params, net, toll):
+        cost = real(params, net, toll)
+        return dataclasses.replace(cost, queuing=cost.queuing * (1 + 1e-6))
+
+    monkeypatch.setattr(mfd, "static_system_cost", skewed_queue)
+    result = verify.mfd_agreement_suite(0, 15)
+    assert not result.ok
+    assert any("queuing quadrature gap" in f for f in result.failures)
