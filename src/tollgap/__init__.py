@@ -21,7 +21,6 @@ from .core import (
     EquilibriumOutcome,
     ParameterError,
     Regime,
-    StaticToll,
     TrapezoidToll,
     classify_regime,
     regime_thresholds,
@@ -37,7 +36,6 @@ __all__ = [
     "EquilibriumOutcome",
     "ParameterError",
     "Regime",
-    "StaticToll",
     "TrapezoidToll",
     "TriangularMfd",
     "classify_regime",

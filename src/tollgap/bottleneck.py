@@ -265,18 +265,10 @@ def dynamic_revenue_optimal(params: BottleneckParams) -> DynamicTollDesign:
                                params.early_penalty, params.late_penalty)
         return DynamicTollDesign(1.0, policy, gap * demand)
 
-    max_wait = max_wait_car_only(params)
-    frac = max(1.0 - gap / max_wait * (1.0 - mu / lam), 0.0)
-    frac = min(max(frac, _min_flat_fraction(params)), 1.0)
-
-    low, _ = regime_thresholds(params)
-    if gap <= low * lam / mu:
-        revenue = gap * demand * mu / lam + (
-            gap * gap * mu / (2.0 * params.schedule_factor) * (1.0 - mu / lam) ** 2
-        )
-    else:
-        revenue = gap * demand - demand * demand / (2.0 * mu) * params.schedule_factor
-    return DynamicTollDesign(frac, _trapezoid_for_fraction(params, frac), revenue)
+    frac = max(1.0 - gap / max_wait_car_only(params) * (1.0 - mu / lam), 0.0)
+    return DynamicTollDesign(
+        frac, _trapezoid_for_fraction(params, frac), dynamic_revenue_at_fraction(params, frac)
+    )
 
 
 def dynamic_so_design(params: BottleneckParams) -> DynamicTollDesign:

@@ -14,7 +14,6 @@ meaning; dimensionless quantities take no unit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from .core import BottleneckParams, ParameterError
@@ -27,7 +26,6 @@ __all__ = [
     "Scenario",
     "transit_cost",
     "car_cost",
-    "weighted_freeflow_time",
     "parse_scenario",
     "load_scenario",
     "serialize_scenario",
@@ -44,27 +42,20 @@ class ScenarioFormatError(ValueError):
 class TransitCostSpec:
     """Components of the transit generalized cost.
 
-    Times are hours; the discomfort multiplier scales every time component
-    (not the fare) to reflect that transit minutes are perceived as more
-    onerous than driving minutes.  Values below 1 are unusual but allowed.
+    Times are hours; :func:`transit_cost` scales every time component (not
+    the fare) by the discomfort multiplier, to reflect that transit minutes
+    are perceived as more onerous than driving minutes.
     """
 
     fare: float
     walk_time: float
     wait_time: float
     in_vehicle_time: float
-    discomfort: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("fare", "walk_time", "wait_time", "in_vehicle_time", "discomfort"):
+        for name in ("fare", "walk_time", "wait_time", "in_vehicle_time"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"transit {name} must be nonnegative")
-        if self.discomfort < 1.0:
-            warnings.warn(
-                "transit discomfort multiplier below 1: transit time valued "
-                "below driving time",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -79,14 +70,11 @@ class CarCostSpec:
             raise ParameterError("car cost components must be nonnegative")
 
 
-def transit_cost(
-    spec: TransitCostSpec, value_of_time: float, discomfort: float | None = None
-) -> float:
+def transit_cost(spec: TransitCostSpec, value_of_time: float, discomfort: float) -> float:
     """Normalized transit cost: fare/value_of_time + eta * (walk + wait + ride)."""
     if value_of_time <= 0:
         raise ParameterError("value_of_time must be positive")
-    eta = spec.discomfort if discomfort is None else discomfort
-    return spec.fare / value_of_time + eta * (
+    return spec.fare / value_of_time + discomfort * (
         spec.walk_time + spec.wait_time + spec.in_vehicle_time
     )
 
@@ -96,29 +84,6 @@ def car_cost(spec: CarCostSpec, value_of_time: float) -> float:
     if value_of_time <= 0:
         raise ParameterError("value_of_time must be positive")
     return spec.parking_fee / value_of_time + spec.freeflow_time
-
-
-def weighted_freeflow_time(od_rows, speed: float) -> float:
-    """Share-weighted free-flow travel time over origin-destination legs.
-
-    ``od_rows`` is an iterable of ``(distance_miles, share_percent)`` pairs;
-    shares are renormalized over their own sum (survey OD tables often
-    cover only the major origins, so the shares need not add to 100).
-    Returns hours at the given speed in mph.
-    """
-    rows = list(od_rows)
-    if not rows:
-        raise ScenarioFormatError("weighted_freeflow_time needs at least one OD row")
-    if speed <= 0:
-        raise ParameterError("speed must be positive")
-    total_share = 0.0
-    weighted = 0.0
-    for distance, share in rows:
-        if share <= 0:
-            raise ParameterError("OD shares must be positive")
-        total_share += share
-        weighted += share * (distance / speed)
-    return weighted / total_share
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from .search import bisect_root
 
 __all__ = ["main", "static_ro_toll_dollars", "crossover_eta"]
 
+CROSSOVER_WINDOW = (1.0, 30.0)  # eta range of the crossover root search
+
 
 def _load(spec: str) -> Scenario:
     if spec in BUILTIN_SCENARIOS:
@@ -45,37 +47,29 @@ def _parse_eta_range(text: str) -> list[float]:
 
 
 def static_ro_toll_dollars(
-    scenario: Scenario,
-    eta: float,
-    jam_accumulation: float | None = None,
-    grid_points: int = mfd.DEFAULT_GRID_POINTS,
+    scenario: Scenario, eta: float, jam_accumulation: float | None = None
 ) -> float:
     """Revenue-optimal flat toll at a given eta, converted to dollars."""
     params = scenario.params(eta)
     if scenario.is_mfd:
-        toll, _ = mfd.static_revenue_optimal(params, scenario.mfd(jam_accumulation), grid_points)
+        toll, _ = mfd.static_revenue_optimal(params, scenario.mfd(jam_accumulation))
     else:
         toll, _ = bottleneck.static_revenue_optimal_toll(params)
     return toll * scenario.value_of_time
 
 
-def crossover_eta(
-    scenario: Scenario,
-    jam_accumulation: float | None = None,
-    eta_lo: float = 1.0,
-    eta_hi: float = 30.0,
-    grid_points: int = mfd.DEFAULT_GRID_POINTS,
-) -> float | None:
+def crossover_eta(scenario: Scenario, jam_accumulation: float | None = None) -> float | None:
     """Discomfort multiplier at which the flat optimum matches the live toll.
 
     Root of ``toll*(eta) * value_of_time - implemented_toll`` on
-    [eta_lo, eta_hi], by bisection to 1e-10; None when no sign change exists
-    in the window.  A zero implemented toll resolves to the eta at which the
-    cost gap vanishes.
+    :data:`CROSSOVER_WINDOW`, by bisection to 1e-10; None when no sign change
+    exists in the window.  A zero implemented toll resolves to the eta at
+    which the cost gap vanishes.
     """
     if scenario.implemented_toll is None:
         raise ParameterError(f"scenario {scenario.name!r} has no implemented toll to match")
     target = scenario.implemented_toll
+    eta_lo, eta_hi = CROSSOVER_WINDOW
 
     if target == 0.0:
         # The optimal toll is zero for every eta with a nonpositive gap;
@@ -90,7 +84,7 @@ def crossover_eta(
         return bisect_root(gap_fn, eta_lo, eta_hi, xtol=1e-10)
 
     def objective(eta: float) -> float:
-        return static_ro_toll_dollars(scenario, eta, jam_accumulation, grid_points) - target
+        return static_ro_toll_dollars(scenario, eta, jam_accumulation) - target
 
     if objective(eta_lo) * objective(eta_hi) > 0:
         return None
@@ -101,8 +95,8 @@ def _fmt_money(hours: float, value_of_time: float) -> str:
     return f"{hours:.5f} h (${hours * value_of_time:.2f})"
 
 
-def cmd_analyze(scenario: Scenario, eta: float, jam_accumulation: float | None, grid: int) -> int:
-    row = sweep.compute_row(scenario, eta, jam_accumulation, grid)
+def cmd_analyze(scenario: Scenario, eta: float, jam_accumulation: float | None) -> int:
+    row = sweep.compute_row(scenario, eta, jam_accumulation)
     params = scenario.params(eta)
     vot = scenario.value_of_time
     print(f"scenario: {scenario.name}   eta = {eta:g}")
@@ -140,17 +134,13 @@ def cmd_analyze(scenario: Scenario, eta: float, jam_accumulation: float | None, 
 
 
 def cmd_sweep(
-    scenario: Scenario,
-    etas: list[float],
-    out_path: str,
-    jam_accumulation: float | None,
-    grid: int,
+    scenario: Scenario, etas: list[float], out_path: str, jam_accumulation: float | None
 ) -> int:
-    rows = sweep.compute_rows(scenario, etas, jam_accumulation, grid)
+    rows = sweep.compute_rows(scenario, etas, jam_accumulation)
     sweep.write_csv(rows, out_path)
     print(f"wrote {len(rows)} rows to {out_path}")
     if scenario.is_mfd and jam_accumulation is None:
-        notes = sweep.nj_divergence(scenario, etas, grid)
+        notes = sweep.nj_divergence(scenario, etas)
         if notes:
             print("jam-accumulation sweep divergence:")
             for note in notes:
@@ -175,15 +165,16 @@ def cmd_verify(scenario_spec: str, seed: int, cases: int, dt: float) -> int:
     return 2 if failed else 0
 
 
-def cmd_crossover(scenario: Scenario, jam_accumulation: float | None, grid: int) -> int:
-    eta = crossover_eta(scenario, jam_accumulation, grid_points=grid)
+def cmd_crossover(scenario: Scenario, jam_accumulation: float | None) -> int:
+    eta = crossover_eta(scenario, jam_accumulation)
     print(f"scenario: {scenario.name}")
     if scenario.implemented_toll is not None:
         print(f"  implemented flat toll: ${scenario.implemented_toll:.2f}")
     if eta is None:
-        print("  no crossover in eta range [1, 30]  (informational, not an error)")
+        lo, hi = CROSSOVER_WINDOW
+        print(f"  no crossover in eta range [{lo:g}, {hi:g}]  (informational, not an error)")
         return 0
-    row = sweep.compute_row(scenario, eta, jam_accumulation, grid)
+    row = sweep.compute_row(scenario, eta, jam_accumulation)
     print(f"  crossover eta: {eta:.4f}")
     print(f"  static-RO revenue ratio at crossover: {row.rev_ratio(row.rev_static_ro):.5f}")
     print(f"  static-RO system-cost ratio at crossover: {row.sc_ratio(row.sc_static_ro):.5f}")
@@ -213,9 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="builtin name (bay_bridge, nyc) or a scenario file path",
         )
         p.add_argument("--nj", type=float, default=None, help="jam-accumulation override, urban only")
-        p.add_argument(
-            "--grid", type=int, default=mfd.DEFAULT_GRID_POINTS, help="grid points (>= 2), urban searches only"
-        )
 
     p_analyze = sub.add_parser("analyze", help="single-eta report for one scenario")
     add_common(p_analyze)
@@ -247,17 +235,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.scenario, args.seed, args.cases, args.dt)
-        if args.grid < 2:  # for every scenario, although only urban searches read it
-            raise DomainError("grid_points must be >= 2")
         scenario = _load(args.scenario)
+        if args.nj is not None and not scenario.is_mfd:
+            raise ParameterError(
+                f"--nj applies to urban scenarios only; {scenario.name!r} has a fixed capacity"
+            )
         if args.command == "analyze":
             if not math.isfinite(args.eta):
                 raise ParameterError(f"--eta must be finite, got {args.eta}")
-            return cmd_analyze(scenario, args.eta, args.nj, args.grid)
+            return cmd_analyze(scenario, args.eta, args.nj)
         if args.command == "sweep":
             etas = _parse_eta_range(args.eta_range) if args.eta_range else list(scenario.eta_sweep)
-            return cmd_sweep(scenario, etas, args.out, args.nj, args.grid)
-        return cmd_crossover(scenario, args.nj, args.grid)  # argparse admits no other command
+            return cmd_sweep(scenario, etas, args.out, args.nj)
+        return cmd_crossover(scenario, args.nj)  # argparse admits no other command
     except (ScenarioFormatError, ParameterError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,6 @@ __all__ = [
     "DomainError",
     "BottleneckParams",
     "Regime",
-    "StaticToll",
     "TrapezoidToll",
     "EquilibriumOutcome",
     "CostBreakdown",
@@ -154,20 +153,6 @@ def classify_regime(params: BottleneckParams) -> Regime:
     if gap <= high:
         return Regime.MIXED_MID
     return Regime.MIXED_HIGH
-
-
-@dataclass(frozen=True)
-class StaticToll:
-    """A time-invariant toll level, in hours."""
-
-    level: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.level) or self.level < 0:
-            raise ParameterError("static toll level must be finite and >= 0")
-
-    def value(self, t: float) -> float:
-        return self.level
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ __all__ = [
     "dynamic_benchmarks",
 ]
 
-DEFAULT_GRID_POINTS = 4096
+DEFAULT_GRID_POINTS = 4096  # toll grid of both flat-toll searches
 
 
 @dataclass(frozen=True)
@@ -202,21 +202,17 @@ def static_system_cost(
 
 
 def _search_band(
-    params: BottleneckParams, mfd: TriangularMfd, grid_points: int, objective: Callable, refine: Callable
+    params: BottleneckParams, mfd: TriangularMfd, objective: Callable, refine: Callable
 ) -> tuple[float, float]:
-    """``refine(objective, lo, hi, grid_points)`` on the toll band ``[lo, hi]``."""
-    if grid_points < 2:
-        raise DomainError("grid_points must be >= 2")
+    """``refine(objective, lo, hi, DEFAULT_GRID_POINTS)`` on the toll band ``[lo, hi]``."""
     lo, hi = static_lower_toll(params, mfd), params.cost_gap
     if hi <= lo:
         toll = max(hi, 0.0)
         return toll, objective(toll)
-    return refine(objective, lo, hi, grid_points)
+    return refine(objective, lo, hi, DEFAULT_GRID_POINTS)
 
 
-def static_revenue_optimal(
-    params: BottleneckParams, mfd: TriangularMfd, grid_points: int = DEFAULT_GRID_POINTS
-) -> tuple[float, float]:
+def static_revenue_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, float]:
     """Revenue-maximizing flat toll by grid scan plus golden-section polish.
 
     The revenue curve is Lipschitz on the band, so the grid resolution bounds
@@ -224,16 +220,14 @@ def static_revenue_optimal(
     empty band (nonpositive gap) degenerates to the toll ``max(gap, 0)``.
     """
     return _search_band(
-        params, mfd, grid_points, lambda t: _flat_toll(params, mfd, t).revenue, grid_refine_max
+        params, mfd, lambda t: _flat_toll(params, mfd, t).revenue, grid_refine_max
     )
 
 
-def static_sc_optimal(
-    params: BottleneckParams, mfd: TriangularMfd, grid_points: int = DEFAULT_GRID_POINTS
-) -> tuple[float, float]:
+def static_sc_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, float]:
     """System-cost-minimizing flat toll, same search scheme as the revenue one."""
     return _search_band(
-        params, mfd, grid_points, lambda t: _flat_toll(params, mfd, t).total, grid_refine_min
+        params, mfd, lambda t: _flat_toll(params, mfd, t).total, grid_refine_min
     )
 
 

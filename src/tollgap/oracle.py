@@ -52,6 +52,7 @@ class EquilibriumTrace:
 
 MAX_SEGMENT_NODES = 10**7  # per wait-profile segment: 80 MB per array
 GAUSS_LEGENDRE_NODES = 128  # shoulder rule; 256 nodes move no piece by 1e-12 relative
+SEARCH_POINTS = 10_000  # uniform grid of both exhaustive revenue searches
 
 
 def _segment_nodes(a: float, b: float, dt: float) -> np.ndarray:
@@ -242,28 +243,22 @@ def _static_revenue_curve(params: BottleneckParams, tolls: np.ndarray) -> np.nda
     return np.where(tolls < lo, tolls * demand, np.where(tolls > gap, 0.0, banded))
 
 
-def grid_search_static(params: BottleneckParams, grid_points: int = 10_000) -> tuple[float, float]:
+def grid_search_static(params: BottleneckParams) -> tuple[float, float]:
     """Exhaustive flat-toll revenue argmax over [0, gap]."""
-    if grid_points < 100:
-        raise DomainError("grid_points must be at least 100 for a meaningful search")
     gap = max(params.cost_gap, 0.0)
-    tolls = np.linspace(0.0, gap, grid_points)
+    tolls = np.linspace(0.0, gap, SEARCH_POINTS)
     values = _static_revenue_curve(params, tolls)
     i = int(np.argmax(values))
     return float(tolls[i]), float(values[i])
 
 
-def grid_search_dynamic_fraction(
-    params: BottleneckParams, grid_points: int = 10_000
-) -> tuple[float, float]:
+def grid_search_dynamic_fraction(params: BottleneckParams) -> tuple[float, float]:
     """Exhaustive flat-fraction revenue argmax over the feasible band."""
-    if grid_points < 100:
-        raise DomainError("grid_points must be at least 100 for a meaningful search")
     demand, lam, mu = params.total_demand, params.arrival_rate, params.capacity
     gap = params.cost_gap
     car_only_wait = demand * params.schedule_factor / mu
     f_lo = 1.0 - min(gap / car_only_wait, 1.0) if car_only_wait > 0 else 1.0
-    fracs = np.linspace(f_lo, 1.0, grid_points)
+    fracs = np.linspace(f_lo, 1.0, SEARCH_POINTS)
     values = gap * (fracs * demand * mu / lam + (1.0 - fracs) * demand) - (
         demand * demand / (2.0 * mu) * params.schedule_factor * (1.0 - fracs) ** 2
     )

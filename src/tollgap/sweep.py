@@ -15,6 +15,8 @@ from .core import Regime, classify_regime
 
 __all__ = ["SweepRow", "CSV_HEADER", "compute_row", "compute_rows", "write_csv", "nj_divergence"]
 
+DIVERGENCE_REL_TOL = 1e-9  # spread, relative to the largest value, that nj_divergence reports
+
 CSV_HEADER = (
     "eta",
     "regime",
@@ -103,12 +105,7 @@ class SweepRow:
         )
 
 
-def compute_row(
-    scenario: Scenario,
-    eta: float,
-    jam_accumulation: float | None = None,
-    grid_points: int = mfd.DEFAULT_GRID_POINTS,
-) -> SweepRow:
+def compute_row(scenario: Scenario, eta: float, jam_accumulation: float | None = None) -> SweepRow:
     """Evaluate all four policies at one discomfort multiplier."""
     params = scenario.params(eta)
     regime = classify_regime(params)
@@ -132,8 +129,8 @@ def compute_row(
         )
     if scenario.is_mfd:
         net = scenario.mfd(jam_accumulation)
-        tau_ro, rev_ro = mfd.static_revenue_optimal(params, net, grid_points)
-        tau_so, sc_so = mfd.static_sc_optimal(params, net, grid_points)
+        tau_ro, rev_ro = mfd.static_revenue_optimal(params, net)
+        tau_so, sc_so = mfd.static_sc_optimal(params, net)
         sc_ro = mfd.static_system_cost(params, net, tau_ro).total
         rev_so = mfd.static_revenue(params, net, tau_so)
         bench = mfd.dynamic_benchmarks(params, net)
@@ -170,19 +167,16 @@ def compute_rows(
     scenario: Scenario,
     etas,
     jam_accumulation: float | None = None,
-    grid_points: int = mfd.DEFAULT_GRID_POINTS,
     max_workers: int | None = None,
 ) -> list[SweepRow]:
     """Rows for every eta, in eta order.
 
     ``max_workers`` is accepted and ignored: rows are computed serially.
     """
-    return [compute_row(scenario, eta, jam_accumulation, grid_points) for eta in sorted(etas)]
+    return [compute_row(scenario, eta, jam_accumulation) for eta in sorted(etas)]
 
 
-def nj_divergence(
-    scenario: Scenario, etas, grid_points: int = mfd.DEFAULT_GRID_POINTS, rel_tol: float = 1e-9
-) -> list[str]:
+def nj_divergence(scenario: Scenario, etas) -> list[str]:
     """Columns that differ across the jam-accumulation sweep, per eta.
 
     Empty when the flat optimum sits at the top of the band, where the
@@ -200,12 +194,12 @@ def nj_divergence(
         "sc_static_so",
     )
     for eta in etas:
-        rows = [compute_row(scenario, eta, nj, grid_points) for nj in scenario.jam_accumulations]
+        rows = [compute_row(scenario, eta, nj) for nj in scenario.jam_accumulations]
         for field_name in numeric_fields:
             values = [getattr(r, field_name) for r in rows]
             spread = max(values) - min(values)
             scale = max(abs(v) for v in values) or 1.0
-            if spread > rel_tol * scale:
+            if spread > DIVERGENCE_REL_TOL * scale:
                 notes.append(
                     f"eta={eta:g}: {field_name} varies across jam levels "
                     f"(spread {spread:.3e}, values {['%.6g' % v for v in values]})"

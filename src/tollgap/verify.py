@@ -55,6 +55,10 @@ class CheckResult:
 
 _Outcome = tuple[float, list[str]]
 
+REL_TOL = 1e-6  # closed form vs trapezoid quadrature, relative
+QUAD_TOL = 1e-8  # urban queuing and schedule vs Gauss–Legendre quadrature, relative
+ARGMAX_GRID = 2000  # dense revenue grid that certifies the closed-form flat optimum
+
 
 def _rel_gap(got: float, want: float, floor: float = 1e-12) -> float:
     return abs(got - want) / max(abs(want), floor)
@@ -100,9 +104,7 @@ def sample_mfd(rng: random.Random, params: BottleneckParams) -> mfd.TriangularMf
     )
 
 
-def _check_oracle(
-    params: BottleneckParams, toll: float, tag: str, dt: float, rel_tol: float
-) -> _Outcome:
+def _check_oracle(params: BottleneckParams, toll: float, tag: str, dt: float) -> _Outcome:
     """Revenue, the four cost components and ``n_transit`` at one toll vs quadrature."""
     outcome, sim_cost = oracle.static_bottleneck_costs(params, toll, dt)
     closed_cost = bottleneck.static_system_cost(params, toll)
@@ -123,12 +125,12 @@ def _check_oracle(
     for label, got, want in pairs:
         gap_ = _rel_gap(got, want, floor)
         worst = max(worst, gap_)
-        if gap_ > rel_tol:
+        if gap_ > REL_TOL:
             failures.append(f"{tag} toll={toll:.6g} {label}: oracle {got:.10g} vs closed {want:.10g}")
     return worst, failures
 
 
-def _check_recovery(params: BottleneckParams, tag: str, grid_points: int) -> _Outcome:
+def _check_recovery(params: BottleneckParams, tag: str) -> _Outcome:
     """Grid search finds the flat-toll and trapezoid-fraction optima within one step.
 
     The worst gap is the flat argmax error minus the step (nonpositive on a pass).
@@ -136,8 +138,8 @@ def _check_recovery(params: BottleneckParams, tag: str, grid_points: int) -> _Ou
     failures: list[str] = []
     gap = params.cost_gap
     toll_star, rev_star = bottleneck.static_revenue_optimal_toll(params)
-    toll_hat, rev_hat = oracle.grid_search_static(params, grid_points)
-    step = gap / (grid_points - 1) if gap > 0 else 0.0
+    toll_hat, rev_hat = oracle.grid_search_static(params)
+    step = gap / (oracle.SEARCH_POINTS - 1) if gap > 0 else 0.0
     err = abs(toll_hat - toll_star)
     if err > step * 1.0000001:
         failures.append(f"{tag}: flat argmax {toll_hat:.8g} vs closed {toll_star:.8g}")
@@ -146,9 +148,9 @@ def _check_recovery(params: BottleneckParams, tag: str, grid_points: int) -> _Ou
         failures.append(f"{tag}: grid revenue {rev_hat} exceeds optimum {rev_star}")
 
     design = bottleneck.dynamic_revenue_optimal(params)
-    frac_hat, _ = oracle.grid_search_dynamic_fraction(params, grid_points)
+    frac_hat, _ = oracle.grid_search_dynamic_fraction(params)
     f_lo = 1.0 - min(gap / bottleneck.max_wait_car_only(params), 1.0)
-    f_step = (1.0 - f_lo) / (grid_points - 1)
+    f_step = (1.0 - f_lo) / (oracle.SEARCH_POINTS - 1)
     if abs(frac_hat - design.flat_fraction) > f_step * 1.0000001:
         failures.append(
             f"{tag}: fraction argmax {frac_hat:.8g} vs closed {design.flat_fraction:.8g}"
@@ -156,7 +158,7 @@ def _check_recovery(params: BottleneckParams, tag: str, grid_points: int) -> _Ou
     return err - step, failures
 
 
-def _check_guarantees(params: BottleneckParams, tag: str, argmax_grid: int = 2000) -> _Outcome:
+def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
     """Every stated performance guarantee at one parameter set.
 
     Also certifies the closed-form flat optimum against a dense revenue grid
@@ -172,14 +174,14 @@ def _check_guarantees(params: BottleneckParams, tag: str, argmax_grid: int = 200
         failures.append(f"{tag}: dynamic optimum below flat optimum")
     gap = params.cost_gap
     if gap > 0:
-        grid = np.linspace(0.0, gap, argmax_grid)
+        grid = np.linspace(0.0, gap, ARGMAX_GRID)
         curve_max = float(oracle._static_revenue_curve(params, grid).max())
         mu, lam = params.capacity, params.arrival_rate
         lipschitz = max(
             params.total_demand,
             mu * params.total_demand / lam + 2.0 * mu * gap / params.schedule_factor,
         )
-        slack = lipschitz * gap / (argmax_grid - 1) + 1e-9 * abs(rev_static)
+        slack = lipschitz * gap / (ARGMAX_GRID - 1) + 1e-9 * abs(rev_static)
         if curve_max > rev_static + slack:
             failures.append(
                 f"{tag}: grid revenue {curve_max:.8g} beats closed optimum "
@@ -206,34 +208,28 @@ def _check_guarantees(params: BottleneckParams, tag: str, argmax_grid: int = 200
 
 
 def _check_urban_revenue(
-    params: BottleneckParams, net: mfd.TriangularMfd, toll: float, tag: str, dt: float, rel_tol: float
+    params: BottleneckParams, net: mfd.TriangularMfd, toll: float, tag: str, dt: float
 ) -> _Outcome:
     """Log-form urban revenue at one toll vs trapezoid quadrature."""
     numeric = oracle.integrate_mfd_revenue(params, net, toll, dt)
     closed = mfd.static_revenue(params, net, toll)
     gap_ = _rel_gap(numeric, closed, floor=1e-9 * params.total_demand)
-    return gap_, [f"{tag}: urban revenue quadrature gap {gap_:.3e}"] if gap_ > rel_tol else []
+    return gap_, [f"{tag}: urban revenue quadrature gap {gap_:.3e}"] if gap_ > REL_TOL else []
 
 
-def oracle_agreement_suite(
-    seed: int,
-    n_cases: int,
-    dt: float = 1e-4,
-    tolls_per_case: int = 2,
-    rel_tol: float = 1e-6,
-) -> CheckResult:
-    """Closed-form revenue and every cost component vs trapezoid quadrature."""
+def oracle_agreement_suite(seed: int, n_cases: int, dt: float = 1e-4) -> CheckResult:
+    """Closed-form revenue and every cost component vs trapezoid quadrature, two tolls a case."""
     rng = random.Random(seed)
     worst = 0.0
     failures: list[str] = []
     for case in range(n_cases):
         params = sample_params(rng)
         lo, hi = bottleneck.feasible_toll_band(params)
-        tolls = [rng.uniform(0.0, hi) for _ in range(tolls_per_case)]
+        tolls = [rng.uniform(0.0, hi), rng.uniform(0.0, hi)]
         if hi > 0:
             tolls[0] = rng.uniform(lo, hi)  # keep at least one toll in the mixed band
         for toll in tolls:
-            gap_, found = _check_oracle(params, toll, f"case {case}", dt, rel_tol)
+            gap_, found = _check_oracle(params, toll, f"case {case}", dt)
             worst = max(worst, gap_)
             failures += found
     return CheckResult(
@@ -245,25 +241,25 @@ def oracle_agreement_suite(
     )
 
 
-def optimizer_recovery_suite(seed: int, n_cases: int, grid_points: int = 10_000) -> CheckResult:
+def optimizer_recovery_suite(seed: int, n_cases: int) -> CheckResult:
     """Exhaustive grid search recovers both closed-form optima within one step."""
     rng = random.Random(seed)
     worst = 0.0
     failures: list[str] = []
     for case in range(n_cases):
-        excess, found = _check_recovery(sample_params(rng), f"case {case}", grid_points)
+        excess, found = _check_recovery(sample_params(rng), f"case {case}")
         worst = max(worst, excess)
         failures += found
     return CheckResult(
         name="optimizer recovery (exhaustive search vs closed-form optima)",
         ok=not failures,
         worst=worst,
-        detail=f"{n_cases} parameter sets, {grid_points}-point grids",
+        detail=f"{n_cases} parameter sets, {oracle.SEARCH_POINTS}-point grids",
         failures=failures[:20],
     )
 
 
-def bound_property_suite(seed: int, n_cases: int, argmax_grid: int = 2000) -> CheckResult:
+def bound_property_suite(seed: int, n_cases: int) -> CheckResult:
     """Every stated performance guarantee, on random draws across all regimes.
 
     Also certifies the closed-form flat optimum against a dense revenue grid
@@ -273,7 +269,7 @@ def bound_property_suite(seed: int, n_cases: int, argmax_grid: int = 2000) -> Ch
     failures: list[str] = []
     worst_margin = math.inf
     for case in range(n_cases):
-        margin, found = _check_guarantees(sample_params(rng), f"case {case}", argmax_grid)
+        margin, found = _check_guarantees(sample_params(rng), f"case {case}")
         worst_margin = min(worst_margin, margin)
         failures += found
 
@@ -301,13 +297,7 @@ def bound_property_suite(seed: int, n_cases: int, argmax_grid: int = 2000) -> Ch
     )
 
 
-def mfd_agreement_suite(
-    seed: int,
-    n_cases: int = 100,
-    dt: float = 1e-4,
-    quad_tol: float = 1e-8,
-    revenue_tol: float = 1e-6,
-) -> CheckResult:
+def mfd_agreement_suite(seed: int, n_cases: int = 100, dt: float = 1e-4) -> CheckResult:
     """Urban-network checks: log forms vs quadrature, limits, and guarantees."""
     rng = random.Random(seed)
     failures: list[str] = []
@@ -321,7 +311,7 @@ def mfd_agreement_suite(
             continue
         # Keep shoulder spans short enough for the cheap trapezoid oracle.
         toll = max(lo, hi - rng.uniform(0.0, min(hi - lo, 4.0)))
-        gap_, found = _check_urban_revenue(params, net, toll, f"case {case}", dt, revenue_tol)
+        gap_, found = _check_urban_revenue(params, net, toll, f"case {case}", dt)
         worst = max(worst, gap_)
         failures += found
 
@@ -333,7 +323,7 @@ def mfd_agreement_suite(
         ):
             gap_ = _rel_gap(got, want, floor=1e-9)
             worst = max(worst, gap_)
-            if gap_ > quad_tol:
+            if gap_ > QUAD_TOL:
                 failures.append(f"case {case}: {label} quadrature gap {gap_:.3e}")
 
         # At the top of the band the wait is zero and the network runs as the
@@ -399,16 +389,16 @@ def scenario_suite(scenario, dt: float = 1e-4) -> CheckResult:
             continue
         tag = f"eta={eta:g}"
         for frac in (0.0, 0.5, 1.0):
-            gap_, found = _check_oracle(params, frac * gap, tag, dt, 1e-6)
+            gap_, found = _check_oracle(params, frac * gap, tag, dt)
             worst = max(worst, gap_)
             failures += found
-        failures += _check_recovery(params, tag, 10_000)[1]
+        failures += _check_recovery(params, tag)[1]
         failures += _check_guarantees(params, tag)[1]
         if scenario.is_mfd:
             net = scenario.mfd()
             lo = mfd.static_lower_toll(params, net)
             if gap > lo:
-                gap_, found = _check_urban_revenue(params, net, lo + 0.5 * (gap - lo), tag, dt, 1e-6)
+                gap_, found = _check_urban_revenue(params, net, lo + 0.5 * (gap - lo), tag, dt)
                 worst = max(worst, gap_)
                 failures += found
     return CheckResult(

@@ -219,8 +219,8 @@ def test_criterion_6_bay_bridge_cost_cap(practical_range_rows):
 
 
 def test_criterion_7_oracle_equivalence():
-    agreement = verify.oracle_agreement_suite(SEED, 1000, dt=1e-4, tolls_per_case=1, rel_tol=1e-6)
-    recovery = verify.optimizer_recovery_suite(SEED + 1, 1000, grid_points=10_000)
+    agreement = verify.oracle_agreement_suite(SEED, 1000)
+    recovery = verify.optimizer_recovery_suite(SEED + 1, 1000)
     ok = agreement.ok and recovery.ok
     report("7", ok, f"{agreement.detail}; {recovery.detail}")
     assert agreement.ok, agreement.failures
@@ -234,9 +234,7 @@ def test_criterion_8_bound_properties():
 
 
 def test_criterion_9_mfd_consistency():
-    result = verify.mfd_agreement_suite(
-        SEED + 3, 100, dt=1e-4, quad_tol=1e-8, revenue_tol=1e-6
-    )
+    result = verify.mfd_agreement_suite(SEED + 3, 100)
     report("9", result.ok, result.detail)
     assert result.ok, result.failures
 

@@ -5,24 +5,13 @@ from tollgap.calibration import (
     BUILTIN_SCENARIOS,
     CarCostSpec,
     ScenarioFormatError,
-    TransitCostSpec,
     builtin_scenario,
     car_cost,
     load_scenario,
     parse_scenario,
     serialize_scenario,
     transit_cost,
-    weighted_freeflow_time,
 )
-
-OD_TABLE = [
-    (12.6, 29.8),
-    (17.9, 12.4),
-    (13.8, 12.4),
-    (27.2, 8.6),
-    (25.3, 5.0),
-    (31.1, 4.8),
-]
 
 
 class TestCostSpecs:
@@ -46,10 +35,6 @@ class TestCostSpecs:
         z1 = transit_cost(spec, 40.0, discomfort=3.0)
         assert z1 - z0 == pytest.approx(slope, abs=1e-12)
 
-    def test_discomfort_below_one_warns(self):
-        with pytest.warns(UserWarning):
-            TransitCostSpec(fare=2.0, walk_time=0.1, wait_time=0.1, in_vehicle_time=0.5, discomfort=0.5)
-
     def test_car_costs(self):
         assert car_cost(CarCostSpec(30.0, 0.35), 22.0) == pytest.approx(1.7136364, abs=1e-6)
         assert car_cost(CarCostSpec(30.0, 0.15), 40.0) == pytest.approx(0.9)
@@ -59,26 +44,7 @@ class TestCostSpecs:
         from tollgap import ParameterError
 
         with pytest.raises(ParameterError):
-            transit_cost(BUILTIN_SCENARIOS["nyc"].transit, 0.0)
-
-
-class TestWeightedFreeflowTime:
-    def test_reference_table(self):
-        got = weighted_freeflow_time(OD_TABLE, 50.0)
-        assert got == pytest.approx(0.35020821917808215, rel=1e-12)  # frozen regression
-        assert got == pytest.approx(0.35, abs=5e-3)  # rounded reference value: 21 minutes
-
-    def test_single_row(self):
-        assert weighted_freeflow_time([(25.0, 40.0)], 50.0) == pytest.approx(0.5)
-
-    def test_equal_rows_symmetry(self):
-        one = weighted_freeflow_time([(10.0, 7.0)], 40.0)
-        two = weighted_freeflow_time([(10.0, 7.0), (10.0, 7.0)], 40.0)
-        assert one == pytest.approx(two, rel=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ScenarioFormatError):
-            weighted_freeflow_time([], 50.0)
+            transit_cost(BUILTIN_SCENARIOS["nyc"].transit, 0.0, discomfort=2.0)
 
 
 class TestBuiltins:

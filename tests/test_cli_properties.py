@@ -3,7 +3,7 @@
 Finite, nonfinite, zero and negative values for the numeric flags must give
 exit 0, 1 or 2 (or argparse's own ``SystemExit(2)``), never an uncaught
 exception.  Draws stay cheap: at most 2 random cases, coarse or rejected
-oracle steps, small search grids and at most 4 eta-range points.
+oracle steps and at most 4 eta-range points.
 """
 
 import math
@@ -41,7 +41,6 @@ def cli_argv(draw, out_path: str) -> list[str]:
         ]
     argv = [command, "--scenario", draw(SCENARIOS)]
     argv += _flag("nj", draw(st.none() | JAM))
-    argv += _flag("grid", draw(st.none() | st.integers(-5, 64)))
     if command == "analyze":
         argv += _flag("eta", draw(FLOATS))
     if command == "sweep":

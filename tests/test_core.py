@@ -141,14 +141,6 @@ class TestRushWindow:
 
 
 class TestTollPolicies:
-    def test_static_toll(self):
-        from tollgap import StaticToll
-
-        toll = StaticToll(0.25)
-        assert toll.value(0.0) == toll.value(100.0) == 0.25
-        with pytest.raises(ParameterError):
-            StaticToll(-0.1)
-
     def test_trapezoid_value(self):
         toll = TrapezoidToll(
             peak=1.0, start=0.0, peak_start=2.0, peak_end=3.0, end=3.5,

@@ -129,12 +129,12 @@ class TestCostsEntryPoint:
 class TestGridSearches:
     def test_flat_argmax_low_regime(self):
         params = BAY.params(1.5)
-        toll_hat, _ = oracle.grid_search_static(params, 10_000)
+        toll_hat, _ = oracle.grid_search_static(params)
         assert toll_hat == pytest.approx(params.cost_gap, abs=1.2e-5)
 
     def test_flat_argmax_mid_regime(self):
         params = BAY.params(12.15151515)
-        toll_hat, _ = oracle.grid_search_static(params, 10_000)
+        toll_hat, _ = oracle.grid_search_static(params)
         step = params.cost_gap / 9999
         assert abs(toll_hat - 9.429931876125792) <= step
 
@@ -149,11 +149,11 @@ class TestGridSearches:
             base.car_freeflow_cost,
             base.car_freeflow_cost,
         )
-        assert oracle.grid_search_static(params, 1000) == (0.0, 0.0)
+        assert oracle.grid_search_static(params) == (0.0, 0.0)
 
     def test_fraction_argmax_nyc(self):
         params = NYC.params(18.0)
-        frac_hat, _ = oracle.grid_search_dynamic_fraction(params, 10_000)
+        frac_hat, _ = oracle.grid_search_dynamic_fraction(params)
         assert frac_hat == pytest.approx(0.26561859631147566, abs=1e-4)
 
     def test_fraction_argmax_saturated(self):
@@ -165,12 +165,8 @@ class TestGridSearches:
             base.total_demand, lam, mu, base.early_penalty, base.late_penalty,
             base.car_freeflow_cost, base.car_freeflow_cost + gap,
         )
-        frac_hat, _ = oracle.grid_search_dynamic_fraction(params, 10_000)
+        frac_hat, _ = oracle.grid_search_dynamic_fraction(params)
         assert frac_hat == 0.0
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(DomainError):
-            oracle.grid_search_static(BAY.params(1.5), 10)
 
 
 class TestMfdIntegration:
@@ -187,11 +183,11 @@ class TestMfdIntegration:
         assert got == pytest.approx(mfd.static_revenue(params, net, toll), rel=1e-6)
 
     def test_many_toll_agreement_at_coarse_grid(self):
-        # Randomized-property variant: 10 tolls per set at the coarser grid
-        # step, with the correspondingly looser tolerance.
+        # Randomized-property variant: 600 tolls at the coarser grid step,
+        # held to the suite's own tolerance.
         from tollgap import verify
 
-        result = verify.oracle_agreement_suite(7, 60, dt=1e-3, tolls_per_case=10, rel_tol=1e-4)
+        result = verify.oracle_agreement_suite(7, 300, dt=1e-3)
         assert result.ok, result.failures
 
     def test_shoulder_quadrature_matches_closed_forms(self):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tollgap
-from tollgap import cli, mfd, sweep
+from tollgap import cli, sweep
 from tollgap.calibration import builtin_scenario, serialize_scenario
 from tollgap.verify import CheckResult
 
@@ -182,25 +183,6 @@ class TestCli:
         assert "eta = 2.1" in out
         assert "informational" in out
 
-    def test_crossover_honours_grid(self, monkeypatch, capsys):
-        seen = []
-        search = mfd.static_revenue_optimal
-
-        def spy(params, net, grid_points=mfd.DEFAULT_GRID_POINTS):
-            seen.append(grid_points)
-            return search(params, net, grid_points)
-
-        monkeypatch.setattr(mfd, "static_revenue_optimal", spy)
-        assert cli.main(["crossover", "--scenario", "nyc", "--grid", "512"]) == 0
-        assert "crossover eta: 1.8261" in capsys.readouterr().out
-        assert len(seen) > 2 and set(seen) == {512}  # the root search and the report row
-
-    def test_crossover_grid_one_is_validation_error(self, capsys):
-        assert cli.main(["crossover", "--scenario", "nyc", "--grid", "1"]) == 1
-        captured = capsys.readouterr()
-        assert "error: grid_points must be >= 2" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
-
     def test_cli_commands_import_no_scipy(self, tmp_path):
         # numpy is the only runtime dependency: every command, verify included,
         # runs with scipy made unimportable.
@@ -231,25 +213,52 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["analyze", "--scenario", "bay_bridge", "--eta", "2", "--grid", "1"],
-            ["crossover", "--scenario", "bay_bridge", "--grid", "0"],
-            ["sweep", "--scenario", "bay_bridge", "--grid", "-5"],
-            ["sweep", "--scenario", "nyc", "--grid", "1"],
+            ["analyze", "--scenario", "nyc", "--eta", "2"],
+            ["crossover", "--scenario", "nyc"],
+            ["sweep", "--scenario", "nyc"],
         ],
     )
-    def test_grid_below_two_is_validation_error_for_every_scenario(self, argv, tmp_path, capsys):
+    def test_grid_flag_is_gone(self, argv, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--grid", "512"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid 512" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_option_strings_are_pinned(self):
+        # A new flag is a new configuration to test: adding one changes this table.
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: [s for action in sub._actions for s in action.option_strings]
+            for name, sub in commands.choices.items()
+        }
+        assert options == {
+            "analyze": ["-h", "--help", "--scenario", "--nj", "--eta"],
+            "sweep": ["-h", "--help", "--scenario", "--nj", "--eta-range", "--out"],
+            "verify": ["-h", "--help", "--scenario", "--seed", "--cases", "--dt"],
+            "crossover": ["-h", "--help", "--scenario", "--nj"],
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--scenario", "bay_bridge", "--eta", "2", "--nj", "-5"],
+            ["crossover", "--scenario", "bay_bridge", "--nj", "14000"],
+            ["sweep", "--scenario", "bay_bridge", "--nj", "14000"],
+        ],
+    )
+    def test_nj_on_fixed_capacity_scenario_is_validation_error(self, argv, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         if argv[0] == "sweep":
             argv = [*argv, "--out", str(out)]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
-        assert "error: grid_points must be >= 2" in captured.err
+        assert "error: --nj applies to urban scenarios only" in captured.err
         assert captured.out == "" and not out.exists()
-
-    def test_help_says_grid_is_urban_only(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["sweep", "--help"])
-        assert "grid points (>= 2), urban searches only" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("bounds", ["1:inf:2", "nan:2:2", "-inf:3:4"])
     def test_nonfinite_eta_range_names_the_flag(self, bounds, tmp_path, capsys):
@@ -282,3 +291,12 @@ class TestCli:
         eta = cli.crossover_eta(zero)
         params = zero.params(eta)
         assert params.cost_gap == pytest.approx(0.0, abs=1e-8)
+
+    def test_crossover_outside_the_window_prints_it(self, tmp_path, capsys):
+        import dataclasses
+
+        path = tmp_path / "dear.scenario"
+        path.write_text(serialize_scenario(dataclasses.replace(BAY, implemented_toll=1000.0)))
+        assert cli.main(["crossover", "--scenario", str(path)]) == 0
+        assert "no crossover in eta range [1, 30]" in capsys.readouterr().out
+        assert cli.CROSSOVER_WINDOW == (1.0, 30.0)
