@@ -55,14 +55,14 @@ class DynamicTollDesign:
     """A trapezoidal toll schedule summarized by its flat-segment fraction.
 
     ``flat_fraction`` is the share of the desired-crossing window covered by
-    the peak-toll segment.  ``system_cost`` is filled in by constructors that
-    know it in closed form, else None.
+    the peak-toll segment; ``revenue`` and ``system_cost`` are the schedule's
+    own, from the trapezoid component sum.
     """
 
     flat_fraction: float
     policy: TrapezoidToll
     revenue: float
-    system_cost: float | None = None
+    system_cost: float
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,40 @@ def feasible_toll_band(params: BottleneckParams) -> tuple[float, float]:
 def _require_outside_option_regime(params: BottleneckParams) -> None:
     if params.cost_gap < 0:
         raise DomainError("transit strictly dominates: no congested analysis applies")
+
+
+def _flat_toll(params: BottleneckParams, toll: float) -> CostBreakdown:
+    """Cost pieces and revenue of a flat toll, for any toll and any gap.
+
+    The one implementation of the flat-toll formulas.  The peak wait is
+    ``gap - toll`` clamped to ``[0, max_wait]``: the clamp's top is the
+    car-only equilibrium below the band, its bottom the zero-queue split at
+    the gap.  A toll above the gap (or a negative gap) prices every car out.
+    """
+    if toll < 0:
+        raise DomainError("toll must be nonnegative")
+    demand, gap = params.total_demand, params.cost_gap
+    if gap < 0 or toll > gap:
+        return CostBreakdown(params.transit_cost * demand, 0.0, 0.0, 0.0, 0.0)
+    mu, lam = params.capacity, params.arrival_rate
+    if mu >= lam:
+        # No queue forms: everyone crosses on time by car and pays.
+        return CostBreakdown(0.0, params.car_freeflow_cost * demand, 0.0, 0.0, toll * demand)
+
+    max_wait = max_wait_car_only(params)
+    wait = min(max(gap - toll, 0.0), max_wait)
+    away = 1.0 - mu / lam
+    ontime_share = 1.0 - wait / max_wait
+    inv_factor = 1.0 / params.schedule_factor  # (e+L)/(eL)
+    car_users = mu * wait * inv_factor + ontime_share * demand * mu / lam
+    shoulders = (mu * wait * wait / 2.0) * inv_factor
+    return CostBreakdown(
+        transit=params.transit_cost * ontime_share * demand * away,
+        car_freeflow=params.car_freeflow_cost * car_users,
+        queuing=wait * ontime_share * demand * mu / lam + shoulders,
+        schedule=shoulders * away,
+        revenue=mu * toll * (demand / lam + wait / params.schedule_factor * away),
+    )
 
 
 def static_equilibrium(params: BottleneckParams, toll: float) -> EquilibriumOutcome:
@@ -157,26 +191,13 @@ def static_equilibrium(params: BottleneckParams, toll: float) -> EquilibriumOutc
 def static_revenue(params: BottleneckParams, toll: float) -> float:
     """Revenue of a flat toll: toll times the number of car users.
 
-    Total in ``toll``: below the band every user pays (``toll * demand``),
-    above the gap revenue is zero (all transit), and at the gap the tie-break
-    keeps the capacity share in cars.  Keeping the function total simplifies
-    grid sweeps; no branch raises.
+    Defined for every nonnegative toll: below the band every user pays
+    (``toll * demand``, from the wait clamped at the car-only peak), above
+    the gap revenue is zero (all transit), and at the gap the tie-break keeps
+    the capacity share in cars.  Keeping the function total simplifies grid
+    sweeps; only a negative toll raises :class:`~tollgap.core.DomainError`.
     """
-    if toll < 0:
-        raise DomainError("toll must be nonnegative")
-    gap = params.cost_gap
-    if gap < 0:
-        return 0.0
-    if params.capacity >= params.arrival_rate:
-        return toll * params.total_demand if toll <= gap else 0.0
-    lo, hi = feasible_toll_band(params)
-    if toll < lo:
-        return toll * params.total_demand
-    if toll > hi:
-        return 0.0
-    mu, lam = params.capacity, params.arrival_rate
-    share = params.total_demand / lam + (gap - toll) / params.schedule_factor * (1.0 - mu / lam)
-    return mu * toll * share
+    return _flat_toll(params, toll).revenue
 
 
 def static_revenue_optimal_toll(params: BottleneckParams) -> tuple[float, float]:
@@ -190,13 +211,11 @@ def static_revenue_optimal_toll(params: BottleneckParams) -> tuple[float, float]
     regime = classify_regime(params)
     gap = params.cost_gap
     if regime is Regime.ALL_TRANSIT:
-        return 0.0, 0.0
-    if regime is Regime.UNCONGESTED:
-        return gap, gap * params.total_demand
-    low, _ = regime_thresholds(params)
-    if regime is Regime.MIXED_LOW:
+        toll = 0.0
+    elif regime in (Regime.UNCONGESTED, Regime.MIXED_LOW):
         toll = gap
     else:
+        low, _ = regime_thresholds(params)
         toll = max(gap / 2.0 + low / 2.0, gap - max_wait_car_only(params))
     return toll, static_revenue(params, toll)
 
@@ -219,12 +238,44 @@ def dynamic_revenue_at_fraction(params: BottleneckParams, flat_fraction: float) 
     return gap * served_share - shoulder_loss * (1.0 - flat_fraction) ** 2
 
 
-def _min_flat_fraction(params: BottleneckParams) -> float:
-    """Feasibility floor on the flat fraction: tolls must stay nonnegative."""
-    max_wait = max_wait_car_only(params)
-    if max_wait <= 0.0:
-        return 1.0
-    return 1.0 - min(params.cost_gap / max_wait, 1.0)
+def _flat_fractions(params: BottleneckParams) -> tuple[float, float]:
+    """Flat fractions ``(f*, f_so)`` of the revenue- and cost-optimal trapezoids.
+
+    ``f* = max(1 - gap/max_wait * (1 - mu/lam), 0)`` and
+    ``f_so = 1 - min(gap/max_wait, 1)``; both are 1 when no queue forms.
+    """
+    _require_outside_option_regime(params)
+    mu, lam = params.capacity, params.arrival_rate
+    if mu >= lam:
+        return 1.0, 1.0
+    ratio = params.cost_gap / max_wait_car_only(params)
+    return max(1.0 - ratio * (1.0 - mu / lam), 0.0), 1.0 - min(ratio, 1.0)
+
+
+def _trapezoid_cost(params: BottleneckParams, flat_fraction: float) -> CostBreakdown:
+    """Cost pieces and revenue of the zero-wait trapezoid with the given flat share.
+
+    The one implementation of the trapezoid cost, as a component sum: queuing
+    is zero by construction; transit, car and schedule costs follow from the
+    flat fraction, and revenue from :func:`dynamic_revenue_at_fraction`.
+    """
+    demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
+    if mu >= lam:
+        # No queue to price (the flat fraction is 1): everyone drives and pays the gap.
+        return CostBreakdown(
+            0.0, params.car_freeflow_cost * demand, 0.0, 0.0, params.cost_gap * demand
+        )
+    transit = params.transit_cost * flat_fraction * demand * (1.0 - mu / lam)
+    car = params.car_freeflow_cost * (
+        flat_fraction * demand * mu / lam + (1.0 - flat_fraction) * demand
+    )
+    schedule = (
+        demand * demand * params.schedule_factor / (2.0 * mu)
+        * (1.0 - flat_fraction) ** 2
+        * (1.0 - mu / lam)
+    )
+    revenue = dynamic_revenue_at_fraction(params, flat_fraction)
+    return CostBreakdown(transit, car, 0.0, schedule, revenue)
 
 
 def _trapezoid_for_fraction(params: BottleneckParams, flat_fraction: float) -> TrapezoidToll:
@@ -248,27 +299,24 @@ def _trapezoid_for_fraction(params: BottleneckParams, flat_fraction: float) -> T
     )
 
 
+def _design(params: BottleneckParams, flat_fraction: float) -> DynamicTollDesign:
+    """The trapezoid schedule at ``flat_fraction`` with its revenue and cost."""
+    cost = _trapezoid_cost(params, flat_fraction)
+    return DynamicTollDesign(
+        flat_fraction, _trapezoid_for_fraction(params, flat_fraction), cost.revenue, cost.total
+    )
+
+
 def dynamic_revenue_optimal(params: BottleneckParams) -> DynamicTollDesign:
     """Revenue-maximizing trapezoid toll schedule.
 
     The optimal schedule eliminates queuing (any wait can be converted into
     toll), holds the peak toll at the cost gap over a flat fraction
     ``f* = max(1 - gap/max_wait * (1 - mu/lam), 0)`` of the rush, and tapers
-    at the schedule-penalty slopes on either side.
+    at the schedule-penalty slopes on either side.  A negative gap raises
+    :class:`~tollgap.core.DomainError`, as in every trapezoid design.
     """
-    gap = params.cost_gap
-    demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
-    if gap < 0:
-        return DynamicTollDesign(1.0, _trapezoid_for_fraction(params, 1.0), 0.0)
-    if mu >= lam:
-        policy = TrapezoidToll(gap, 0.0, 0.0, params.rush_length, params.rush_length,
-                               params.early_penalty, params.late_penalty)
-        return DynamicTollDesign(1.0, policy, gap * demand)
-
-    frac = max(1.0 - gap / max_wait_car_only(params) * (1.0 - mu / lam), 0.0)
-    return DynamicTollDesign(
-        frac, _trapezoid_for_fraction(params, frac), dynamic_revenue_at_fraction(params, frac)
-    )
+    return _design(params, _flat_fractions(params)[0])
 
 
 def dynamic_so_design(params: BottleneckParams) -> DynamicTollDesign:
@@ -280,70 +328,21 @@ def dynamic_so_design(params: BottleneckParams) -> DynamicTollDesign:
     (indifferent users break toward paying), which leaves system cost at the
     optimum while collecting the larger revenue.
     """
-    _require_outside_option_regime(params)
-    if params.capacity >= params.arrival_rate:
-        gap = params.cost_gap
-        policy = TrapezoidToll(gap, 0.0, 0.0, params.rush_length, params.rush_length,
-                               params.early_penalty, params.late_penalty)
-        return DynamicTollDesign(1.0, policy, gap * params.total_demand,
-                                 params.car_freeflow_cost * params.total_demand)
-    frac = _min_flat_fraction(params)
-    revenue = dynamic_revenue_at_fraction(params, frac)
-    return DynamicTollDesign(
-        frac, _trapezoid_for_fraction(params, frac), revenue, optimal_system_cost(params)
-    )
+    return _design(params, _flat_fractions(params)[1])
 
 
 def static_system_cost(params: BottleneckParams, toll: float) -> CostBreakdown:
     """System-cost components under a flat toll.
 
     In the mixed band the four groups follow from the trapezoidal wait
-    profile with peak ``gap - toll``; below the band the cost is the car-only
-    constant; at or above the gap it is the zero-queue mode-split cost.
+    profile with peak ``gap - toll``; below the band the wait clamps at the
+    car-only peak, so the cost is the car-only constant; at the gap it is the
+    zero-queue mode-split cost, and above the gap everyone rides transit.
     Revenue is reported alongside but never added into the total.
     """
-    if toll < 0:
-        raise DomainError("toll must be nonnegative")
+    cost = _flat_toll(params, toll)
     _require_outside_option_regime(params)
-    demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
-    gap = params.cost_gap
-    revenue = static_revenue(params, toll)
-
-    if mu >= lam:
-        if toll <= gap:
-            return CostBreakdown(0.0, params.car_freeflow_cost * demand, 0.0, 0.0, revenue)
-        return CostBreakdown(params.transit_cost * demand, 0.0, 0.0, 0.0, revenue)
-
-    lo, _hi = feasible_toll_band(params)
-    if toll >= gap:
-        split = mu / lam
-        return CostBreakdown(
-            transit=params.transit_cost * demand * (1.0 - split),
-            car_freeflow=params.car_freeflow_cost * demand * split,
-            queuing=0.0,
-            schedule=0.0,
-            revenue=revenue,
-        )
-    if toll < lo:
-        # Car-only equilibrium: cost does not depend on the toll level.
-        base = demand * demand * params.schedule_factor / (2.0 * mu)
-        return CostBreakdown(
-            transit=0.0,
-            car_freeflow=params.car_freeflow_cost * demand,
-            queuing=base,
-            schedule=base * (1.0 - mu / lam),
-            revenue=revenue,
-        )
-
-    wait = gap - toll
-    max_wait = max_wait_car_only(params)
-    ontime_share = 1.0 - wait / max_wait
-    inv_factor = 1.0 / params.schedule_factor  # (e+L)/(eL)
-    transit = params.transit_cost * ontime_share * demand * (1.0 - mu / lam)
-    car = params.car_freeflow_cost * (mu * wait * inv_factor + ontime_share * demand * mu / lam)
-    schedule = (mu * wait * wait / 2.0) * inv_factor * (1.0 - mu / lam)
-    queuing = wait * ontime_share * demand * mu / lam + (mu * wait * wait / 2.0) * inv_factor
-    return CostBreakdown(transit, car, queuing, schedule, revenue)
+    return cost
 
 
 def dynamic_ro_system_cost(params: BottleneckParams) -> CostBreakdown:
@@ -356,45 +355,22 @@ def dynamic_ro_system_cost(params: BottleneckParams) -> CostBreakdown:
     collapsed variant with ``(1-mu/lam)^3`` sometimes seen in derivations
     fails the calibrated case-study benchmarks (see docs/formulas.md).
     """
-    _require_outside_option_regime(params)
-    design = dynamic_revenue_optimal(params)
-    frac = design.flat_fraction
-    demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
-    if mu >= lam:
-        return CostBreakdown(0.0, params.car_freeflow_cost * demand, 0.0, 0.0, design.revenue)
-    transit = params.transit_cost * frac * demand * (1.0 - mu / lam)
-    car = params.car_freeflow_cost * (frac * demand * mu / lam + (1.0 - frac) * demand)
-    schedule = (
-        demand * demand * params.schedule_factor / (2.0 * mu)
-        * (1.0 - frac) ** 2
-        * (1.0 - mu / lam)
-    )
-    return CostBreakdown(transit, car, 0.0, schedule, design.revenue)
+    return _trapezoid_cost(params, _flat_fractions(params)[0])
 
 
 def optimal_system_cost(params: BottleneckParams) -> float:
     """Minimum achievable system cost over all toll schedules.
 
-    While the cost gap stays below the car-only peak wait the planner splits
-    modes and the cost is quadratic in the gap; beyond that everyone drives
-    under the queue-eliminating schedule; a nonpositive gap puts everyone on
-    transit.
+    The cost of the system-cost-optimal trapezoid, by the same component sum
+    as :func:`dynamic_ro_system_cost` at the flat fraction
+    ``1 - min(gap/max_wait, 1)``: while the cost gap stays below the car-only
+    peak wait the planner splits modes and the cost is quadratic in the gap;
+    beyond that everyone drives under the queue-eliminating schedule.  A
+    negative gap puts everyone on transit.
     """
-    demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
-    gap = params.cost_gap
-    if gap <= 0:
-        return params.transit_cost * demand
-    if mu >= lam:
-        return params.car_freeflow_cost * demand
-    max_wait = max_wait_car_only(params)
-    if gap <= max_wait:
-        away = 1.0 - mu / lam
-        curvature = mu / (2.0 * params.schedule_factor)
-        return params.car_freeflow_cost * demand + away * demand * gap - away * curvature * gap * gap
-    return (
-        params.car_freeflow_cost * demand
-        + params.schedule_factor / 2.0 * demand * demand * (1.0 / mu - 1.0 / lam)
-    )
+    if params.cost_gap < 0:
+        return params.transit_cost * params.total_demand
+    return _trapezoid_cost(params, _flat_fractions(params)[1]).total
 
 
 def static_sc_optimal_toll(params: BottleneckParams) -> tuple[float, float]:
@@ -407,9 +383,6 @@ def static_sc_optimal_toll(params: BottleneckParams) -> tuple[float, float]:
     in for that whole segment.
     """
     _require_outside_option_regime(params)
-    if params.capacity >= params.arrival_rate:
-        gap = params.cost_gap
-        return gap, static_system_cost(params, gap).total
     lo, hi = feasible_toll_band(params)
     candidates = [lo, hi]
     mu, lam = params.capacity, params.arrival_rate

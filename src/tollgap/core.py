@@ -11,8 +11,7 @@ The rush clock starts at 0: users' desired crossing times are uniform on
 ``[0, total_demand / arrival_rate]``.  Every formula depends only on interval
 lengths, so fixing the origin removes a free translation parameter.
 
-All types are immutable value objects and every operation is a pure function,
-so everything here is safe to use from any number of threads concurrently.
+All types are immutable value objects and every operation is a pure function.
 """
 
 from __future__ import annotations

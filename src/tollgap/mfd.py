@@ -248,12 +248,5 @@ def dynamic_benchmarks(params: BottleneckParams, mfd: TriangularMfd) -> MfdDynam
         car_freeflow_cost=params.car_freeflow_cost,
         transit_cost=params.transit_cost,
     )
-    ro = bottleneck.dynamic_revenue_optimal(delegated)
-    ro = bottleneck.DynamicTollDesign(
-        ro.flat_fraction,
-        ro.policy,
-        ro.revenue,
-        bottleneck.dynamic_ro_system_cost(delegated).total,
-    )
     so = bottleneck.dynamic_so_design(delegated)
-    return MfdDynamicBenchmarks(ro, so, bottleneck.optimal_system_cost(delegated))
+    return MfdDynamicBenchmarks(bottleneck.dynamic_revenue_optimal(delegated), so, so.system_cost)

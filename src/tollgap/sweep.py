@@ -133,19 +133,15 @@ def compute_row(scenario: Scenario, eta: float, jam_accumulation: float | None =
         tau_so, sc_so = mfd.static_sc_optimal(params, net)
         sc_ro = mfd.static_system_cost(params, net, tau_ro).total
         rev_so = mfd.static_revenue(params, net, tau_so)
-        bench = mfd.dynamic_benchmarks(params, net)
-        rev_dyn_ro, sc_dyn_ro = bench.ro.revenue, bench.ro.system_cost
-        rev_dyn_so, sc_opt = bench.so.revenue, bench.sc_opt
     else:
         tau_ro, rev_ro = bottleneck.static_revenue_optimal_toll(params)
         tau_so, sc_so = bottleneck.static_sc_optimal_toll(params)
         sc_ro = bottleneck.static_system_cost(params, tau_ro).total
         rev_so = bottleneck.static_revenue(params, tau_so)
-        design = bottleneck.dynamic_revenue_optimal(params)
-        rev_dyn_ro = design.revenue
-        sc_dyn_ro = bottleneck.dynamic_ro_system_cost(params).total
-        rev_dyn_so = bottleneck.dynamic_so_design(params).revenue
-        sc_opt = bottleneck.optimal_system_cost(params)
+    # The trapezoid schedules hold an urban network at its critical
+    # accumulation, and the params carry its maximum throughput as capacity.
+    dyn_ro = bottleneck.dynamic_revenue_optimal(params)
+    dyn_so = bottleneck.dynamic_so_design(params)
     return SweepRow(
         eta=eta,
         regime=regime,
@@ -153,12 +149,12 @@ def compute_row(scenario: Scenario, eta: float, jam_accumulation: float | None =
         tau_static_so=tau_so,
         rev_static_ro=rev_ro,
         rev_static_so=rev_so,
-        rev_dynamic_ro=rev_dyn_ro,
-        rev_dynamic_so=rev_dyn_so,
+        rev_dynamic_ro=dyn_ro.revenue,
+        rev_dynamic_so=dyn_so.revenue,
         sc_static_ro=sc_ro,
         sc_static_so=sc_so,
-        sc_dynamic_ro=sc_dyn_ro,
-        sc_opt=sc_opt,
+        sc_dynamic_ro=dyn_ro.system_cost,
+        sc_opt=dyn_so.system_cost,
         value_of_time=scenario.value_of_time,
     )
 

@@ -3,8 +3,8 @@
 Each suite draws seeded parameter sets, compares an algebraic result against
 its independently computed counterpart (trapezoid quadrature, Gauss–Legendre
 quadrature, exhaustive search), and reports the worst discrepancy seen.
-The suites are pure and shardable; the CLI ``verify`` command and the
-acceptance tests both run them.
+A suite's report depends only on its arguments; the CLI ``verify`` command
+and the acceptance tests both run them.
 
 Each check is written once, for one parameter set, and returns ``(worst gap,
 failure messages)`` with the messages tagged ``case 7`` or ``eta=2.5``; the

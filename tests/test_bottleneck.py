@@ -1,6 +1,9 @@
+import random
+from dataclasses import astuple
+
 import pytest
 
-from tollgap import BottleneckParams, DomainError, Regime
+from tollgap import BottleneckParams, DomainError, Regime, oracle, verify
 from tollgap import bottleneck as bn
 from tollgap.calibration import builtin_scenario
 
@@ -203,6 +206,13 @@ class TestDynamicSoDesign:
         p = with_gap(BAY.params(1.5), 0.0)
         assert bn.dynamic_so_design(p).revenue == 0.0
 
+    def test_negative_gap_is_domain_error(self):
+        p = BAY.params(1.0)
+        assert p.cost_gap < 0
+        for design in (bn.dynamic_revenue_optimal, bn.dynamic_so_design, bn.dynamic_ro_system_cost):
+            with pytest.raises(DomainError):
+                design(p)
+
 
 class TestSystemCosts:
     def test_zero_queue_split_cost(self):
@@ -248,6 +258,30 @@ class TestSystemCosts:
         assert bn.optimal_system_cost(flat) == pytest.approx(
             flat.car_freeflow_cost * flat.total_demand, rel=1e-12
         )
+
+    def test_optimal_cost_matches_collapsed_closed_forms(self):
+        # The component sum at f_so against the two collapsed expressions it replaced.
+        rng = random.Random(5)
+        for case in range(2000):
+            p = verify.sample_params(rng)
+            demand, mu, lam = p.total_demand, p.capacity, p.arrival_rate
+            sf, gap, car = p.schedule_factor, p.cost_gap, p.car_freeflow_cost
+            away = 1.0 - mu / lam
+            if gap <= bn.max_wait_car_only(p):
+                want = car * demand + away * demand * gap - away * mu / (2.0 * sf) * gap**2
+            else:
+                want = car * demand + sf / 2.0 * demand**2 * (1.0 / mu - 1.0 / lam)
+            assert bn.optimal_system_cost(p) == pytest.approx(want, rel=1e-13), case
+
+    def test_above_gap_is_all_transit(self):
+        p = BAY.params(3.0)
+        toll = 1.01 * p.cost_gap
+        cost = bn.static_system_cost(p, toll)
+        _, want = oracle.static_bottleneck_costs(p, toll)
+        assert cost.total == pytest.approx(236536.4, rel=1e-6)
+        assert cost.total == p.transit_cost * p.total_demand == want.total
+        assert bn.static_equilibrium(p, toll).n_car == 0.0
+        assert bn.static_revenue(p, toll) == 0.0
 
 
 class TestStaticScOptimal:
@@ -308,6 +342,12 @@ class TestPerformanceBounds:
         assert bn.static_system_cost(p, lo - eps).total == pytest.approx(
             bn.static_system_cost(p, lo + eps).total, rel=1e-9
         )
+        # At the top the cost is left-continuous; just above, every user
+        # rides transit, as in the oracle.
         assert bn.static_system_cost(p, hi - eps).total == pytest.approx(
-            bn.static_system_cost(p, hi + eps).total, rel=1e-9
+            bn.static_system_cost(p, hi).total, rel=1e-9
+        )
+        _, want = oracle.static_bottleneck_costs(p, hi + eps)
+        assert astuple(bn.static_system_cost(p, hi + eps)) == pytest.approx(
+            astuple(want), rel=1e-9
         )

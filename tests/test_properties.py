@@ -1,12 +1,14 @@
 """Property-based invariants of the closed-form model, via hypothesis."""
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tollgap import BottleneckParams, Regime, TriangularMfd, classify_regime, regime_thresholds
 from tollgap import bottleneck as bn
-from tollgap import mfd
+from tollgap import mfd, oracle
 from tollgap.calibration import TransitCostSpec, transit_cost
 
 
@@ -36,6 +38,17 @@ def test_mode_split_conserves_mass(params, frac):
     out = bn.static_equilibrium(params, toll)
     assert out.total == pytest.approx(params.total_demand, rel=1e-9)
     assert min(out.n_early, out.n_late, out.n_ontime_car, out.n_transit) >= 0.0
+
+
+@given(params=congested_params(), frac=st.floats(0.0, 1.5))
+@settings(max_examples=200)
+def test_flat_toll_readers_agree(params, frac):
+    toll = frac * params.cost_gap
+    cost = bn.static_system_cost(params, toll)
+    out = bn.static_equilibrium(params, toll)
+    assert bn.static_revenue(params, toll) == cost.revenue
+    assert cost.transit == pytest.approx(params.transit_cost * out.n_transit, rel=1e-12)
+    assert cost.car_freeflow == pytest.approx(params.car_freeflow_cost * out.n_car, rel=1e-12)
 
 
 @given(params=congested_params(), frac=st.floats(0.0, 1.0))
@@ -88,8 +101,11 @@ def test_cost_continuity_across_band_edges(params):
     above = bn.static_system_cost(params, lo + eps).total
     assert below == pytest.approx(above, rel=1e-6)
     left = bn.static_system_cost(params, hi - eps).total
-    right = bn.static_system_cost(params, hi + eps).total
-    assert left == pytest.approx(right, rel=1e-6)
+    assert left == pytest.approx(bn.static_system_cost(params, hi).total, rel=1e-6)
+    _, want = oracle.static_bottleneck_costs(params, hi + eps)
+    assert astuple(bn.static_system_cost(params, hi + eps)) == pytest.approx(
+        astuple(want), rel=1e-9
+    )
 
 
 @given(params=congested_params())
