@@ -394,8 +394,9 @@ def static_sc_optimal_toll(params: BottleneckParams) -> tuple[float, float]:
         ) / (2.0 - 3.0 * ratio)
         if lo < stationary < hi:
             candidates.append(stationary)
-    best = min(candidates, key=lambda t: static_system_cost(params, t).total)
-    return best, static_system_cost(params, best).total
+    costs = [static_system_cost(params, t).total for t in candidates]
+    best = min(range(len(candidates)), key=costs.__getitem__)  # first minimum on ties
+    return candidates[best], costs[best]
 
 
 def performance_bounds(params: BottleneckParams) -> BoundReport:

@@ -7,13 +7,18 @@ bridge corridor with a rail alternative) and ``nyc`` (an urban cordon zone
 described by a triangular flow diagram with a subway alternative).
 
 Scenario files are line oriented, one ``section.key = value [unit]`` per
-line, ``#`` comments allowed.  Units are mandatory for dollar, time,
-distance, and speed quantities so a bare number can never silently change
-meaning; dimensionless quantities take no unit.
+line, ``#`` comments allowed.  Every quantity with a dimension needs a unit
+(money, money rate, time, count, rate, distance and speed alike, so
+``demand.total = 70000`` is an error) so a bare number can never silently
+change meaning; dimensionless quantities take no unit.  Every number must be
+finite.  The key table ``_KEYS`` lists every key, the unit dimension it takes
+and whether it is required.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .core import BottleneckParams, ParameterError
@@ -116,6 +121,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.value_of_time <= 0:
             raise ParameterError("value_of_time must be positive")
+        if self.implemented_toll is not None and self.implemented_toll < 0:
+            raise ParameterError(
+                f"implemented_toll must be nonnegative, got {self.implemented_toll:g}"
+            )
         if not self.eta_sweep:
             raise ScenarioFormatError("sweep.eta must list at least one value")
         mfd_fields = (
@@ -187,69 +196,74 @@ _UNITS = {
     "mph": ("speed", 1.609344),
 }
 
-# key -> (required, dimension or None for dimensionless/bare, list-valued?)
+# The whole file format, one row per key in the order serialize_scenario
+# writes them: the key; the Scenario field it fills (``transit.x`` and ``car.x``
+# name a cost-spec field); the canonical unit, which serialize_scenario writes
+# and whose dimension the key takes (None: a bare number); whether the key is
+# required; whether it takes a list.  scenario.name is text.
+_Key = namedtuple("_Key", "key field unit required is_list")
 _KEYS = {
-    "scenario.name": (True, "name", False),
-    "scenario.value_of_time": (True, "money_rate", False),
-    "demand.total": (True, "count", False),
-    "demand.arrival_rate": (True, "rate", False),
-    "schedule.early_penalty": (True, None, False),
-    "schedule.late_penalty": (True, None, False),
-    "supply.capacity": (False, "rate", False),
-    "supply.max_throughput": (False, "rate", False),
-    "supply.jam_accumulation": (False, "count", True),
-    "supply.freeflow_speed": (False, "speed", False),
-    "supply.trip_distance": (False, "distance", False),
-    "transit.fare": (True, "money", False),
-    "transit.walk_time": (True, "time", False),
-    "transit.wait_time": (True, "time", False),
-    "transit.in_vehicle_time": (True, "time", False),
-    "car.parking_fee": (True, "money", False),
-    "car.freeflow_time": (True, "time", False),
-    "sweep.eta": (True, None, True),
-    "policy.implemented_toll": (False, "money", False),
-    "policy.crossover_reference_eta": (False, None, False),
+    row[0]: _Key(*row)
+    for row in (
+        ("scenario.name", "name", None, True, False),
+        ("scenario.value_of_time", "value_of_time", "dollars_per_hour", True, False),
+        ("demand.total", "total_demand", "users", True, False),
+        ("demand.arrival_rate", "arrival_rate", "users_per_hour", True, False),
+        ("schedule.early_penalty", "early_penalty", None, True, False),
+        ("schedule.late_penalty", "late_penalty", None, True, False),
+        ("supply.capacity", "capacity", "vehicles_per_hour", False, False),
+        ("supply.max_throughput", "max_throughput", "vehicles_per_hour", False, False),
+        ("supply.jam_accumulation", "jam_accumulations", "vehicles", False, True),
+        ("supply.freeflow_speed", "freeflow_speed", "km_per_hour", False, False),
+        ("supply.trip_distance", "trip_distance", "km", False, False),
+        ("transit.fare", "transit.fare", "dollars", True, False),
+        ("transit.walk_time", "transit.walk_time", "hours", True, False),
+        ("transit.wait_time", "transit.wait_time", "hours", True, False),
+        ("transit.in_vehicle_time", "transit.in_vehicle_time", "hours", True, False),
+        ("car.parking_fee", "car.parking_fee", "dollars", True, False),
+        ("car.freeflow_time", "car.freeflow_time", "hours", True, False),
+        ("sweep.eta", "eta_sweep", None, True, True),
+        ("policy.implemented_toll", "implemented_toll", "dollars", False, False),
+        ("policy.crossover_reference_eta", "crossover_reference_eta", None, False, False),
+    )
 }
 
 
-def _parse_number(token: str, key: str) -> float:
+def _parse_number(token: str, key: str, factor: float) -> float:
     try:
-        return float(token)
+        value = float(token) * factor
     except ValueError as exc:
         raise ScenarioFormatError(f"{key}: {token!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ScenarioFormatError(f"{key}: {token!r} is not finite")
+    return value
 
 
-def _parse_value(key: str, raw: str) -> object:
-    required, dimension, is_list = _KEYS[key]
-    if dimension == "name":
-        return raw.strip()
-    parts = raw.split()
-    if not parts:
-        raise ScenarioFormatError(f"{key}: missing value")
-    if dimension is None:
-        numbers = [
-            _parse_number(tok, key) for tok in raw.replace(",", " ").split()
-        ]
-        if not is_list and len(numbers) != 1:
-            raise ScenarioFormatError(f"{key}: expected a single number")
-        return numbers if is_list else numbers[0]
-    unit = parts[-1]
-    if unit not in _UNITS:
-        raise ScenarioFormatError(
-            f"{key}: unit suffix required (got {raw!r}); e.g. '30 dollars', '20 minutes'"
-        )
-    unit_dim, factor = _UNITS[unit]
-    if unit_dim != dimension:
-        raise ScenarioFormatError(f"{key}: expected a {dimension} unit, got {unit!r}")
-    numbers = [
-        _parse_number(tok, key) * factor
-        for tok in " ".join(parts[:-1]).replace(",", " ").split()
-    ]
-    if not numbers:
-        raise ScenarioFormatError(f"{key}: missing value before unit {unit!r}")
-    if not is_list and len(numbers) != 1:
-        raise ScenarioFormatError(f"{key}: expected a single number")
-    return numbers if is_list else numbers[0]
+def _parse_value(row: _Key, raw: str) -> object:
+    if not raw:
+        raise ScenarioFormatError(f"{row.key}: missing value")
+    if row.field == "name":
+        return raw
+    tokens = raw.split()
+    factor = 1.0
+    if row.unit is not None:
+        unit = tokens.pop()
+        if unit not in _UNITS:
+            raise ScenarioFormatError(
+                f"{row.key}: unit suffix required (got {raw!r}); e.g. '30 dollars', '20 minutes'"
+            )
+        dimension = _UNITS[row.unit][0]
+        unit_dimension, factor = _UNITS[unit]
+        if unit_dimension != dimension:
+            raise ScenarioFormatError(f"{row.key}: expected a {dimension} unit, got {unit!r}")
+    numbers = tuple(
+        _parse_number(tok, row.key, factor) for tok in " ".join(tokens).replace(",", " ").split()
+    )
+    if row.unit is not None and not numbers:
+        raise ScenarioFormatError(f"{row.key}: missing value before unit {unit!r}")
+    if not row.is_list and len(numbers) != 1:
+        raise ScenarioFormatError(f"{row.key}: expected a single number")
+    return numbers if row.is_list else numbers[0]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -267,42 +281,17 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioFormatError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ScenarioFormatError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw.strip())
-    missing = [k for k, (required, _, _) in _KEYS.items() if required and k not in values]
+        values[key] = _parse_value(_KEYS[key], raw.strip())
+    missing = [row.key for row in _KEYS.values() if row.required and row.key not in values]
     if missing:
         short = ", ".join(k.split(".", 1)[1] for k in missing)
         raise ScenarioFormatError(f"missing required keys: {short}")
-
-    def get(key: str, default=None):
-        return values.get(key, default)
-
-    jam = get("supply.jam_accumulation")
-    return Scenario(
-        name=get("scenario.name"),
-        value_of_time=get("scenario.value_of_time"),
-        total_demand=get("demand.total"),
-        arrival_rate=get("demand.arrival_rate"),
-        early_penalty=get("schedule.early_penalty"),
-        late_penalty=get("schedule.late_penalty"),
-        transit=TransitCostSpec(
-            fare=get("transit.fare"),
-            walk_time=get("transit.walk_time"),
-            wait_time=get("transit.wait_time"),
-            in_vehicle_time=get("transit.in_vehicle_time"),
-        ),
-        car=CarCostSpec(
-            parking_fee=get("car.parking_fee"),
-            freeflow_time=get("car.freeflow_time"),
-        ),
-        eta_sweep=tuple(get("sweep.eta")),
-        capacity=get("supply.capacity"),
-        max_throughput=get("supply.max_throughput"),
-        jam_accumulations=tuple(jam) if jam else (),
-        freeflow_speed=get("supply.freeflow_speed"),
-        trip_distance=get("supply.trip_distance"),
-        implemented_toll=get("policy.implemented_toll"),
-        crossover_reference_eta=get("policy.crossover_reference_eta"),
-    )
+    fields: dict[str, dict[str, object]] = {"": {}, "transit": {}, "car": {}}
+    for key, value in values.items():
+        group, _, name = _KEYS[key].field.rpartition(".")
+        fields[group][name] = value
+    transit, car = TransitCostSpec(**fields["transit"]), CarCostSpec(**fields["car"])
+    return Scenario(transit=transit, car=car, **fields[""])
 
 
 def load_scenario(path: str) -> Scenario:
@@ -310,43 +299,19 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario(handle.read())
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))  # shortest representation that round-trips exactly
-
-
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario back to the text format (parse round-trips exactly)."""
-    lines = [
-        f"scenario.name = {scenario.name}",
-        f"scenario.value_of_time = {_fmt(scenario.value_of_time)} dollars_per_hour",
-        f"demand.total = {_fmt(scenario.total_demand)} users",
-        f"demand.arrival_rate = {_fmt(scenario.arrival_rate)} users_per_hour",
-        f"schedule.early_penalty = {_fmt(scenario.early_penalty)}",
-        f"schedule.late_penalty = {_fmt(scenario.late_penalty)}",
-    ]
-    if scenario.capacity is not None:
-        lines.append(f"supply.capacity = {_fmt(scenario.capacity)} vehicles_per_hour")
-    else:
-        lines.append(f"supply.max_throughput = {_fmt(scenario.max_throughput)} vehicles_per_hour")
-        jams = " ".join(_fmt(v) for v in scenario.jam_accumulations)
-        lines.append(f"supply.jam_accumulation = {jams} vehicles")
-        lines.append(f"supply.freeflow_speed = {_fmt(scenario.freeflow_speed)} km_per_hour")
-        lines.append(f"supply.trip_distance = {_fmt(scenario.trip_distance)} km")
-    lines += [
-        f"transit.fare = {_fmt(scenario.transit.fare)} dollars",
-        f"transit.walk_time = {_fmt(scenario.transit.walk_time)} hours",
-        f"transit.wait_time = {_fmt(scenario.transit.wait_time)} hours",
-        f"transit.in_vehicle_time = {_fmt(scenario.transit.in_vehicle_time)} hours",
-        f"car.parking_fee = {_fmt(scenario.car.parking_fee)} dollars",
-        f"car.freeflow_time = {_fmt(scenario.car.freeflow_time)} hours",
-        "sweep.eta = " + " ".join(_fmt(v) for v in scenario.eta_sweep),
-    ]
-    if scenario.implemented_toll is not None:
-        lines.append(f"policy.implemented_toll = {_fmt(scenario.implemented_toll)} dollars")
-    if scenario.crossover_reference_eta is not None:
-        lines.append(
-            f"policy.crossover_reference_eta = {_fmt(scenario.crossover_reference_eta)}"
-        )
+    lines = []
+    for row in _KEYS.values():
+        value = scenario
+        for name in row.field.split("."):
+            value = getattr(value, name)
+        if value is None or (row.is_list and not value):
+            continue
+        if row.field != "name":
+            # repr is the shortest text that parses back to the same float
+            value = " ".join(repr(float(v)) for v in (value if row.is_list else (value,)))
+        lines.append(f"{row.key} = {value}" + (f" {row.unit}" if row.unit else ""))
     return "\n".join(lines) + "\n"
 
 

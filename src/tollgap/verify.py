@@ -202,7 +202,7 @@ def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
         cap = report.sc_ratio_upper_bound * bottleneck.optimal_system_cost(params) * (1 + 1e-9)
         if bottleneck.static_system_cost(params, toll_star).total > cap:
             failures.append(f"{tag}: flat-toll system cost beats 2x bound")
-        if bottleneck.dynamic_ro_system_cost(params).total > cap:
+        if design.system_cost > cap:
             failures.append(f"{tag}: dynamic system cost beats 2x bound")
     return margin, failures
 

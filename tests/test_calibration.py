@@ -1,10 +1,18 @@
-import pytest
+import dataclasses
+import string
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tollgap import ParameterError
 from tollgap import bottleneck as bn
 from tollgap.calibration import (
     BUILTIN_SCENARIOS,
     CarCostSpec,
+    Scenario,
     ScenarioFormatError,
+    TransitCostSpec,
     builtin_scenario,
     car_cost,
     load_scenario,
@@ -139,3 +147,98 @@ class TestParsing:
         params = sc.params(1.5)
         assert params.transit_cost == pytest.approx(1.8290909, abs=1e-6)
         assert params.car_freeflow_cost == pytest.approx(1.7136364, abs=1e-6)
+
+    def test_negative_implemented_toll_rejected(self):
+        with pytest.raises(ParameterError, match="implemented_toll must be nonnegative"):
+            dataclasses.replace(builtin_scenario("bay_bridge"), implemented_toll=-3.0)
+        free = dataclasses.replace(builtin_scenario("nyc"), implemented_toll=0.0)
+        assert free.implemented_toll == 0.0
+
+
+# Each unit token with its factor to the canonical unit, grouped by dimension;
+# written out here rather than read from the module's own table.
+UNIT_GROUPS = [
+    {"dollars": 1.0},
+    {"dollars_per_hour": 1.0},
+    {"hours": 1.0, "minutes": 1.0 / 60.0},
+    {"users": 1.0, "vehicles": 1.0},
+    {"users_per_hour": 1.0, "vehicles_per_hour": 1.0},
+    {"km": 1.0, "miles": 1.609344},
+    {"km_per_hour": 1.0, "mph": 1.609344},
+]
+
+
+def _unit_lines():
+    """(preset text, key, group) for every unit-bearing line of both presets."""
+    for scenario in BUILTIN_SCENARIOS.values():
+        text = serialize_scenario(scenario)
+        for line in text.splitlines():
+            key, _, rest = line.partition(" = ")
+            unit = rest.split()[-1]
+            for group in UNIT_GROUPS:
+                if unit in group:
+                    yield text, key, group
+
+
+class TestUnits:
+    def test_unit_bearing_keys_cover_every_dimension(self):
+        keys = {key for _, key, _ in _unit_lines()}
+        assert len(keys) == 15
+        assert {tuple(group) for _, _, group in _unit_lines()} == {tuple(g) for g in UNIT_GROUPS}
+
+    def test_every_unit_of_the_dimension_converts(self):
+        for text, key, group in _unit_lines():
+            old = next(l for l in text.splitlines() if l.startswith(f"{key} ="))
+            canonical = old.split()[-1]
+            for unit, factor in group.items():
+                again = serialize_scenario(parse_scenario(text.replace(old, f"{key} = 2.5 {unit}")))
+                line = next(l for l in again.splitlines() if l.startswith(f"{key} ="))
+                assert line == f"{key} = {2.5 * factor!r} {canonical}", (key, unit)
+
+    def test_unit_of_another_dimension_is_rejected(self):
+        for text, key, group in _unit_lines():
+            old = next(l for l in text.splitlines() if l.startswith(f"{key} ="))
+            for other in UNIT_GROUPS:
+                if other is group:
+                    continue
+                for unit in other:
+                    with pytest.raises(ScenarioFormatError, match=f"^{key}: expected a"):
+                        parse_scenario(text.replace(old, f"{key} = 2.5 {unit}"))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEG = st.floats(min_value=0.0, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NAMES = st.text(string.ascii_letters + string.digits + "_-. ", min_size=1, max_size=20)
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    supply = {"capacity": draw(FINITE)}
+    if draw(st.booleans()):
+        supply = {
+            "max_throughput": draw(FINITE),
+            "jam_accumulations": tuple(draw(st.lists(FINITE, min_size=1, max_size=4))),
+            "freeflow_speed": draw(FINITE),
+            "trip_distance": draw(FINITE),
+        }
+    return Scenario(
+        name=draw(NAMES.map(str.strip).filter(bool)),
+        value_of_time=draw(POSITIVE),
+        total_demand=draw(FINITE),
+        arrival_rate=draw(FINITE),
+        early_penalty=draw(FINITE),
+        late_penalty=draw(FINITE),
+        transit=TransitCostSpec(draw(NONNEG), draw(NONNEG), draw(NONNEG), draw(NONNEG)),
+        car=CarCostSpec(draw(NONNEG), draw(NONNEG)),
+        eta_sweep=tuple(draw(st.lists(FINITE, min_size=1, max_size=40))),
+        implemented_toll=draw(st.none() | NONNEG),
+        crossover_reference_eta=draw(st.none() | FINITE),
+        **supply,
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(scenario=scenarios())
+def test_serialize_round_trips(scenario):
+    assert parse_scenario(serialize_scenario(scenario)) == scenario

@@ -300,3 +300,41 @@ class TestCli:
         assert cli.main(["crossover", "--scenario", str(path)]) == 0
         assert "no crossover in eta range [1, 30]" in capsys.readouterr().out
         assert cli.CROSSOVER_WINDOW == (1.0, 30.0)
+
+
+def _scenario_with(tmp_path, key: str, value: str) -> str:
+    """Write the bay_bridge preset with ``key`` set to ``value``; return the path."""
+    lines = [l for l in serialize_scenario(BAY).splitlines() if not l.startswith(f"{key} =")]
+    path = tmp_path / "edited.scenario"
+    path.write_text("\n".join([*lines, f"{key} = {value}".rstrip()]) + "\n")
+    return str(path)
+
+
+class TestScenarioFileValues:
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            (["crossover"], "policy.implemented_toll", "nan dollars"),
+            (["analyze", "--eta=2"], "scenario.value_of_time", "inf dollars_per_hour"),
+            (["crossover"], "policy.crossover_reference_eta", "nan"),
+        ],
+    )
+    def test_nonfinite_value_names_the_key(self, command, key, value, tmp_path, capsys):
+        path = _scenario_with(tmp_path, key, value)
+        assert cli.main([*command, "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        token = value.split()[0]
+        assert f"error: {key}: '{token}' is not finite" in captured.err
+        assert captured.out == ""
+
+    def test_empty_name_is_validation_error(self, tmp_path, capsys):
+        path = _scenario_with(tmp_path, "scenario.name", "")
+        assert cli.main(["analyze", "--scenario", path, "--eta", "2"]) == 1
+        assert "error: scenario.name: missing value" in capsys.readouterr().err
+
+    def test_negative_implemented_toll_is_validation_error(self, tmp_path, capsys):
+        path = _scenario_with(tmp_path, "policy.implemented_toll", "-3 dollars")
+        assert cli.main(["crossover", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert "error: implemented_toll must be nonnegative" in captured.err
+        assert "$-3.00" not in captured.out
