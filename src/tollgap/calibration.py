@@ -127,6 +127,11 @@ class Scenario:
             )
         if not self.eta_sweep:
             raise ScenarioFormatError("sweep.eta must list at least one value")
+        reference = self.crossover_reference_eta
+        if min(self.eta_sweep) <= 0:
+            raise ParameterError(f"sweep.eta values must be positive, got {min(self.eta_sweep):g}")
+        if reference is not None and reference <= 0:
+            raise ParameterError(f"policy.crossover_reference_eta must be positive, got {reference:g}")
         mfd_fields = (
             self.max_throughput,
             self.freeflow_speed,

@@ -39,6 +39,8 @@ def _parse_eta_range(text: str) -> list[float]:
         raise ScenarioFormatError(f"--eta-range expects lo:hi:n, got {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ScenarioFormatError(f"--eta-range bounds must be finite, got {text!r}")
+    if min(lo, hi) <= 0:
+        raise ScenarioFormatError(f"--eta-range bounds must be positive, got {text!r}")
     if n < 1 or hi < lo:
         raise ScenarioFormatError("--eta-range needs hi >= lo and n >= 1")
     if n == 1:
@@ -55,7 +57,7 @@ def static_ro_toll_dollars(
         toll, _ = mfd.static_revenue_optimal(params, scenario.mfd(jam_accumulation))
     else:
         toll, _ = bottleneck.static_revenue_optimal_toll(params)
-    return toll * scenario.value_of_time
+    return float(toll) * scenario.value_of_time  # a Python float overflows to inf without a warning
 
 
 def crossover_eta(scenario: Scenario, jam_accumulation: float | None = None) -> float | None:
@@ -86,7 +88,9 @@ def crossover_eta(scenario: Scenario, jam_accumulation: float | None = None) -> 
     def objective(eta: float) -> float:
         return static_ro_toll_dollars(scenario, eta, jam_accumulation) - target
 
-    if objective(eta_lo) * objective(eta_hi) > 0:
+    # Compare signs: the product of the two ends can overflow.
+    f_lo, f_hi = objective(eta_lo), objective(eta_hi)
+    if (f_lo > 0 and f_hi > 0) or (f_lo < 0 and f_hi < 0):
         return None
     return bisect_root(objective, eta_lo, eta_hi, xtol=1e-10)
 
@@ -150,12 +154,12 @@ def cmd_sweep(
     return 0
 
 
-def cmd_verify(scenario_spec: str, seed: int, cases: int, dt: float) -> int:
+def cmd_verify(scenario_spec: str, seed: int, cases: int) -> int:
     if scenario_spec != "random":
         verify.check_case_count(cases)  # unused by the scenario suite, but still validated
-        results = [verify.scenario_suite(_load(scenario_spec), dt=dt)]
+        results = [verify.scenario_suite(_load(scenario_spec))]
     else:
-        results = verify.run_all_suites(seed=seed, n_cases=cases, dt=dt)
+        results = verify.run_all_suites(seed=seed, n_cases=cases)
     failed = False
     for result in results:
         print(result.line())
@@ -222,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--cases", type=int, default=1000)
-    p_verify.add_argument("--dt", type=float, default=1e-4, help="oracle grid step, hours")
 
     p_cross = sub.add_parser("crossover", help="eta at which the flat optimum matches the live toll")
     add_common(p_cross)
@@ -234,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(args.scenario, args.seed, args.cases, args.dt)
+            return cmd_verify(args.scenario, args.seed, args.cases)
         scenario = _load(args.scenario)
         if args.nj is not None and not scenario.is_mfd:
             raise ParameterError(
@@ -243,6 +246,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             if not math.isfinite(args.eta):
                 raise ParameterError(f"--eta must be finite, got {args.eta}")
+            if args.eta <= 0:
+                raise ParameterError(f"--eta must be positive, got {args.eta:g}")
             return cmd_analyze(scenario, args.eta, args.nj)
         if args.command == "sweep":
             etas = _parse_eta_range(args.eta_range) if args.eta_range else list(scenario.eta_sweep)

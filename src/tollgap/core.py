@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -100,8 +101,12 @@ class BottleneckParams:
 
     @property
     def cost_gap(self) -> float:
-        """Transit cost minus car free-flow cost, in hours (may be negative)."""
-        return self.transit_cost - self.car_freeflow_cost
+        """Transit cost minus car free-flow cost, in hours (may be negative).
+
+        A subnormal gap reads as 0: products of it keep too few bits to compare.
+        """
+        gap = self.transit_cost - self.car_freeflow_cost
+        return 0.0 if abs(gap) < sys.float_info.min else gap
 
     @property
     def schedule_factor(self) -> float:

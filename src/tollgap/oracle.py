@@ -1,19 +1,19 @@
 """Brute-force numeric verification of every closed form in the package.
 
 Nothing here reuses the closed-form revenue or cost expressions from
-``tollgap.bottleneck`` / ``tollgap.mfd``: equilibria are rebuilt on a time
-grid from first principles (wait slopes, service-rate accounting, the
-indifference ceiling), revenues and cost components are integrated by the
-trapezoid rule, shoulder integrals by fixed Gauss–Legendre quadrature, and
-optima are recovered by exhaustive search.  Where a search needs a revenue
-curve, the curve is an independent transcription evaluated point by point,
-so agreement is evidence rather than tautology.
+``tollgap.bottleneck`` / ``tollgap.mfd``: equilibria are rebuilt from first
+principles (wait slopes, service-rate accounting, the indifference ceiling),
+the bottleneck's piecewise-linear integrands are integrated by the trapezoid
+rule on each linear segment's two ends (exact, since every kink is a segment
+end), the urban network's curved shoulder integrals by fixed Gauss–Legendre
+quadrature, and optima are recovered by exhaustive search.  Where a search
+needs a revenue curve, the curve is an independent transcription evaluated
+point by point, so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EquilibriumTrace:
-    """Sampled equilibrium profiles over the car-service interval.
+    """Equilibrium profiles over the car-service interval, at the segment ends.
 
-    The grid is uniform within each linear segment of the wait profile with
-    step at most the requested resolution, and every kink is a node (the
-    trapezoid rule needs the breakpoints to integrate piecewise-linear
-    profiles without O(step) error).  Cumulative counts are cars only.
+    The nodes are the ends of the wait profile's linear segments, so every
+    kink is a node and the profiles are exact between nodes by linear
+    interpolation.  Cumulative counts are cars only.
     """
 
     times: np.ndarray
@@ -50,18 +49,8 @@ class EquilibriumTrace:
     cum_departures: np.ndarray
 
 
-MAX_SEGMENT_NODES = 10**7  # per wait-profile segment: 80 MB per array
 GAUSS_LEGENDRE_NODES = 128  # shoulder rule; 256 nodes move no piece by 1e-12 relative
 SEARCH_POINTS = 10_000  # uniform grid of both exhaustive revenue searches
-
-
-def _segment_nodes(a: float, b: float, dt: float) -> np.ndarray:
-    if b <= a:
-        return np.array([a])
-    if (b - a) / dt > MAX_SEGMENT_NODES:
-        raise DomainError(f"dt={dt:g} needs over {MAX_SEGMENT_NODES:.0e} nodes on a {b - a:.4g} h segment")
-    n = max(int(math.ceil((b - a) / dt)), 1)
-    return np.linspace(a, b, n + 1)
 
 
 @functools.cache
@@ -77,11 +66,9 @@ def _gauss_legendre(f, span: float) -> float:
     return 0.5 * span * float(weights @ f(0.5 * span * (nodes + 1.0)))
 
 
-def _check_dt(params: BottleneckParams, dt: float) -> None:
-    if not (math.isfinite(dt) and dt > 0):
-        raise DomainError("dt must be finite and positive")
-    if dt > params.rush_length / 100.0:
-        raise DomainError("dt coarser than 1/100 of the rush window: verification meaningless")
+def _segment_ends(a: float, b: float) -> np.ndarray:
+    """Nodes of one linear segment: its two ends, or one node when it is empty."""
+    return np.array([a, b]) if b > a else np.array([a])
 
 
 # (times, wait) on the rising, flat and falling segments of the wait profile.
@@ -89,13 +76,12 @@ _Segments = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def _static_equilibrium(
-    params: BottleneckParams, toll: float, dt: float
+    params: BottleneckParams, toll: float
 ) -> tuple[_Segments | None, EquilibriumOutcome, CostBreakdown]:
     """Wait-profile geometry and trapezoid quadrature of one flat-toll equilibrium.
 
     The segments are None when the toll prices every car out.
     """
-    _check_dt(params, dt)
     if params.cost_gap < 0:
         raise DomainError("simulation requires transit_cost >= car_freeflow_cost")
     if toll < 0:
@@ -136,22 +122,20 @@ def _static_equilibrium(
     peak_end = peak_start + flat_len
     end = peak_end + fall_len
 
-    t_rise = _segment_nodes(start, peak_start, dt)
-    t_flat = _segment_nodes(peak_start, peak_end, dt)
-    t_fall = _segment_nodes(peak_end, end, dt)
+    t_rise = _segment_ends(start, peak_start)
+    t_flat = _segment_ends(peak_start, peak_end)
+    t_fall = _segment_ends(peak_end, end)
 
     w_rise = e * (t_rise - start)
     w_flat = np.full_like(t_flat, peak_wait)
     w_fall = peak_wait - late * (t_fall - peak_end)
 
-    def trapz(y: np.ndarray, x: np.ndarray) -> float:
-        return float(np.trapezoid(y, x)) if x.size > 1 else 0.0
-
+    trapz = np.trapezoid  # 0 on an empty segment's single node
     away = 1.0 - mu / lam
     revenue = toll * mu * (end - start)
-    queuing = mu * (trapz(w_rise, t_rise) + trapz(w_flat, t_flat) + trapz(w_fall, t_fall))
-    schedule = mu * e * away * trapz(peak_start - t_rise, t_rise) + mu * late * away * trapz(
-        t_fall - peak_end, t_fall
+    queuing = mu * float(trapz(w_rise, t_rise) + trapz(w_flat, t_flat) + trapz(w_fall, t_fall))
+    schedule = mu * away * float(
+        e * trapz(peak_start - t_rise, t_rise) + late * trapz(t_fall - peak_end, t_fall)
     )
     n_car = mu * (end - start)
     n_early = mu * (peak_start - start)
@@ -172,7 +156,7 @@ def _static_equilibrium(
 
 
 def static_bottleneck_costs(
-    params: BottleneckParams, toll: float, dt: float = 1e-4
+    params: BottleneckParams, toll: float
 ) -> tuple[EquilibriumOutcome, CostBreakdown]:
     """Rebuild the flat-toll equilibrium numerically and integrate its costs.
 
@@ -181,21 +165,24 @@ def static_bottleneck_costs(
     endpoints anchored by service-rate accounting (cars desiring the early
     window are exactly the cars served over the rising segment, and
     symmetrically for the late one).  Revenue and the four cost components
-    come from trapezoid quadrature over that profile; mode counts are read
-    off the service interval.
+    come from the trapezoid rule on each of the profile's three linear
+    segments, exact from the segment's two ends; mode counts are read off
+    the service interval.
     """
-    _, outcome, cost = _static_equilibrium(params, toll, dt)
+    _, outcome, cost = _static_equilibrium(params, toll)
     return outcome, cost
 
 
 def simulate_static_bottleneck(
-    params: BottleneckParams, toll: float, dt: float = 1e-4
+    params: BottleneckParams, toll: float, dt: float | None = None
 ) -> tuple[EquilibriumTrace, EquilibriumOutcome, CostBreakdown]:
-    """:func:`static_bottleneck_costs` plus the sampled equilibrium profiles.
+    """:func:`static_bottleneck_costs` plus the equilibrium profiles at the segment ends.
 
     The outcome and the cost are exactly those of ``static_bottleneck_costs``.
+    ``dt`` is accepted and ignored: the segment ends describe the
+    piecewise-linear profiles exactly.
     """
-    segments, outcome, cost = _static_equilibrium(params, toll, dt)
+    segments, outcome, cost = _static_equilibrium(params, toll)
     if segments is None:
         times = np.array([0.0, params.rush_length])
         zeros = np.zeros_like(times)
@@ -266,35 +253,33 @@ def grid_search_dynamic_fraction(params: BottleneckParams) -> tuple[float, float
     return float(fracs[i]), float(values[i])
 
 
+def _served_cars(mfd: TriangularMfd, wait: float, slope: float) -> float:
+    """Cars served over one shoulder, whose wait falls from ``wait`` to 0 at ``slope``."""
+    n_j, a = mfd.jam_accumulation, mfd.jam_accumulation / mfd.max_throughput
+    return _gauss_legendre(lambda x: n_j / (a + wait - slope * x), wait / slope)
+
+
 def integrate_mfd_revenue(
-    params: BottleneckParams, mfd: TriangularMfd, toll: float, dt: float = 1e-4
+    params: BottleneckParams, mfd: TriangularMfd, toll: float, dt: float | None = None
 ) -> float:
     """Numeric revenue of a flat toll on the urban network.
 
     Integrates the wait-dependent outflow along the trapezoidal wait profile
-    (slopes equal to the schedule penalties, peak ``gap - toll``); the flat
-    segment's length comes from counting shoulder cars numerically, not from
-    the closed log expression.
+    (slopes equal to the schedule penalties, peak ``gap - toll``) with the
+    shoulder rule of :func:`mfd_shoulder_quadrature`; the flat segment's
+    length comes from those shoulder car counts, not from the closed log
+    expression.  ``dt`` is accepted and ignored.
     """
-    _check_dt(params, dt)
     gap = params.cost_gap
     if toll < 0 or toll > gap + 1e-12 * max(1.0, abs(gap)):
         raise DomainError("toll must lie in [0, gap]")
     wait = max(gap - toll, 0.0)
-    n_j, mu_f = mfd.jam_accumulation, mfd.max_throughput
-
-    def outflow(w):
-        return n_j / (n_j / mu_f + w)
-
-    e, late = params.early_penalty, params.late_penalty
-    x_rise = _segment_nodes(0.0, wait / e, dt)
-    x_fall = _segment_nodes(0.0, wait / late, dt)
-    served_rise = float(np.trapezoid(outflow(wait - e * x_rise), x_rise)) if x_rise.size > 1 else 0.0
-    served_fall = float(np.trapezoid(outflow(wait - late * x_fall), x_fall)) if x_fall.size > 1 else 0.0
-    flat_len = (params.total_demand - (served_rise + served_fall)) / params.arrival_rate
+    served = _served_cars(mfd, wait, params.early_penalty) + _served_cars(mfd, wait, params.late_penalty)
+    flat_len = (params.total_demand - served) / params.arrival_rate
     if flat_len < -1e-9 * params.rush_length:
         raise DomainError("toll below the operational band: flat segment would be negative")
-    return toll * (served_rise + served_fall + outflow(wait) * max(flat_len, 0.0))
+    outflow = mfd.jam_accumulation / (mfd.jam_accumulation / mfd.max_throughput + wait)
+    return toll * (served + outflow * max(flat_len, 0.0))
 
 
 def mfd_shoulder_quadrature(
@@ -318,7 +303,7 @@ def mfd_shoulder_quadrature(
         """(queue, served cars, schedule) over one shoulder."""
         span = wait / slope
         queue = _gauss_legendre(lambda x: n_j * (wait - slope * x) / (a + wait - slope * x), span)
-        served = _gauss_legendre(lambda x: n_j / (a + wait - slope * x), span)
+        served = _served_cars(mfd, wait, slope)
         offset = span - served / lam  # shoulder duration minus desired-window share
         sched = _gauss_legendre(lambda x: (n_j / (a + wait - slope * x)) * offset * (span - x) / span, span)
         return queue, served, slope * sched

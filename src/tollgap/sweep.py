@@ -7,11 +7,12 @@ Rows are computed one eta at a time and written in eta order with a fixed
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from . import bottleneck, mfd
 from .calibration import Scenario
-from .core import Regime, classify_regime
+from .core import DomainError, Regime, classify_regime
 
 __all__ = ["SweepRow", "CSV_HEADER", "compute_row", "compute_rows", "write_csv", "nj_divergence"]
 
@@ -106,57 +107,49 @@ class SweepRow:
 
 
 def compute_row(scenario: Scenario, eta: float, jam_accumulation: float | None = None) -> SweepRow:
-    """Evaluate all four policies at one discomfort multiplier."""
+    """Evaluate all four policies at one discomfort multiplier.
+
+    Raises :class:`DomainError` naming the field when a number in the row, or
+    a toll in dollars, is not finite or is negative: finite but huge inputs
+    (a demand or a jam accumulation of 1e300) overflow the formulas, and
+    such a row is no result.
+    """
     params = scenario.params(eta)
     regime = classify_regime(params)
     if regime is Regime.ALL_TRANSIT:
         # Transit dominates outright: no policy collects revenue or changes cost.
-        all_transit_cost = params.transit_cost * params.total_demand
-        return SweepRow(
-            eta=eta,
-            regime=regime,
-            tau_static_ro=0.0,
-            tau_static_so=0.0,
-            rev_static_ro=0.0,
-            rev_static_so=0.0,
-            rev_dynamic_ro=0.0,
-            rev_dynamic_so=0.0,
-            sc_static_ro=all_transit_cost,
-            sc_static_so=all_transit_cost,
-            sc_dynamic_ro=all_transit_cost,
-            sc_opt=all_transit_cost,
-            value_of_time=scenario.value_of_time,
-        )
-    if scenario.is_mfd:
-        net = scenario.mfd(jam_accumulation)
-        tau_ro, rev_ro = mfd.static_revenue_optimal(params, net)
-        tau_so, sc_so = mfd.static_sc_optimal(params, net)
-        sc_ro = mfd.static_system_cost(params, net, tau_ro).total
-        rev_so = mfd.static_revenue(params, net, tau_so)
+        cost = params.transit_cost * params.total_demand
+        numbers = (0.0,) * 6 + (cost,) * 4
     else:
-        tau_ro, rev_ro = bottleneck.static_revenue_optimal_toll(params)
-        tau_so, sc_so = bottleneck.static_sc_optimal_toll(params)
-        sc_ro = bottleneck.static_system_cost(params, tau_ro).total
-        rev_so = bottleneck.static_revenue(params, tau_so)
-    # The trapezoid schedules hold an urban network at its critical
-    # accumulation, and the params carry its maximum throughput as capacity.
-    dyn_ro = bottleneck.dynamic_revenue_optimal(params)
-    dyn_so = bottleneck.dynamic_so_design(params)
-    return SweepRow(
-        eta=eta,
-        regime=regime,
-        tau_static_ro=tau_ro,
-        tau_static_so=tau_so,
-        rev_static_ro=rev_ro,
-        rev_static_so=rev_so,
-        rev_dynamic_ro=dyn_ro.revenue,
-        rev_dynamic_so=dyn_so.revenue,
-        sc_static_ro=sc_ro,
-        sc_static_so=sc_so,
-        sc_dynamic_ro=dyn_ro.system_cost,
-        sc_opt=dyn_so.system_cost,
-        value_of_time=scenario.value_of_time,
-    )
+        if scenario.is_mfd:
+            net = scenario.mfd(jam_accumulation)
+            tau_ro, rev_ro = mfd.static_revenue_optimal(params, net)
+            tau_so, sc_so = mfd.static_sc_optimal(params, net)
+            sc_ro = mfd.static_system_cost(params, net, tau_ro).total
+            rev_so = mfd.static_revenue(params, net, tau_so)
+        else:
+            tau_ro, rev_ro = bottleneck.static_revenue_optimal_toll(params)
+            tau_so, sc_so = bottleneck.static_sc_optimal_toll(params)
+            sc_ro = bottleneck.static_system_cost(params, tau_ro).total
+            rev_so = bottleneck.static_revenue(params, tau_so)
+        # The trapezoid schedules hold an urban network at its critical
+        # accumulation, and the params carry its maximum throughput as capacity.
+        dyn_ro = bottleneck.dynamic_revenue_optimal(params)
+        dyn_so = bottleneck.dynamic_so_design(params)
+        numbers = (tau_ro, tau_so, rev_ro, rev_so, dyn_ro.revenue, dyn_so.revenue)
+        numbers += (sc_ro, sc_so, dyn_ro.system_cost, dyn_so.system_cost)
+    # ``numbers`` follows SweepRow's field order: two tolls, four revenues, four costs.
+    row = SweepRow(eta, regime, *numbers, value_of_time=scenario.value_of_time)
+    checked = [(f.name, getattr(row, f.name)) for f in fields(row)[2:]]  # after eta and regime
+    for name in ("tau_static_ro", "tau_static_so"):
+        checked.append((f"{name}_dollars", float(getattr(row, name)) * row.value_of_time))
+    for name, value in checked:
+        if not (math.isfinite(value) and value >= 0):
+            raise DomainError(
+                f"scenario {scenario.name!r} at eta={eta:g}: {name} = {value:g} is out of range"
+                " (the inputs overflow the model)"
+            )
+    return row
 
 
 def compute_rows(

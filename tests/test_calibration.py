@@ -231,9 +231,9 @@ def scenarios(draw) -> Scenario:
         late_penalty=draw(FINITE),
         transit=TransitCostSpec(draw(NONNEG), draw(NONNEG), draw(NONNEG), draw(NONNEG)),
         car=CarCostSpec(draw(NONNEG), draw(NONNEG)),
-        eta_sweep=tuple(draw(st.lists(FINITE, min_size=1, max_size=40))),
+        eta_sweep=tuple(draw(st.lists(POSITIVE, min_size=1, max_size=40))),
         implemented_toll=draw(st.none() | NONNEG),
-        crossover_reference_eta=draw(st.none() | FINITE),
+        crossover_reference_eta=draw(st.none() | POSITIVE),
         **supply,
     )
 

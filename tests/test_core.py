@@ -26,6 +26,18 @@ class TestBottleneckParams:
         assert p.schedule_factor == pytest.approx(0.61 * 2.4 / 3.01)
 
     @pytest.mark.parametrize(
+        "car, transit, gap",
+        [
+            (0.0, 1.04e-322, 0.0),  # subnormal gap: 0
+            (1e-322, 0.0, 0.0),
+            (0.0, 2.2250738585072014e-308, 2.2250738585072014e-308),  # smallest normal: kept
+            (1.0, 1.0 + 2**-52, 2**-52),
+        ],
+    )
+    def test_gap_below_smallest_normal_is_zero(self, car, transit, gap):
+        assert BottleneckParams(132.5, 106.0, 10.6, 0.5, 2.0, car, transit).cost_gap == gap
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             dict(total_demand=0.0),

@@ -1,11 +1,10 @@
 import dataclasses
-import math
 import random
 
 import numpy as np
 import pytest
 
-from tollgap import BottleneckParams, DomainError
+from tollgap import BottleneckParams
 from tollgap import bottleneck as bn
 from tollgap import mfd, oracle, verify
 from tollgap.calibration import builtin_scenario
@@ -31,33 +30,29 @@ def car_saturated_params() -> BottleneckParams:
 class TestSimulation:
     def test_car_only_peak_wait(self):
         params = car_saturated_params()
-        trace, outcome, _ = oracle.simulate_static_bottleneck(params, 0.0, dt=1e-3)
+        trace, outcome, _ = oracle.simulate_static_bottleneck(params, 0.0)
         assert outcome.peak_wait == pytest.approx(3.546511627906977, abs=1e-6)
         assert float(trace.wait.max()) == pytest.approx(3.546511627906977, abs=1e-6)
         assert outcome.n_transit == pytest.approx(0.0, abs=1e-6)
 
     def test_top_of_band_degenerates_flat(self):
         params = BAY.params(1.5)
-        _, outcome, cost = oracle.simulate_static_bottleneck(params, params.cost_gap, dt=1e-3)
+        _, outcome, cost = oracle.simulate_static_bottleneck(params, params.cost_gap)
         assert outcome.peak_wait == 0.0
         assert cost.revenue == pytest.approx(bn.static_revenue(params, params.cost_gap), rel=1e-9)
 
     def test_components_match_closed_forms(self):
         params = BAY.params(1.5)
-        _, outcome, cost = oracle.simulate_static_bottleneck(params, 0.05, dt=1e-4)
+        _, outcome, cost = oracle.simulate_static_bottleneck(params, 0.05)
         closed = bn.static_system_cost(params, 0.05)
         for field in ("transit", "car_freeflow", "queuing", "schedule", "revenue"):
             assert getattr(cost, field) == pytest.approx(getattr(closed, field), rel=1e-6)
         assert outcome.total == pytest.approx(params.total_demand, rel=1e-9)
 
-    def test_refuses_coarse_grid(self):
-        with pytest.raises(DomainError):
-            oracle.simulate_static_bottleneck(BAY.params(1.5), 0.0, dt=1.0)
-
     def test_trace_invariants(self):
         params = BAY.params(2.5)
         toll = 0.3 * params.cost_gap
-        trace, outcome, _ = oracle.simulate_static_bottleneck(params, toll, dt=1e-3)
+        trace, outcome, _ = oracle.simulate_static_bottleneck(params, toll)
         assert float(trace.wait.min()) >= -1e-12
         # Wait slopes stay in {early_penalty, -late_penalty, 0}.
         slopes = np.diff(trace.wait) / np.diff(trace.times)
@@ -71,14 +66,31 @@ class TestSimulation:
         ceiling = params.cost_gap + 1e-9
         assert np.all(trace.wait + trace.toll <= ceiling)
 
+    def test_trace_nodes_are_the_kinks(self):
+        # The segment ends describe the piecewise-linear profile exactly: the
+        # nodes are the service interval's ends and both kinks, nothing else,
+        # and the trace carries exactly the costs entry point's results.
+        rng = random.Random(17)
+        for _ in range(40):
+            params = verify.sample_params(rng)
+            lo, hi = bn.feasible_toll_band(params)
+            for toll in (rng.uniform(lo, hi), rng.uniform(0.0, lo), hi):
+                trace, outcome, cost = oracle.simulate_static_bottleneck(params, toll)
+                kinks = np.array([outcome.start, outcome.peak_start, outcome.peak_end, outcome.end])
+                assert trace.times.size <= 4 and np.all(np.diff(trace.times) > 0)
+                # A segment of zero length may round to a sliver either side of 0.
+                nearest = np.abs(kinks[:, None] - trace.times[None, :]).min(axis=1)
+                assert float(nearest.max()) <= 1e-12 * params.rush_length
+                assert oracle.static_bottleneck_costs(params, toll) == (outcome, cost)
+
 
 class TestCostsEntryPoint:
     """``static_bottleneck_costs`` returns exactly what the traced entry point returns."""
 
     @staticmethod
-    def assert_same(params, toll, dt=1e-4):
-        _, outcome, cost = oracle.simulate_static_bottleneck(params, toll, dt)
-        assert oracle.static_bottleneck_costs(params, toll, dt) == (outcome, cost)
+    def assert_same(params, toll):
+        _, outcome, cost = oracle.simulate_static_bottleneck(params, toll)
+        assert oracle.static_bottleneck_costs(params, toll) == (outcome, cost)
 
     def test_mixed_band_and_car_only(self):
         rng = random.Random(11)
@@ -102,28 +114,6 @@ class TestCostsEntryPoint:
             for factor in (1.0, rng.uniform(1.01, 3.0)):
                 params = dataclasses.replace(base, capacity=base.arrival_rate * factor)
                 self.assert_same(params, rng.uniform(0.0, params.cost_gap))
-
-    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1e-4])
-    def test_rejects_nonfinite_or_nonpositive_dt(self, dt):
-        params = BAY.params(1.5)
-        with pytest.raises(DomainError, match="dt"):
-            oracle.static_bottleneck_costs(params, 0.0, dt)
-        with pytest.raises(DomainError, match="dt"):
-            oracle.simulate_static_bottleneck(params, 0.0, dt)
-        with pytest.raises(DomainError, match="dt"):
-            oracle.integrate_mfd_revenue(NYC.params(1.5), NYC.mfd(), 0.0, dt)
-
-    @pytest.mark.parametrize("dt", [1e-300, 1e-12])
-    def test_rejects_dt_beyond_node_budget(self, dt):
-        # A finite but tiny step must not reach np.linspace with billions of nodes.
-        params = BAY.params(1.5)
-        with pytest.raises(DomainError, match="nodes"):
-            oracle.static_bottleneck_costs(params, 0.0, dt)
-        with pytest.raises(DomainError, match="nodes"):
-            oracle.simulate_static_bottleneck(params, 0.0, dt)
-        urban = NYC.params(18.0)
-        with pytest.raises(DomainError, match="nodes"):
-            oracle.integrate_mfd_revenue(urban, NYC.mfd(), 0.5 * urban.cost_gap, dt)
 
 
 class TestGridSearches:
@@ -172,23 +162,36 @@ class TestGridSearches:
 class TestMfdIntegration:
     def test_top_of_band(self):
         params, net = NYC.params(1.5), NYC.mfd()
-        got = oracle.integrate_mfd_revenue(params, net, params.cost_gap, dt=1e-3)
+        got = oracle.integrate_mfd_revenue(params, net, params.cost_gap)
         want = params.cost_gap * params.total_demand * net.max_throughput / params.arrival_rate
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_half_toll_matches_closed_form(self):
         params, net = NYC.params(18.0), NYC.mfd()
         toll = params.cost_gap / 2.0
-        got = oracle.integrate_mfd_revenue(params, net, toll, dt=1e-4)
+        got = oracle.integrate_mfd_revenue(params, net, toll)
         assert got == pytest.approx(mfd.static_revenue(params, net, toll), rel=1e-6)
 
     def test_many_toll_agreement_at_coarse_grid(self):
-        # Randomized-property variant: 600 tolls at the coarser grid step,
-        # held to the suite's own tolerance.
-        from tollgap import verify
-
-        result = verify.oracle_agreement_suite(7, 300, dt=1e-3)
+        # Randomized-property variant: 600 tolls, held to the suite's own tolerance.
+        result = verify.oracle_agreement_suite(7, 300)
         assert result.ok, result.failures
+
+    def test_revenue_matches_closed_form_across_the_band(self):
+        # The shoulder rule integrates the urban outflow to rounding, from the
+        # band bottom (longest shoulders) to the top (no shoulders).
+        rng = random.Random(23)
+        checked = 0
+        while checked < 300:
+            params = verify.sample_params(rng, regime=rng.choice(["low", "mid"]))
+            net = verify.sample_mfd(rng, params)
+            lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
+            if hi <= lo:
+                continue
+            for toll in (lo, rng.uniform(lo, hi), hi):
+                got = oracle.integrate_mfd_revenue(params, net, toll)
+                assert got == pytest.approx(mfd.static_revenue(params, net, toll), rel=1e-12)
+            checked += 1
 
     def test_shoulder_quadrature_matches_closed_forms(self):
         params, net = NYC.params(18.0), NYC.mfd()

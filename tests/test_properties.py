@@ -3,7 +3,7 @@
 from dataclasses import astuple
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tollgap import BottleneckParams, Regime, TriangularMfd, classify_regime, regime_thresholds
@@ -62,6 +62,7 @@ def test_revenue_matches_paying_headcount(params, frac):
 
 
 @given(params=congested_params())
+@example(params=BottleneckParams(132.5, 106.0, 10.6, 0.5, 2.0, 0.0, 1.04e-322))  # subnormal gap
 @settings(max_examples=200)
 def test_dynamic_revenue_dominates_static(params):
     _, static_rev = bn.static_revenue_optimal_toll(params)

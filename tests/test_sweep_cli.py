@@ -3,6 +3,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -134,20 +135,6 @@ class TestCli:
         assert "error:" in captured.err and "Traceback" not in captured.err
         assert "[PASS]" not in captured.out
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--cases", "5", "--dt", "nan"],
-            ["verify", "--scenario", "bay_bridge", "--dt", "nan"],
-            ["verify", "--scenario", "nyc", "--dt", "nan"],
-        ],
-    )
-    def test_verify_nonfinite_dt_is_validation_error(self, argv, capsys):
-        assert cli.main(argv) == 1
-        captured = capsys.readouterr()
-        assert "error: dt must be finite and positive" in captured.err
-        assert "Traceback" not in captured.err and "[PASS]" not in captured.out
-
     def test_verify_scenario_negative_cases_is_validation_error(self, capsys):
         assert cli.main(["verify", "--scenario", "nyc", "--cases", "-3"]) == 1
         captured = capsys.readouterr()
@@ -155,12 +142,12 @@ class TestCli:
         assert "[PASS]" not in captured.out
 
     def test_verify_small_run_passes(self, capsys):
-        assert cli.main(["verify", "--cases", "5", "--dt", "1e-3", "--seed", "7"]) == 0
+        assert cli.main(["verify", "--cases", "5", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 4
 
     def test_verify_scenario_mode(self, capsys):
-        assert cli.main(["verify", "--scenario", "nyc", "--dt", "1e-3"]) == 0
+        assert cli.main(["verify", "--scenario", "nyc"]) == 0
         out = capsys.readouterr().out
         assert "scenario suite (nyc)" in out and "[PASS]" in out
 
@@ -213,19 +200,22 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["analyze", "--scenario", "nyc", "--eta", "2"],
-            ["crossover", "--scenario", "nyc"],
-            ["sweep", "--scenario", "nyc"],
+            ["analyze", "--scenario", "nyc", "--eta", "2", "--grid", "512"],
+            ["crossover", "--scenario", "nyc", "--grid", "512"],
+            ["sweep", "--scenario", "nyc", "--grid", "512"],
+            ["verify", "--dt", "1e-4"],
         ],
     )
     def test_grid_flag_is_gone(self, argv, tmp_path, capsys):
+        # Removed flags (``--grid``, and ``verify --dt``) are usage errors.
+        removed = " ".join(argv[-2:])
         out = tmp_path / "rows.csv"
         if argv[0] == "sweep":
             argv = [*argv, "--out", str(out)]
         with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--grid", "512"])
+            cli.main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --grid 512" in capsys.readouterr().err
+        assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_option_strings_are_pinned(self):
@@ -239,7 +229,7 @@ class TestCli:
         assert options == {
             "analyze": ["-h", "--help", "--scenario", "--nj", "--eta"],
             "sweep": ["-h", "--help", "--scenario", "--nj", "--eta-range", "--out"],
-            "verify": ["-h", "--help", "--scenario", "--seed", "--cases", "--dt"],
+            "verify": ["-h", "--help", "--scenario", "--seed", "--cases"],
             "crossover": ["-h", "--help", "--scenario", "--nj"],
         }
 
@@ -271,18 +261,29 @@ class TestCli:
         assert cli.main(["analyze", "--scenario", "nyc", f"--eta={eta}"]) == 1
         assert f"error: --eta must be finite, got {eta}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--cases", "3", "--dt", "1e-300"],
-            ["verify", "--scenario", "nyc", "--dt", "1e-300"],
-            ["verify", "--scenario", "bay_bridge", "--dt", "1e-300"],
-        ],
-    )
-    def test_verify_dt_beyond_node_budget_is_validation_error(self, argv, capsys):
+    @pytest.mark.parametrize("eta", ["-1", "0"])
+    def test_nonpositive_eta_names_the_flag(self, eta, capsys):
+        assert cli.main(["analyze", "--scenario", "nyc", f"--eta={eta}"]) == 1
+        captured = capsys.readouterr()
+        assert f"error: --eta must be positive, got {eta}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("bounds", ["-1:2:2", "0:2:2", "-3:-1:2", "-1:-1:1"])
+    def test_nonpositive_eta_range_names_the_flag(self, bounds, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--scenario", "bay_bridge", f"--eta-range={bounds}", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "error: --eta-range bounds must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_jam_accumulation_is_validation_error(self, tmp_path, capsys):
+        # The urban formulas overflow to a negative system cost: no result, no file.
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--scenario", "nyc", "--eta-range=1:2:2", "--nj=1e300", "--out", str(out)]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
-        assert "error: dt=1e-300 needs" in captured.err and "[PASS]" not in captured.out
+        assert "error: scenario 'nyc' at eta=2: " in captured.err
+        assert "Traceback" not in captured.err and not out.exists()
 
     def test_crossover_zero_toll_solves_gap_root(self):
         import dataclasses
@@ -302,9 +303,9 @@ class TestCli:
         assert cli.CROSSOVER_WINDOW == (1.0, 30.0)
 
 
-def _scenario_with(tmp_path, key: str, value: str) -> str:
-    """Write the bay_bridge preset with ``key`` set to ``value``; return the path."""
-    lines = [l for l in serialize_scenario(BAY).splitlines() if not l.startswith(f"{key} =")]
+def _scenario_with(tmp_path, key: str, value: str, base=BAY) -> str:
+    """Write the ``base`` preset with ``key`` set to ``value``; return the path."""
+    lines = [l for l in serialize_scenario(base).splitlines() if not l.startswith(f"{key} =")]
     path = tmp_path / "edited.scenario"
     path.write_text("\n".join([*lines, f"{key} = {value}".rstrip()]) + "\n")
     return str(path)
@@ -338,3 +339,60 @@ class TestScenarioFileValues:
         captured = capsys.readouterr()
         assert "error: implemented_toll must be nonnegative" in captured.err
         assert "$-3.00" not in captured.out
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sweep.eta", "-1.0 2.0"),
+            ("sweep.eta", "0 2.0"),
+            ("policy.crossover_reference_eta", "-5"),
+            ("policy.crossover_reference_eta", "0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["crossover"], ["analyze", "--eta=2"], ["sweep"]])
+    def test_nonpositive_multiplier_names_the_key(self, key, value, command, tmp_path, capsys):
+        path = _scenario_with(tmp_path, key, value)
+        out = tmp_path / "rows.csv"
+        if command[0] == "sweep":
+            command = [*command, "--out", str(out)]
+        assert cli.main([*command, "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {key}" in captured.err and "must be positive" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, base",
+        [
+            ("demand.total", "1e300 users", BAY),
+            ("demand.total", "1e300 users", NYC),
+            ("scenario.value_of_time", "1e308 dollars_per_hour", BAY),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["analyze", "--eta=9"], ["sweep"]])
+    def test_overflow_is_validation_error(self, key, value, base, command, tmp_path, capsys):
+        path = _scenario_with(tmp_path, key, value, base)
+        out = tmp_path / "rows.csv"
+        if command[0] == "sweep":
+            command = [*command, "--out", str(out)]
+        assert cli.main([*command, "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert f"error: scenario {base.name!r} at eta=" in captured.err
+        assert "is out of range" in captured.err
+        assert "Traceback" not in captured.err and "nan" not in captured.out
+        assert not out.exists()
+
+    def test_huge_demand_crossover_is_validation_error(self, tmp_path, capsys):
+        path = _scenario_with(tmp_path, "demand.total", "1e300 users", NYC)
+        assert cli.main(["crossover", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert "error: scenario 'nyc' at eta=" in captured.err and "ratio" not in captured.out
+
+    def test_huge_value_of_time_has_no_crossover(self, tmp_path, capsys):
+        # Every dollar toll in the window dwarfs the live $9 toll, so no root
+        # lies inside; the two window ends' objectives (4.2e299 and 1.3e301)
+        # are compared by sign, since their product overflows.
+        path = _scenario_with(tmp_path, "scenario.value_of_time", "1e300 dollars_per_hour", NYC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["crossover", "--scenario", path]) == 0
+        assert "no crossover in eta range [1, 30]" in capsys.readouterr().out
