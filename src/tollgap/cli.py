@@ -9,6 +9,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import bottleneck, mfd, sweep, verify
 from .calibration import (
     BUILTIN_SCENARIOS,
@@ -171,14 +173,15 @@ def cmd_verify(scenario_spec: str, seed: int, cases: int) -> int:
 
 def cmd_crossover(scenario: Scenario, jam_accumulation: float | None) -> int:
     eta = crossover_eta(scenario, jam_accumulation)
+    # Compute the row before the first line, so that a failing call prints no report.
+    row = None if eta is None else sweep.compute_row(scenario, eta, jam_accumulation)
     print(f"scenario: {scenario.name}")
     if scenario.implemented_toll is not None:
         print(f"  implemented flat toll: ${scenario.implemented_toll:.2f}")
-    if eta is None:
+    if row is None:
         lo, hi = CROSSOVER_WINDOW
         print(f"  no crossover in eta range [{lo:g}, {hi:g}]  (informational, not an error)")
         return 0
-    row = sweep.compute_row(scenario, eta, jam_accumulation)
     print(f"  crossover eta: {eta:.4f}")
     print(f"  static-RO revenue ratio at crossover: {row.rev_ratio(row.rev_static_ro):.5f}")
     print(f"  static-RO system-cost ratio at crossover: {row.sc_ratio(row.sc_static_ro):.5f}")
@@ -232,6 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Inputs that overflow the model surface as a DomainError from the row guard
+# in sweep.compute_row, so numpy's floating-point warnings would only precede
+# that message.
+@np.errstate(all="ignore")
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

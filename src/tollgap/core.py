@@ -144,14 +144,16 @@ def classify_regime(params: BottleneckParams) -> Regime:
     """Map a parameter set to the single regime that governs it.
 
     Ties at a threshold resolve to the lower-indexed regime; both branch
-    formulas agree at the boundary, so the choice is cosmetic.
+    formulas agree at the boundary, so the choice is cosmetic.  Transit
+    dominates exactly when ``cost_gap`` is negative, so a subnormal gap,
+    which reads as 0, is congested like a zero gap.
     """
-    if params.transit_cost < params.car_freeflow_cost:
+    gap = params.cost_gap
+    if gap < 0:
         return Regime.ALL_TRANSIT
     if params.capacity >= params.arrival_rate:
         return Regime.UNCONGESTED
     low, high = regime_thresholds(params)
-    gap = params.cost_gap
     if gap <= low:
         return Regime.MIXED_LOW
     if gap <= high:

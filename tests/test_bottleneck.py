@@ -69,6 +69,14 @@ class TestStaticEquilibrium:
         out = bn.static_equilibrium(p, p.cost_gap + 0.01)
         assert out.n_transit == p.total_demand
 
+    def test_subnormal_negative_gap_is_congested_like_the_oracle(self):
+        # transit_cost < car_freeflow_cost by a subnormal amount: the gap reads as 0.
+        p = BottleneckParams(70000, 14000, 9600, 0.61, 2.4, 1e-320, 0.5e-320)
+        assert p.cost_gap == 0.0
+        assert bn.classify_regime(p) is Regime.MIXED_LOW
+        outcome, _ = oracle.static_bottleneck_costs(p, 0.0)
+        assert bn.static_equilibrium(p, 0.0).n_transit == outcome.n_transit == 22000.0
+
     def test_rejects_negative_toll(self):
         with pytest.raises(DomainError):
             bn.static_equilibrium(BAY.params(1.5), -0.1)

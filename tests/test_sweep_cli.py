@@ -381,6 +381,32 @@ class TestScenarioFileValues:
         assert "Traceback" not in captured.err and "nan" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            (["sweep", "--nj=1e300"], None, None),
+            (["analyze", "--eta=9", "--nj=1e300"], None, None),
+            (["crossover", "--nj=1e300"], None, None),
+            (["analyze", "--eta=9"], "demand.arrival_rate", "1e-300 users_per_hour"),
+            (["crossover"], "supply.max_throughput", "1e-300 vehicles_per_hour"),
+            (["crossover"], "supply.jam_accumulation", "1e300 vehicles"),
+        ],
+    )
+    def test_overflow_writes_only_the_error_line(self, command, key, value, tmp_path, capsys):
+        # No numpy warning and no partial report precede the overflow guard's message.
+        scenario = "nyc" if key is None else _scenario_with(tmp_path, key, value, NYC)
+        out = tmp_path / "rows.csv"
+        if command[0] == "sweep":
+            command = [*command, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([*command, "--scenario", scenario]) == 1
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: scenario 'nyc' at eta=")
+        assert captured.err.count("\n") == 1
+
     def test_huge_demand_crossover_is_validation_error(self, tmp_path, capsys):
         path = _scenario_with(tmp_path, "demand.total", "1e300 users", NYC)
         assert cli.main(["crossover", "--scenario", path]) == 1
