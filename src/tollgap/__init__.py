@@ -22,10 +22,10 @@ from .core import (
     ParameterError,
     Regime,
     TrapezoidToll,
+    TriangularMfd,
     classify_regime,
     regime_thresholds,
 )
-from .mfd import TriangularMfd
 
 __version__ = "0.1.0"
 

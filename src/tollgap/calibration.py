@@ -21,8 +21,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
-from .core import BottleneckParams, ParameterError
-from .mfd import TriangularMfd
+from .core import BottleneckParams, ParameterError, TriangularMfd
 
 __all__ = [
     "ScenarioFormatError",

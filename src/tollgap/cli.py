@@ -8,10 +8,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
-import numpy as np
-
-from . import bottleneck, mfd, sweep, verify
+from . import bottleneck, sweep
 from .calibration import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -56,6 +55,8 @@ def static_ro_toll_dollars(
     """Revenue-optimal flat toll at a given eta, converted to dollars."""
     params = scenario.params(eta)
     if scenario.is_mfd:
+        from . import mfd  # deferred: see the note above main
+
         toll, _ = mfd.static_revenue_optimal(params, scenario.mfd(jam_accumulation))
     else:
         toll, _ = bottleneck.static_revenue_optimal_toll(params)
@@ -146,7 +147,7 @@ def cmd_sweep(
     sweep.write_csv(rows, out_path)
     print(f"wrote {len(rows)} rows to {out_path}")
     if scenario.is_mfd and jam_accumulation is None:
-        notes = sweep.nj_divergence(scenario, etas)
+        notes = sweep._nj_divergence(scenario, etas, rows)
         if notes:
             print("jam-accumulation sweep divergence:")
             for note in notes:
@@ -157,6 +158,8 @@ def cmd_sweep(
 
 
 def cmd_verify(scenario_spec: str, seed: int, cases: int) -> int:
+    from . import verify  # deferred: see the note above main
+
     if scenario_spec != "random":
         verify.check_case_count(cases)  # unused by the scenario suite, but still validated
         results = [verify.scenario_suite(_load(scenario_spec))]
@@ -235,34 +238,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Inputs that overflow the model surface as a DomainError from the row guard
-# in sweep.compute_row, so numpy's floating-point warnings would only precede
-# that message.
-@np.errstate(all="ignore")
+# numpy loads only where it is used: mfd for a scenario with a flow diagram,
+# and verify.  analyze, crossover and sweep on a fixed-capacity scenario run on
+# the standard library alone.  Inputs that overflow the model surface as a
+# DomainError from the row guard in sweep.compute_row, so numpy's
+# floating-point RuntimeWarnings would only precede that message.
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "verify":
-            return cmd_verify(args.scenario, args.seed, args.cases)
-        scenario = _load(args.scenario)
-        if args.nj is not None and not scenario.is_mfd:
-            raise ParameterError(
-                f"--nj applies to urban scenarios only; {scenario.name!r} has a fixed capacity"
-            )
-        if args.command == "analyze":
-            if not math.isfinite(args.eta):
-                raise ParameterError(f"--eta must be finite, got {args.eta}")
-            if args.eta <= 0:
-                raise ParameterError(f"--eta must be positive, got {args.eta:g}")
-            return cmd_analyze(scenario, args.eta, args.nj)
-        if args.command == "sweep":
-            etas = _parse_eta_range(args.eta_range) if args.eta_range else list(scenario.eta_sweep)
-            return cmd_sweep(scenario, etas, args.out, args.nj)
-        return cmd_crossover(scenario, args.nj)  # argparse admits no other command
-    except (ScenarioFormatError, ParameterError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            if args.command == "verify":
+                return cmd_verify(args.scenario, args.seed, args.cases)
+            scenario = _load(args.scenario)
+            if args.nj is not None and not scenario.is_mfd:
+                raise ParameterError(
+                    f"--nj applies to urban scenarios only; {scenario.name!r} has a fixed capacity"
+                )
+            if args.command == "analyze":
+                if not math.isfinite(args.eta):
+                    raise ParameterError(f"--eta must be finite, got {args.eta}")
+                if args.eta <= 0:
+                    raise ParameterError(f"--eta must be positive, got {args.eta:g}")
+                return cmd_analyze(scenario, args.eta, args.nj)
+            if args.command == "sweep":
+                etas = (
+                    _parse_eta_range(args.eta_range) if args.eta_range else list(scenario.eta_sweep)
+                )
+                return cmd_sweep(scenario, etas, args.out, args.nj)
+            return cmd_crossover(scenario, args.nj)  # argparse admits no other command
+        except (ScenarioFormatError, ParameterError, DomainError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -12,6 +12,9 @@ The rush clock starts at 0: users' desired crossing times are uniform on
 lengths, so fixing the origin removes a free translation parameter.
 
 All types are immutable value objects and every operation is a pure function.
+The module needs only the standard library, so the urban network's plain
+``TriangularMfd`` lives here and not in ``mfd``: loading a scenario does not
+load numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "ParameterError",
     "DomainError",
     "BottleneckParams",
+    "TriangularMfd",
     "Regime",
     "TrapezoidToll",
     "EquilibriumOutcome",
@@ -113,6 +117,39 @@ class BottleneckParams:
         """Harmonic combination e*L/(e+L) of the two schedule penalties."""
         e, late = self.early_penalty, self.late_penalty
         return e * late / (e + late)
+
+
+@dataclass(frozen=True)
+class TriangularMfd:
+    """Triangular accumulation-outflow relation for an urban network.
+
+    Attributes:
+        max_throughput: peak outflow, vehicles/hour, reached at the critical
+            accumulation.
+        jam_accumulation: accumulation at which outflow hits zero (vehicles).
+        freeflow_speed: km/hour on the uncongested branch.
+        trip_distance: fixed trip length, km; together with the speed it
+            fixes the critical accumulation ``max_throughput * D / v_f``.
+    """
+
+    max_throughput: float
+    jam_accumulation: float
+    freeflow_speed: float
+    trip_distance: float
+
+    def __post_init__(self) -> None:
+        for name in ("max_throughput", "jam_accumulation", "freeflow_speed", "trip_distance"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ParameterError(f"{name} must be finite and positive")
+        if not self.critical_accumulation < self.jam_accumulation:
+            raise ParameterError(
+                "critical accumulation must fall strictly below jam accumulation"
+            )
+
+    @property
+    def critical_accumulation(self) -> float:
+        return self.max_throughput * self.trip_distance / self.freeflow_speed
 
 
 class Regime(enum.Enum):

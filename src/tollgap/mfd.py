@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import bottleneck
-from .core import BottleneckParams, CostBreakdown, DomainError, ParameterError
+from .core import BottleneckParams, CostBreakdown, DomainError, TriangularMfd
 from .search import grid_refine_max, grid_refine_min
 
 __all__ = [
@@ -36,39 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 4096  # toll grid of both flat-toll searches
-
-
-@dataclass(frozen=True)
-class TriangularMfd:
-    """Triangular accumulation-outflow relation for an urban network.
-
-    Attributes:
-        max_throughput: peak outflow, vehicles/hour, reached at the critical
-            accumulation.
-        jam_accumulation: accumulation at which outflow hits zero (vehicles).
-        freeflow_speed: km/hour on the uncongested branch.
-        trip_distance: fixed trip length, km; together with the speed it
-            fixes the critical accumulation ``max_throughput * D / v_f``.
-    """
-
-    max_throughput: float
-    jam_accumulation: float
-    freeflow_speed: float
-    trip_distance: float
-
-    def __post_init__(self) -> None:
-        for name in ("max_throughput", "jam_accumulation", "freeflow_speed", "trip_distance"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ParameterError(f"{name} must be finite and positive")
-        if not self.critical_accumulation < self.jam_accumulation:
-            raise ParameterError(
-                "critical accumulation must fall strictly below jam accumulation"
-            )
-
-    @property
-    def critical_accumulation(self) -> float:
-        return self.max_throughput * self.trip_distance / self.freeflow_speed
 
 
 @dataclass(frozen=True)
@@ -161,11 +128,11 @@ def _flat_toll(
     car = params.car_freeflow_cost * car_users
     queue_flat = flat_len * peak_flow * wait
     queue_shoulders = (n_j / e + n_j / late) * (wait - a * log_term)
-    # At zero wait (a / wait) * log_term is inf * 0; the schedule term is 0 there.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sched_core = np.where(
-            wait > 0.0, (wait - (n_j / lam) * log_term) * (1.0 - (a / wait) * log_term), 0.0
-        )
+    # The schedule term is 0 at zero wait, where a / wait would divide by zero.
+    divisor = np.where(wait > 0.0, wait, 1.0)
+    sched_core = np.where(
+        wait > 0.0, (wait - (n_j / lam) * log_term) * (1.0 - (a / divisor) * log_term), 0.0
+    )
     schedule = (n_j / e + n_j / late) * sched_core
     return CostBreakdown(transit, car, queue_flat + queue_shoulders, schedule, toll * car_users)
 

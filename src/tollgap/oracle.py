@@ -18,8 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BottleneckParams, CostBreakdown, DomainError, EquilibriumOutcome, classify_regime
-from .mfd import TriangularMfd
+from .core import (
+    BottleneckParams,
+    CostBreakdown,
+    DomainError,
+    EquilibriumOutcome,
+    TriangularMfd,
+    classify_regime,
+)
 
 __all__ = [
     "EquilibriumTrace",

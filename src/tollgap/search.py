@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 __all__ = ["bisect_root", "golden_section_min", "grid_refine_min", "grid_refine_max"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -55,6 +53,8 @@ def grid_refine_min(fn: Callable, lo: float, hi: float, grid_points: int) -> tup
     sitting exactly on a boundary is returned exactly rather than to within
     the refinement tolerance.
     """
+    import numpy as np  # deferred: bisect_root and golden_section_min run without numpy
+
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     if hi <= lo:

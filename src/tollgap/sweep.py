@@ -10,7 +10,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 
-from . import bottleneck, mfd
+from . import bottleneck
 from .calibration import Scenario
 from .core import DomainError, Regime, classify_regime
 
@@ -122,6 +122,8 @@ def compute_row(scenario: Scenario, eta: float, jam_accumulation: float | None =
         numbers = (0.0,) * 6 + (cost,) * 4
     else:
         if scenario.is_mfd:
+            from . import mfd  # deferred: fixed-capacity rows never load numpy
+
             net = scenario.mfd(jam_accumulation)
             tau_ro, rev_ro = mfd.static_revenue_optimal(params, net)
             tau_so, sc_so = mfd.static_sc_optimal(params, net)
@@ -171,6 +173,15 @@ def nj_divergence(scenario: Scenario, etas) -> list[str]:
     Empty when the flat optimum sits at the top of the band, where the
     congested-branch terms vanish and the jam level drops out exactly.
     """
+    return _nj_divergence(scenario, etas, ())
+
+
+def _nj_divergence(scenario: Scenario, etas, default_rows) -> list[str]:
+    """:func:`nj_divergence`, reusing ``default_rows`` at the default jam level.
+
+    A default sweep has already computed those rows for its CSV; reusing them
+    computes each (eta, jam level) row once.
+    """
     if not scenario.is_mfd or len(scenario.jam_accumulations) < 2:
         return []
     notes = []
@@ -182,8 +193,13 @@ def nj_divergence(scenario: Scenario, etas) -> list[str]:
         "sc_static_ro",
         "sc_static_so",
     )
+    known = {row.eta: row for row in default_rows}
+    default = scenario.default_jam_accumulation
     for eta in etas:
-        rows = [compute_row(scenario, eta, nj) for nj in scenario.jam_accumulations]
+        rows = [
+            known[eta] if nj == default and eta in known else compute_row(scenario, eta, nj)
+            for nj in scenario.jam_accumulations
+        ]
         for field_name in numeric_fields:
             values = [getattr(r, field_name) for r in rows]
             spread = max(values) - min(values)

@@ -13,7 +13,8 @@ random and the scenario suites share the checks, and every guarantee is
 checked under exactly the precondition ``bottleneck.performance_bounds`` states.
 A suite is a stream of these outcomes, and one fold turns every stream into
 its :class:`CheckResult`.  Each failure test reads ``not value <= bound`` (or
-``>=``), so a NaN fails it.
+``>=``), so a NaN fails it, and every fold of gaps keeps a NaN, so it shows as
+the suite's printed worst gap.
 """
 
 from __future__ import annotations
@@ -113,6 +114,11 @@ def sample_mfd(rng: random.Random, params: BottleneckParams) -> mfd.TriangularMf
     )
 
 
+def _worse(pick, a: float, b: float) -> float:
+    """``pick(a, b)``, except that a NaN on either side wins (``max`` and ``min`` drop one)."""
+    return math.nan if math.isnan(a) or math.isnan(b) else pick(a, b)
+
+
 def _fold(
     name: str, detail: str, outcomes: Iterable[_Outcome], pick=max, start: float = 0.0
 ) -> CheckResult:
@@ -123,7 +129,7 @@ def _fold(
     worst = start
     failures: list[str] = []
     for gap, found in outcomes:
-        worst = pick(worst, gap)
+        worst = _worse(pick, worst, gap)
         failures += found
     return CheckResult(name, not failures, worst, detail.format(worst=worst), failures[:20])
 
@@ -146,7 +152,7 @@ def _check_oracle(params: BottleneckParams, toll: float, tag: str) -> _Outcome:
     failures: list[str] = []
     for label, got, want in pairs:
         gap_ = _rel_gap(got, want, floor)
-        worst = max(worst, gap_)
+        worst = _worse(max, worst, gap_)
         if not gap_ <= REL_TOL:
             failures.append(f"{tag} toll={toll:.6g} {label}: oracle {got:.10g} vs closed {want:.10g}")
     return worst, failures
@@ -186,7 +192,7 @@ def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
     Also certifies the closed-form flat optimum against a dense revenue grid
     (no grid point may beat it by more than the curve's Lipschitz constant
     times the grid step).  The worst gap is the revenue ratio's margin over
-    its lower bound (infinite when the dynamic revenue is zero).
+    its lower bound (infinite when the dynamic revenue is zero, NaN when it is NaN).
     """
     failures: list[str] = []
     report = bottleneck.performance_bounds(params)
@@ -210,7 +216,7 @@ def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
                 f"{rev_static:.8g} beyond resolution slack"
             )
     margin = math.inf
-    if design.revenue > 0:
+    if not design.revenue <= 0:
         ratio = rev_static / design.revenue
         margin = ratio - report.revenue_ratio_lower_bound
         if not ratio >= report.revenue_ratio_lower_bound * (1 - 1e-9):
@@ -258,7 +264,7 @@ def _check_urban(
         ("schedule", q["sched_early"] + q["sched_late"], cost.schedule, 1e-9),
     ):
         gap_ = _rel_gap(got, want, floor)
-        worst = max(worst, gap_)
+        worst = _worse(max, worst, gap_)
         if not gap_ <= QUAD_TOL:
             failures.append(f"{tag}: {label} quadrature gap {gap_:.3e}")
 

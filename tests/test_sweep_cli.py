@@ -75,6 +75,19 @@ class TestCsvOutput:
     def test_nj_divergence_empty_at_boundary_optimum(self):
         assert sweep.nj_divergence(NYC, [1.5, 18.0]) == []
 
+    def test_default_nyc_sweep_computes_each_row_once(self, monkeypatch, tmp_path, capsys):
+        real, calls = sweep.compute_row, []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(sweep, "compute_row", counted)
+        assert cli.main(["sweep", "--scenario", "nyc", "--out", str(tmp_path / "nyc.csv")]) == 0
+        # 18 etas at 4 jam levels: the divergence check reuses the CSV's default-level rows.
+        assert len(calls) == 72
+        assert "results identical across levels" in capsys.readouterr().out
+
 
 class TestCli:
     def test_analyze_exit_and_output(self, capsys):
@@ -153,7 +166,7 @@ class TestCli:
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         fake = [CheckResult(name="forced", ok=False, worst=1.0, detail="forced failure")]
-        monkeypatch.setattr(cli.verify, "run_all_suites", lambda **kw: fake)
+        monkeypatch.setattr("tollgap.verify.run_all_suites", lambda **kw: fake)
         assert cli.main(["verify", "--cases", "3"]) == 2
         assert "[FAIL] forced" in capsys.readouterr().out
 
@@ -196,6 +209,36 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_fixed_capacity_commands_do_not_import_numpy(self, tmp_path):
+        # Only the urban model and verify load numpy; a bay_bridge command runs
+        # on the standard library, and the urban path still runs afterwards.
+        script = (
+            "import sys\n"
+            "from tollgap import cli\n"
+            "assert cli.main(['analyze', '--scenario', 'bay_bridge', '--eta', '5']) == 0\n"
+            "assert cli.main(['crossover', '--scenario', 'bay_bridge']) == 0\n"
+            "assert cli.main(['sweep', '--scenario', 'bay_bridge', '--out', sys.argv[1]]) == 0\n"
+            "print('check', 'numpy' in sys.modules)\n"
+            "assert cli.main(['analyze', '--scenario', 'nyc', '--eta', '2']) == 0\n"
+            "assert cli.main(['verify', '--scenario', 'nyc']) == 0\n"
+            "assert cli.main(['verify', '--cases', '3']) == 0\n"
+            "import tollgap, tollgap.core, tollgap.mfd\n"
+            "print('check', 'numpy' in sys.modules)\n"
+            "print('check', tollgap.TriangularMfd is tollgap.mfd.TriangularMfd is tollgap.core.TriangularMfd)\n"
+        )
+        src = str(Path(tollgap.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out.csv")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        checks = [line for line in done.stdout.splitlines() if line.startswith("check ")]
+        assert checks == ["check False", "check True", "check True"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -115,3 +115,18 @@ def test_nan_dynamic_revenue_fails_bound_properties(monkeypatch):
     result = verify.bound_property_suite(44, 200)
     assert not result.ok
     assert any("dynamic optimum below flat optimum" in f for f in result.failures)
+
+
+def test_nan_gap_shows_as_the_worst_gap(monkeypatch):
+    monkeypatch.setattr(bn, "static_system_cost", _nan_field(bn.static_system_cost, "queuing"))
+    result = verify.oracle_agreement_suite(42, 50)
+    assert math.isnan(result.worst)
+    assert result.line().endswith("worst rel gap nan")
+
+
+def test_nan_dynamic_revenue_shows_as_the_margin(monkeypatch):
+    planted = _nan_field(bn.dynamic_revenue_optimal, "revenue")
+    monkeypatch.setattr(bn, "dynamic_revenue_optimal", planted)
+    result = verify.bound_property_suite(44, 200)
+    assert math.isnan(result.worst)
+    assert result.line().endswith("smallest revenue-bound margin nan")
