@@ -24,12 +24,26 @@ from .search import bisect_root
 __all__ = ["main", "static_ro_toll_dollars", "crossover_eta"]
 
 CROSSOVER_WINDOW = (1.0, 30.0)  # eta range of the crossover root search
+LISTED_FAILURES = 20  # failure messages printed per verify suite; the total follows any more
 
 
 def _load(spec: str) -> Scenario:
     if spec in BUILTIN_SCENARIOS:
         return builtin_scenario(spec)
     return load_scenario(spec)
+
+
+def _check_nj(scenario: Scenario, nj: float) -> None:
+    """Reject a ``--nj`` that ``scenario`` cannot take, naming the flag and its value."""
+    if not scenario.is_mfd:
+        raise ParameterError(
+            f"--nj applies to urban scenarios only; {scenario.name!r} has a fixed capacity,"
+            f" got {nj:g}"
+        )
+    try:
+        scenario.mfd(nj)
+    except ParameterError as exc:
+        raise ParameterError(f"--nj: {exc}, got {nj:g}") from exc
 
 
 def _parse_eta_range(text: str) -> list[float]:
@@ -84,28 +98,26 @@ def crossover_eta(scenario: Scenario, jam_accumulation: float | None = None) -> 
 
         if gap_fn(eta_lo) > 0:
             return eta_lo
-        if gap_fn(eta_hi) < 0:
-            return None
         return bisect_root(gap_fn, eta_lo, eta_hi, xtol=1e-10)
 
     def objective(eta: float) -> float:
         return static_ro_toll_dollars(scenario, eta, jam_accumulation) - target
 
-    # Compare signs: the product of the two ends can overflow.
-    f_lo, f_hi = objective(eta_lo), objective(eta_hi)
-    if (f_lo > 0 and f_hi > 0) or (f_lo < 0 and f_hi < 0):
-        return None
     return bisect_root(objective, eta_lo, eta_hi, xtol=1e-10)
 
 
-def _fmt_money(hours: float, value_of_time: float) -> str:
-    return f"{hours:.5f} h (${hours * value_of_time:.2f})"
+_GOALS = {"ro": "revenue-optimal", "so": "cost-optimal"}  # tau_static_ro -> static revenue-optimal toll
+
+
+def _policy(name: str) -> str:
+    """Report label of a revenue or cost field: rev_static_ro -> static-RO, sc_opt -> minimum."""
+    kind, _, goal = name.split("_", 1)[1].partition("_")
+    return f"{kind}-{goal.upper()}" if goal else "minimum"
 
 
 def cmd_analyze(scenario: Scenario, eta: float, jam_accumulation: float | None) -> int:
     row = sweep.compute_row(scenario, eta, jam_accumulation)
     params = scenario.params(eta)
-    vot = scenario.value_of_time
     print(f"scenario: {scenario.name}   eta = {eta:g}")
     print(
         f"  transit cost {params.transit_cost:.5f} h, car free-flow cost "
@@ -115,18 +127,15 @@ def cmd_analyze(scenario: Scenario, eta: float, jam_accumulation: float | None) 
     if row.regime is Regime.ALL_TRANSIT:
         print("  all users take transit; revenue 0")
         return 0
-    print(f"  static revenue-optimal toll : {_fmt_money(row.tau_static_ro, vot)}")
-    print(f"  static cost-optimal toll    : {_fmt_money(row.tau_static_so, vot)}")
-    print("  revenue (user-hours):")
-    print(f"    static-RO  {row.rev_static_ro:16.2f}   ratio {row.rev_ratio(row.rev_static_ro):.5f}")
-    print(f"    static-SO  {row.rev_static_so:16.2f}   ratio {row.rev_ratio(row.rev_static_so):.5f}")
-    print(f"    dynamic-RO {row.rev_dynamic_ro:16.2f}   ratio 1.00000")
-    print(f"    dynamic-SO {row.rev_dynamic_so:16.2f}   ratio {row.rev_ratio(row.rev_dynamic_so):.5f}")
-    print("  system cost (user-hours):")
-    print(f"    static-RO  {row.sc_static_ro:16.2f}   ratio {row.sc_ratio(row.sc_static_ro):.5f}")
-    print(f"    static-SO  {row.sc_static_so:16.2f}   ratio {row.sc_ratio(row.sc_static_so):.5f}")
-    print(f"    dynamic-RO {row.sc_dynamic_ro:16.2f}   ratio {row.sc_ratio(row.sc_dynamic_ro):.5f}")
-    print(f"    minimum    {row.sc_opt:16.2f}   ratio 1.00000")
+    for name in sweep.TOLLS:
+        _, kind, goal = name.split("_")
+        label = f"{kind} {_GOALS[goal]} toll"
+        hours = getattr(row, name)
+        print(f"  {label:27} : {hours:.5f} h (${hours * scenario.value_of_time:.2f})")
+    for title, names in (("revenue", sweep.REVENUES), ("system cost", sweep.COSTS)):
+        print(f"  {title} (user-hours):")
+        for name in names:
+            print(f"    {_policy(name):10} {getattr(row, name):16.2f}   ratio {row.ratio(name):.5f}")
     if params.capacity < params.arrival_rate and params.cost_gap >= 0:
         report = bottleneck.performance_bounds(params)
         print("  guarantees:")
@@ -147,7 +156,7 @@ def cmd_sweep(
     sweep.write_csv(rows, out_path)
     print(f"wrote {len(rows)} rows to {out_path}")
     if scenario.is_mfd and jam_accumulation is None:
-        notes = sweep._nj_divergence(scenario, etas, rows)
+        notes = sweep.nj_divergence(scenario, etas, rows)
         if notes:
             print("jam-accumulation sweep divergence:")
             for note in notes:
@@ -168,8 +177,11 @@ def cmd_verify(scenario_spec: str, seed: int, cases: int) -> int:
     failed = False
     for result in results:
         print(result.line())
-        for failure in result.failures:
+        for failure in result.failures[:LISTED_FAILURES]:
             print(f"    {failure}")
+        if len(result.failures) > LISTED_FAILURES:
+            total = len(result.failures)
+            print(f"    ... {total} failures in all; the first {LISTED_FAILURES} are listed above")
         failed = failed or not result.ok
     return 2 if failed else 0
 
@@ -252,10 +264,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "verify":
                 return cmd_verify(args.scenario, args.seed, args.cases)
             scenario = _load(args.scenario)
-            if args.nj is not None and not scenario.is_mfd:
-                raise ParameterError(
-                    f"--nj applies to urban scenarios only; {scenario.name!r} has a fixed capacity"
-                )
+            if args.nj is not None:
+                _check_nj(scenario, args.nj)
             if args.command == "analyze":
                 if not math.isfinite(args.eta):
                     raise ParameterError(f"--eta must be finite, got {args.eta}")

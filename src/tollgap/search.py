@@ -75,13 +75,15 @@ def grid_refine_max(fn: Callable, lo: float, hi: float, grid_points: int) -> tup
     return x, -neg
 
 
-def bisect_root(fn: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-10) -> float:
-    """Root of ``fn`` on the bracket [lo, hi] by bisection.
+def bisect_root(
+    fn: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-10
+) -> float | None:
+    """Root of ``fn`` on the bracket [lo, hi] by bisection, evaluating ``fn`` once per point.
 
-    ``fn(lo)`` and ``fn(hi)`` must differ in sign, else ``ValueError``; an
-    endpoint where ``fn`` is exactly zero is returned as is.  Otherwise the
-    bracket is halved until it is no longer than ``xtol`` and its midpoint,
-    within ``xtol / 2`` of a sign change of ``fn``, is returned.
+    An endpoint where ``fn`` is exactly zero is returned as is.  None when
+    ``fn(lo)`` and ``fn(hi)`` do not differ in sign (a NaN has no sign).
+    Otherwise the bracket is halved until it is no longer than ``xtol`` and
+    its midpoint, within ``xtol / 2`` of a sign change of ``fn``, is returned.
     """
     if not xtol > 0.0:
         raise ValueError("xtol must be positive")
@@ -91,7 +93,7 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float, xtol: float 
     if f_hi == 0.0:
         return hi
     if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
-        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: f = {f_lo!r}, {f_hi!r}")
+        return None
     n = max(int(math.ceil(math.log2(abs(hi - lo) / xtol))), 0)
     for _ in range(n):
         mid = (lo + hi) / 2.0

@@ -14,43 +14,26 @@ from . import bottleneck
 from .calibration import Scenario
 from .core import DomainError, Regime, classify_regime
 
-__all__ = ["SweepRow", "CSV_HEADER", "compute_row", "compute_rows", "write_csv", "nj_divergence"]
+__all__ = [
+    "SweepRow", "CSV_HEADER", "TOLLS", "REVENUES", "COSTS",
+    "compute_row", "compute_rows", "write_csv", "nj_divergence",
+]
 
 DIVERGENCE_REL_TOL = 1e-9  # spread, relative to the largest value, that nj_divergence reports
-
-CSV_HEADER = (
-    "eta",
-    "regime",
-    "tau_static_ro_hours",
-    "tau_static_ro_dollars",
-    "tau_static_so_hours",
-    "tau_static_so_dollars",
-    "rev_static_ro",
-    "rev_static_so",
-    "rev_dynamic_ro",
-    "rev_dynamic_so",
-    "sc_static_ro",
-    "sc_static_so",
-    "sc_dynamic_ro",
-    "sc_opt",
-    "rev_ratio_static_ro",
-    "rev_ratio_static_so",
-    "rev_ratio_dynamic_ro",
-    "rev_ratio_dynamic_so",
-    "sc_ratio_static_ro",
-    "sc_ratio_static_so",
-    "sc_ratio_dynamic_ro",
-    "sc_ratio_opt",
-)
 
 
 @dataclass(frozen=True)
 class SweepRow:
     """All policy metrics at one discomfort multiplier.
 
-    Revenues and system costs are user-hours; ratio columns are normalized
-    by the dynamic revenue optimum and the minimum system cost respectively,
-    so revenue ratios never exceed 1 and cost ratios never drop below 1.
+    The fields are the one description of a CSV row (see :data:`CSV_HEADER`):
+    eta and regime; each ``tau_*`` toll as a ``*_hours`` and a ``*_dollars``
+    column; each ``rev_*`` revenue and ``sc_*`` system cost; then the ratio
+    of each revenue and cost, in a column named with ``_ratio`` after its
+    prefix (``rev_ratio_static_ro``, ``sc_ratio_opt``).  Revenues and system
+    costs are user-hours.  A revenue ratio is normalized by ``rev_dynamic_ro``
+    and a cost ratio by ``sc_opt``, so revenue ratios never exceed 1 and cost
+    ratios never drop below 1; a zero denominator gives nan.
     """
 
     eta: float
@@ -76,50 +59,53 @@ class SweepRow:
     def sc_ratio(self, value: float) -> float:
         return self._ratio(value, self.sc_opt)
 
-    def csv_values(self) -> tuple[str, ...]:
-        def fmt(x: float) -> str:
-            return f"{x:.8f}"
+    def ratio(self, name: str) -> float:
+        """Ratio of the revenue or system cost field ``name``."""
+        value = getattr(self, name)
+        return self.rev_ratio(value) if name in REVENUES else self.sc_ratio(value)
 
-        return (
-            fmt(self.eta),
-            self.regime.value,
-            fmt(self.tau_static_ro),
-            fmt(self.tau_static_ro * self.value_of_time),
-            fmt(self.tau_static_so),
-            fmt(self.tau_static_so * self.value_of_time),
-            fmt(self.rev_static_ro),
-            fmt(self.rev_static_so),
-            fmt(self.rev_dynamic_ro),
-            fmt(self.rev_dynamic_so),
-            fmt(self.sc_static_ro),
-            fmt(self.sc_static_so),
-            fmt(self.sc_dynamic_ro),
-            fmt(self.sc_opt),
-            fmt(self.rev_ratio(self.rev_static_ro)),
-            fmt(self.rev_ratio(self.rev_static_so)),
-            fmt(self.rev_ratio(self.rev_dynamic_ro)),
-            fmt(self.rev_ratio(self.rev_dynamic_so)),
-            fmt(self.sc_ratio(self.sc_static_ro)),
-            fmt(self.sc_ratio(self.sc_static_so)),
-            fmt(self.sc_ratio(self.sc_dynamic_ro)),
-            fmt(self.sc_ratio(self.sc_opt)),
-        )
+    def numbers(self) -> list[float]:
+        """The hours and dollar numbers of the CSV row, in header order."""
+        numbers = []
+        for name in TOLLS:
+            hours = float(getattr(self, name))
+            numbers += [hours, hours * self.value_of_time]
+        return numbers + [getattr(self, name) for name in AMOUNTS]
+
+    def csv_values(self) -> tuple[str, ...]:
+        numbers = [*self.numbers(), *map(self.ratio, AMOUNTS)]
+        return (f"{self.eta:.8f}", self.regime.value, *(f"{x:.8f}" for x in numbers))
+
+
+_NAMES = tuple(f.name for f in fields(SweepRow))
+TOLLS = tuple(name for name in _NAMES if name.startswith("tau_"))
+REVENUES = tuple(name for name in _NAMES if name.startswith("rev_"))
+COSTS = tuple(name for name in _NAMES if name.startswith("sc_"))
+AMOUNTS = REVENUES + COSTS
+CSV_HEADER = (
+    *_NAMES[:2],  # eta, regime
+    *(f"{name}_{unit}" for name in TOLLS for unit in ("hours", "dollars")),
+    *AMOUNTS,
+    *(name.replace("_", "_ratio_", 1) for name in AMOUNTS),
+)
+# The flat-toll fields: the trapezoid schedules do not depend on the jam level.
+_FLAT = tuple(name for name in _NAMES if "_static_" in name)
 
 
 def compute_row(scenario: Scenario, eta: float, jam_accumulation: float | None = None) -> SweepRow:
     """Evaluate all four policies at one discomfort multiplier.
 
-    Raises :class:`DomainError` naming the field when a number in the row, or
-    a toll in dollars, is not finite or is negative: finite but huge inputs
-    (a demand or a jam accumulation of 1e300) overflow the formulas, and
-    such a row is no result.
+    Raises :class:`DomainError` naming the CSV column when one of the row's
+    hours or dollar numbers is not finite or is negative: finite but huge
+    inputs (a demand or a jam accumulation of 1e300) overflow the formulas,
+    and such a row is no result.
     """
     params = scenario.params(eta)
     regime = classify_regime(params)
     if regime is Regime.ALL_TRANSIT:
         # Transit dominates outright: no policy collects revenue or changes cost.
         cost = params.transit_cost * params.total_demand
-        numbers = (0.0,) * 6 + (cost,) * 4
+        values = (0.0,) * 6 + (cost,) * 4
     else:
         if scenario.is_mfd:
             from . import mfd  # deferred: fixed-capacity rows never load numpy
@@ -138,14 +124,11 @@ def compute_row(scenario: Scenario, eta: float, jam_accumulation: float | None =
         # accumulation, and the params carry its maximum throughput as capacity.
         dyn_ro = bottleneck.dynamic_revenue_optimal(params)
         dyn_so = bottleneck.dynamic_so_design(params)
-        numbers = (tau_ro, tau_so, rev_ro, rev_so, dyn_ro.revenue, dyn_so.revenue)
-        numbers += (sc_ro, sc_so, dyn_ro.system_cost, dyn_so.system_cost)
-    # ``numbers`` follows SweepRow's field order: two tolls, four revenues, four costs.
-    row = SweepRow(eta, regime, *numbers, value_of_time=scenario.value_of_time)
-    checked = [(f.name, getattr(row, f.name)) for f in fields(row)[2:]]  # after eta and regime
-    for name in ("tau_static_ro", "tau_static_so"):
-        checked.append((f"{name}_dollars", float(getattr(row, name)) * row.value_of_time))
-    for name, value in checked:
+        values = (tau_ro, tau_so, rev_ro, rev_so, dyn_ro.revenue, dyn_so.revenue)
+        values += (sc_ro, sc_so, dyn_ro.system_cost, dyn_so.system_cost)
+    # ``values`` follows SweepRow's field order: two tolls, four revenues, four costs.
+    row = SweepRow(eta, regime, *values, value_of_time=scenario.value_of_time)
+    for name, value in zip(CSV_HEADER[2:], row.numbers()):
         if not (math.isfinite(value) and value >= 0):
             raise DomainError(
                 f"scenario {scenario.name!r} at eta={eta:g}: {name} = {value:g} is out of range"
@@ -167,46 +150,31 @@ def compute_rows(
     return [compute_row(scenario, eta, jam_accumulation) for eta in sorted(etas)]
 
 
-def nj_divergence(scenario: Scenario, etas) -> list[str]:
-    """Columns that differ across the jam-accumulation sweep, per eta.
+def nj_divergence(scenario: Scenario, etas, rows=()) -> list[str]:
+    """Flat-toll columns that differ across the jam-accumulation sweep, per eta.
 
     Empty when the flat optimum sits at the top of the band, where the
     congested-branch terms vanish and the jam level drops out exactly.
-    """
-    return _nj_divergence(scenario, etas, ())
-
-
-def _nj_divergence(scenario: Scenario, etas, default_rows) -> list[str]:
-    """:func:`nj_divergence`, reusing ``default_rows`` at the default jam level.
-
-    A default sweep has already computed those rows for its CSV; reusing them
-    computes each (eta, jam level) row once.
+    ``rows`` already computed at the default jam level (a default sweep's)
+    are reused, so each (eta, jam level) row is computed once.
     """
     if not scenario.is_mfd or len(scenario.jam_accumulations) < 2:
         return []
     notes = []
-    numeric_fields = (
-        "tau_static_ro",
-        "tau_static_so",
-        "rev_static_ro",
-        "rev_static_so",
-        "sc_static_ro",
-        "sc_static_so",
-    )
-    known = {row.eta: row for row in default_rows}
+    known = {row.eta: row for row in rows}
     default = scenario.default_jam_accumulation
     for eta in etas:
-        rows = [
+        levels = [
             known[eta] if nj == default and eta in known else compute_row(scenario, eta, nj)
             for nj in scenario.jam_accumulations
         ]
-        for field_name in numeric_fields:
-            values = [getattr(r, field_name) for r in rows]
+        for name in _FLAT:
+            values = [getattr(row, name) for row in levels]
             spread = max(values) - min(values)
             scale = max(abs(v) for v in values) or 1.0
             if spread > DIVERGENCE_REL_TOL * scale:
                 notes.append(
-                    f"eta={eta:g}: {field_name} varies across jam levels "
+                    f"eta={eta:g}: {name} varies across jam levels "
                     f"(spread {spread:.3e}, values {['%.6g' % v for v in values]})"
                 )
     return notes

@@ -131,7 +131,7 @@ def _fold(
     for gap, found in outcomes:
         worst = _worse(pick, worst, gap)
         failures += found
-    return CheckResult(name, not failures, worst, detail.format(worst=worst), failures[:20])
+    return CheckResult(name, not failures, worst, detail.format(worst=worst), failures)
 
 
 def _check_oracle(params: BottleneckParams, toll: float, tag: str) -> _Outcome:

@@ -20,9 +20,8 @@ class TestBisectRoot:
         assert bisect_root(lambda x: 30.0 - x, 1.0, 30.0) == 30.0
 
     @pytest.mark.parametrize("fn", [lambda x: x * x + 1.0, lambda x: x - 50.0, lambda x: math.nan])
-    def test_no_sign_change_raises(self, fn):
-        with pytest.raises(ValueError, match="no sign change"):
-            bisect_root(fn, 1.0, 30.0)
+    def test_no_sign_change_returns_none(self, fn):
+        assert bisect_root(fn, 1.0, 30.0) is None
 
     def test_rejects_nonpositive_xtol(self):
         with pytest.raises(ValueError):

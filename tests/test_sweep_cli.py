@@ -1,5 +1,7 @@
 import argparse
 import csv
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tollgap
-from tollgap import cli, sweep
+from tollgap import bottleneck, cli, sweep, verify
 from tollgap.calibration import builtin_scenario, serialize_scenario
 from tollgap.verify import CheckResult
 
@@ -291,6 +293,8 @@ class TestCli:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert "error: --nj applies to urban scenarios only" in captured.err
+        nj = float(argv[argv.index("--nj") + 1])
+        assert captured.err.rstrip().endswith(f"has a fixed capacity, got {nj:g}")
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("bounds", ["1:inf:2", "nan:2:2", "-inf:3:4"])
@@ -327,6 +331,71 @@ class TestCli:
         captured = capsys.readouterr()
         assert "error: scenario 'nyc' at eta=2: " in captured.err
         assert "Traceback" not in captured.err and not out.exists()
+
+    @pytest.mark.parametrize("nj", ["0", "-5", "nan", "inf", "100"])
+    @pytest.mark.parametrize("command", [["analyze", "--eta=3"], ["crossover"], ["sweep"]])
+    def test_bad_nj_names_the_flag_and_value(self, nj, command, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        if command[0] == "sweep":
+            command = [*command, "--out", str(out)]
+        assert cli.main([*command, "--scenario", "nyc", f"--nj={nj}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --nj: ")
+        assert captured.err.rstrip().endswith(f"got {float(nj):g}")
+        assert captured.out == "" and not out.exists()
+
+    def test_zero_costs_print_nan_ratios_as_the_csv_does(self, tmp_path, capsys):
+        # Every cost is zero, so both denominators are: each ratio is nan, in
+        # the report as in the CSV.
+        zero = {
+            "transit.fare": "0 dollars",
+            "transit.walk_time": "0 hours",
+            "transit.wait_time": "0 hours",
+            "transit.in_vehicle_time": "0 hours",
+            "car.parking_fee": "0 dollars",
+            "car.freeflow_time": "0 hours",
+        }
+        lines = [l for l in serialize_scenario(BAY).splitlines() if l.split(" = ")[0] not in zero]
+        path = tmp_path / "free.scenario"
+        path.write_text("\n".join([*lines, *(f"{k} = {v}" for k, v in zero.items())]) + "\n")
+        assert cli.main(["analyze", "--scenario", str(path), "--eta", "2"]) == 0
+        report = capsys.readouterr().out
+        assert "gap 0.00000 h" in report
+        assert report.count("ratio nan") == 8 and "ratio 1.0" not in report
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--scenario", str(path), "--eta-range", "2:2:1", "--out", str(out)]) == 0
+        with open(out) as handle:
+            row = dict(zip(*csv.reader(handle)))
+        ratios = [value for name, value in row.items() if "_ratio_" in name]
+        assert ratios == ["nan"] * 8
+
+    def test_crossover_evaluates_each_eta_once(self, monkeypatch):
+        real, etas = cli.static_ro_toll_dollars, []
+
+        def counted(scenario, eta, jam_accumulation=None):
+            etas.append(eta)
+            return real(scenario, eta, jam_accumulation)
+
+        monkeypatch.setattr(cli, "static_ro_toll_dollars", counted)
+        assert f"{cli.crossover_eta(NYC):.4f}" == "1.8261"
+        # Both window ends, then 39 halvings of the 29-wide window down to 1e-10.
+        assert len(etas) == len(set(etas)) == 41
+
+    def test_verify_prints_the_failure_total_past_the_listed_ones(self, monkeypatch, capsys):
+        real = bottleneck.static_system_cost
+
+        def nan_queuing(*args):
+            return dataclasses.replace(real(*args), queuing=math.nan)
+
+        monkeypatch.setattr(bottleneck, "static_system_cost", nan_queuing)
+        assert cli.main(["verify", "--scenario", "bay_bridge"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[FAIL] scenario suite (bay_bridge)")
+        listed = lines[1:-1]
+        assert len(listed) == 20 and all(line.startswith("    eta=") for line in listed)
+        total = len(verify.scenario_suite(BAY).failures)
+        assert total > 20
+        assert lines[-1] == f"    ... {total} failures in all; the first 20 are listed above"
 
     def test_crossover_zero_toll_solves_gap_root(self):
         import dataclasses
