@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import bottleneck
 from .core import BottleneckParams, CostBreakdown, DomainError, TriangularMfd
-from .search import grid_refine_max, grid_refine_min
+from .search import grid_refine_mins
 
 __all__ = [
     "TriangularMfd",
@@ -30,6 +29,7 @@ __all__ = [
     "static_lower_toll",
     "static_revenue",
     "static_system_cost",
+    "static_optima",
     "static_revenue_optimal",
     "static_sc_optimal",
     "dynamic_benchmarks",
@@ -168,34 +168,43 @@ def static_system_cost(
     return _flat_toll(params, mfd, toll)
 
 
-def _search_band(
-    params: BottleneckParams, mfd: TriangularMfd, objective: Callable, refine: Callable
-) -> tuple[float, float]:
-    """``refine(objective, lo, hi, DEFAULT_GRID_POINTS)`` on the toll band ``[lo, hi]``."""
+def static_optima(
+    params: BottleneckParams, mfd: TriangularMfd
+) -> tuple[tuple[float, CostBreakdown], tuple[float, CostBreakdown]]:
+    """Revenue-maximizing and system-cost-minimizing flat tolls, with their cost pieces.
+
+    One search serves both: a shared ``DEFAULT_GRID_POINTS``-point scan of
+    the toll band ``[static_lower_toll, gap]``, then zoom passes that
+    evaluate both brackets in one call (:func:`~tollgap.search.grid_refine_mins`).
+    Each optimum comes as ``(toll, CostBreakdown at that toll)``.  The revenue
+    curve is Lipschitz on the band, so the grid resolution bounds the
+    optimality gap; the refinement makes boundary optima exact.  An empty
+    band (nonpositive gap) degenerates to the toll ``max(gap, 0)``.
+    """
     lo, hi = static_lower_toll(params, mfd), params.cost_gap
     if hi <= lo:
-        toll = max(hi, 0.0)
-        return toll, objective(toll)
-    return refine(objective, lo, hi, DEFAULT_GRID_POINTS)
+        tolls = [max(hi, 0.0)] * 2
+    else:
+
+        def objectives(toll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            cost = _flat_toll(params, mfd, toll)
+            return -cost.revenue, cost.total
+
+        tolls = grid_refine_mins(objectives, lo, hi, DEFAULT_GRID_POINTS)
+    ro, so = [(toll, _flat_toll(params, mfd, toll)) for toll in tolls]
+    return ro, so
 
 
 def static_revenue_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, float]:
-    """Revenue-maximizing flat toll by grid scan plus golden-section polish.
-
-    The revenue curve is Lipschitz on the band, so the grid resolution bounds
-    the optimality gap; the refinement makes boundary optima exact.  An
-    empty band (nonpositive gap) degenerates to the toll ``max(gap, 0)``.
-    """
-    return _search_band(
-        params, mfd, lambda t: _flat_toll(params, mfd, t).revenue, grid_refine_max
-    )
+    """Revenue-maximizing flat toll and its revenue, from :func:`static_optima`."""
+    toll, cost = static_optima(params, mfd)[0]
+    return toll, cost.revenue
 
 
 def static_sc_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, float]:
-    """System-cost-minimizing flat toll, same search scheme as the revenue one."""
-    return _search_band(
-        params, mfd, lambda t: _flat_toll(params, mfd, t).total, grid_refine_min
-    )
+    """System-cost-minimizing flat toll and its system cost, from :func:`static_optima`."""
+    toll, cost = static_optima(params, mfd)[1]
+    return toll, cost.total
 
 
 def dynamic_benchmarks(params: BottleneckParams, mfd: TriangularMfd) -> MfdDynamicBenchmarks:

@@ -1,72 +1,77 @@
-"""Search utilities: uniform grid scan with golden-section refinement, bisection."""
+"""Search utilities: uniform grid scan with array zoom refinement, bisection."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
-__all__ = ["bisect_root", "golden_section_min", "grid_refine_min", "grid_refine_max"]
+__all__ = ["REFINE_POINTS", "bisect_root", "grid_refine_mins", "grid_refine_min", "grid_refine_max"]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+REFINE_POINTS = 129  # points of each zoom pass of grid_refine_mins
 
 
-def golden_section_min(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> float:
-    """Golden-section minimizer of a unimodal function on [lo, hi].
+def grid_refine_mins(
+    fn: Callable[..., Sequence], lo: float, hi: float, grid_points: int
+) -> list[float]:
+    """Minimize several objectives on [lo, hi]: one shared uniform scan, then zoom passes.
 
-    Returns the abscissa of the bracket midpoint once the bracket is shorter
-    than ``tol`` (absolute, in argument units).
+    ``fn`` maps a numpy array of points to one array per objective, each of
+    the points' shape.  The scan evaluates a ``grid_points``-point grid in one
+    call.  Each zoom pass then makes one call on a ``(k, REFINE_POINTS)``
+    array, one row per objective still refining, spanning its bracket (the
+    two neighbours of its current argmin); the objective reads its own row
+    and shrinks its bracket to the neighbours of the row's argmin, until the
+    bracket is no longer than ``max((hi - lo)*1e-12, 1e-15)``.  Each
+    objective stops on its own, so its answer does not depend on the others.
+    The answer of each objective is the first minimum among {refined point,
+    grid argmin, ``lo``, ``hi``}, compared on the values already computed, so
+    an optimum sitting exactly on a boundary is returned exactly rather than
+    to within the refinement tolerance.
     """
-    if hi < lo:
-        lo, hi = hi, lo
-    dist = hi - lo
-    if dist <= tol:
-        return (lo + hi) / 2.0
-    n = int(math.ceil(math.log(tol / dist) / math.log(_INV_PHI)))
-    c = lo + _INV_PHI_SQ * dist
-    d = lo + _INV_PHI * dist
-    yc = fn(c)
-    yd = fn(d)
-    for _ in range(max(n - 1, 0)):
-        if yc < yd:
-            hi, d, yd = d, c, yc
-            dist *= _INV_PHI
-            c = lo + _INV_PHI_SQ * dist
-            yc = fn(c)
-        else:
-            lo, c, yc = c, d, yd
-            dist *= _INV_PHI
-            d = lo + _INV_PHI * dist
-            yd = fn(d)
-    return (lo + d) / 2.0 if yc < yd else (c + hi) / 2.0
-
-
-def grid_refine_min(fn: Callable, lo: float, hi: float, grid_points: int) -> tuple[float, float]:
-    """Minimize on [lo, hi]: uniform scan, then one golden-section pass.
-
-    ``fn`` takes a float or a numpy array: the scan evaluates the whole grid
-    in one call, the refinement one float at a time.  The golden-section pass
-    runs on the bracket around the grid argmin; the final answer is the best
-    of {refined point, grid argmin, both interval endpoints}, so an optimum
-    sitting exactly on a boundary is returned exactly rather than to within
-    the refinement tolerance.
-    """
-    import numpy as np  # deferred: bisect_root and golden_section_min run without numpy
+    import numpy as np  # deferred: bisect_root runs without numpy
 
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    if hi <= lo:
-        return lo, fn(lo)
     xs = np.linspace(lo, hi, grid_points)
-    i = int(np.argmin(fn(xs)))
-    b_lo = xs[max(i - 1, 0)]
-    b_hi = xs[min(i + 1, grid_points - 1)]
-    refined = golden_section_min(fn, b_lo, b_hi, tol=max((hi - lo) * 1e-12, 1e-15))
-    candidates = [refined, xs[i], lo, hi]
-    best = min(candidates, key=fn)
-    return best, fn(best)
+    scans = fn(xs)
+    if hi <= lo:
+        return [float(lo)] * len(scans)
+    tol = max((hi - lo) * 1e-12, 1e-15)
+    last = REFINE_POINTS - 1
+    argmins = [int(np.argmin(scan)) for scan in scans]
+    refined = [(xs[i], scan[i]) for i, scan in zip(argmins, scans)]
+    b_lo = [xs[max(i - 1, 0)] for i in argmins]
+    b_hi = [xs[min(i + 1, grid_points - 1)] for i in argmins]
+    todo = [j for j in range(len(scans)) if b_hi[j] - b_lo[j] > tol]
+    while todo:
+        zs = np.array([np.linspace(b_lo[j], b_hi[j], REFINE_POINTS) for j in todo])
+        values = fn(zs)
+        going = []
+        for row, j in enumerate(todo):
+            ys = values[j][row]
+            m = int(np.argmin(ys))
+            refined[j] = zs[row, m], ys[m]
+            width = b_hi[j] - b_lo[j]
+            b_lo[j], b_hi[j] = zs[row, max(m - 1, 0)], zs[row, min(m + 1, last)]
+            # A bracket a few ulps wide can stop shrinking before it reaches tol.
+            if tol < b_hi[j] - b_lo[j] < width:
+                going.append(j)
+        todo = going
+    best = []
+    for i, scan, point in zip(argmins, scans, refined):
+        candidates = [point, (xs[i], scan[i]), (lo, scan[0]), (hi, scan[-1])]
+        best.append(float(min(candidates, key=lambda c: c[1])[0]))
+    return best
+
+
+def grid_refine_min(fn: Callable, lo: float, hi: float, grid_points: int) -> tuple[float, float]:
+    """Minimize ``fn`` on [lo, hi] by :func:`grid_refine_mins`; returns ``(x, fn(x))``.
+
+    ``fn`` takes a float or a numpy array; the value at the answer comes
+    from one more call on the float.
+    """
+    (x,) = grid_refine_mins(lambda t: (fn(t),), lo, hi, grid_points)
+    return x, fn(x)
 
 
 def grid_refine_max(fn: Callable, lo: float, hi: float, grid_points: int) -> tuple[float, float]:

@@ -111,10 +111,9 @@ def compute_row(scenario: Scenario, eta: float, jam_accumulation: float | None =
             from . import mfd  # deferred: fixed-capacity rows never load numpy
 
             net = scenario.mfd(jam_accumulation)
-            tau_ro, rev_ro = mfd.static_revenue_optimal(params, net)
-            tau_so, sc_so = mfd.static_sc_optimal(params, net)
-            sc_ro = mfd.static_system_cost(params, net, tau_ro).total
-            rev_so = mfd.static_revenue(params, net, tau_so)
+            (tau_ro, at_ro), (tau_so, at_so) = mfd.static_optima(params, net)
+            rev_ro, sc_ro = at_ro.revenue, at_ro.total
+            rev_so, sc_so = at_so.revenue, at_so.total
         else:
             tau_ro, rev_ro = bottleneck.static_revenue_optimal_toll(params)
             tau_so, sc_so = bottleneck.static_sc_optimal_toll(params)

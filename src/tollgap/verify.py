@@ -199,7 +199,10 @@ def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
     toll_star, rev_static = bottleneck.static_revenue_optimal_toll(params)
     design = bottleneck.dynamic_revenue_optimal(params)
     if not design.revenue >= rev_static * (1 - 1e-9):
-        failures.append(f"{tag}: dynamic optimum below flat optimum")
+        failures.append(
+            f"{tag}: dynamic optimum below flat optimum: revenue {design.revenue:.8g} "
+            f"vs flat {rev_static:.8g}"
+        )
     gap = params.cost_gap
     if gap > 0:
         grid = np.linspace(0.0, gap, ARGMAX_GRID)
@@ -228,10 +231,14 @@ def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
             failures.append(f"{tag}: revenue ratio {ratio:.6f} under the 1/2 floor")
     if report.sc_ratio_upper_bound is not None:
         cap = report.sc_ratio_upper_bound * bottleneck.optimal_system_cost(params) * (1 + 1e-9)
-        if not bottleneck.static_system_cost(params, toll_star).total <= cap:
-            failures.append(f"{tag}: flat-toll system cost beats 2x bound")
-        if not design.system_cost <= cap:
-            failures.append(f"{tag}: dynamic system cost beats 2x bound")
+        for label, cost in (
+            ("flat-toll", bottleneck.static_system_cost(params, toll_star).total),
+            ("dynamic", design.system_cost),
+        ):
+            if not cost <= cap:
+                failures.append(
+                    f"{tag}: {label} system cost beats 2x bound: cost {cost:.8g} vs cap {cap:.8g}"
+                )
     if report.exact_sc_ratio is not None:
         flat_cost = bottleneck.static_system_cost(params, toll_star).total
         cost_ratio = flat_cost / bottleneck.optimal_system_cost(params)
@@ -272,12 +279,20 @@ def _check_urban(
     bench = mfd.dynamic_benchmarks(params, net)
     if report.regime is Regime.MIXED_LOW and bench.ro.revenue > 0:
         rev_at_gap = mfd.static_revenue(params, net, params.cost_gap)
-        if not rev_at_gap >= report.revenue_ratio_lower_bound * bench.ro.revenue * (1 - 1e-9):
-            failures.append(f"{tag}: top-of-band revenue under the guarantee floor")
+        floor = report.revenue_ratio_lower_bound * bench.ro.revenue * (1 - 1e-9)
+        if not rev_at_gap >= floor:
+            failures.append(
+                f"{tag}: top-of-band revenue under the guarantee floor: "
+                f"revenue {rev_at_gap:.8g} vs floor {floor:.8g}"
+            )
     if report.sc_ratio_upper_bound is not None:
         sc_at_gap = mfd.static_system_cost(params, net, params.cost_gap).total
-        if not sc_at_gap <= report.sc_ratio_upper_bound * bench.sc_opt * (1 + 1e-9):
-            failures.append(f"{tag}: top-of-band system cost over the 2x guarantee")
+        cap = report.sc_ratio_upper_bound * bench.sc_opt * (1 + 1e-9)
+        if not sc_at_gap <= cap:
+            failures.append(
+                f"{tag}: top-of-band system cost over the 2x guarantee: "
+                f"cost {sc_at_gap:.8g} vs cap {cap:.8g}"
+            )
     return worst, failures
 
 

@@ -7,6 +7,7 @@ from tollgap import BottleneckParams, DomainError, ParameterError, TriangularMfd
 from tollgap import bottleneck as bn
 from tollgap import mfd, verify
 from tollgap.calibration import builtin_scenario
+from tollgap.search import grid_refine_max, grid_refine_min
 
 NYC = builtin_scenario("nyc")
 
@@ -175,6 +176,39 @@ def sampled_bands(seed: int, per_regime: int):
             if params.cost_gap > mfd.static_lower_toll(params, net):
                 draws.append((regime, params, net))
     return draws
+
+
+class TestSearchRecovery:
+    """Both flat-toll searches against a dense scan of the band, on seeded draws."""
+
+    DENSE_POINTS = 200_001
+
+    def test_optima_no_worse_than_a_dense_scan(self):
+        rng = random.Random(7)
+        checked = 0
+        while checked < 200:
+            params = verify.sample_params(rng, regime=rng.choice(["low", "mid"]))
+            net = verify.sample_mfd(rng, params)
+            lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
+            if hi <= lo:
+                continue
+            dense = mfd.static_system_cost(params, net, np.linspace(lo, hi, self.DENSE_POINTS))
+            _, revenue = mfd.static_revenue_optimal(params, net)
+            _, cost = mfd.static_sc_optimal(params, net)
+            assert revenue >= dense.revenue.max() * (1 - 1e-12), (params, net)
+            assert cost <= dense.total.min() * (1 + 1e-12), (params, net)
+            checked += 1
+
+    @pytest.mark.parametrize("regime, params, net", sampled_bands(seed=13, per_regime=3))
+    def test_joint_search_matches_single_searches(self, regime, params, net):
+        lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
+        ro, so = mfd.static_optima(params, net)
+        revenue = lambda t: mfd.static_revenue(params, net, t)
+        cost = lambda t: mfd.static_system_cost(params, net, t).total
+        assert (ro[0], ro[1].revenue) == grid_refine_max(revenue, lo, hi, mfd.DEFAULT_GRID_POINTS)
+        assert (so[0], so[1].total) == grid_refine_min(cost, lo, hi, mfd.DEFAULT_GRID_POINTS)
+        assert ro[1] == mfd.static_system_cost(params, net, ro[0])
+        assert so[1] == mfd.static_system_cost(params, net, so[0])
 
 
 class TestArrayPath:

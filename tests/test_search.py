@@ -1,8 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
-from tollgap.search import bisect_root
+from tollgap.search import (
+    REFINE_POINTS,
+    bisect_root,
+    grid_refine_max,
+    grid_refine_min,
+    grid_refine_mins,
+)
 
 
 class TestBisectRoot:
@@ -42,3 +49,69 @@ class TestBisectRoot:
     def test_reversed_bracket(self):
         got = bisect_root(lambda x: x**3 - 2.0, 30.0, 1.0, xtol=1e-10)
         assert abs(got - 2.0 ** (1.0 / 3.0)) <= 1e-10
+
+
+def counted(fn):
+    """``fn`` with a ``calls`` list of the arguments it was called with."""
+
+    def wrapped(x):
+        wrapped.calls.append(x)
+        return fn(x)
+
+    wrapped.calls = []
+    return wrapped
+
+
+class TestGridRefine:
+    @pytest.mark.parametrize("center", [0.3, 3.3, math.pi, 9.999])
+    def test_interior_minimizer_within_tolerance(self, center):
+        lo, hi = 0.0, 10.0
+        x, value = grid_refine_min(lambda t: (t - center) ** 2, lo, hi, 4096)
+        assert abs(x - center) <= (hi - lo) * 1e-12
+        assert value == (x - center) ** 2
+
+    def test_kink_minimizer_within_tolerance(self):
+        x, _ = grid_refine_min(lambda t: abs(t - 0.7) + 0.5 * t, 0.0, 1.0, 100)
+        assert abs(x - 0.7) <= 1e-12
+
+    def test_minimum_at_lo_returned_exactly(self):
+        assert grid_refine_min(lambda t: t * t, 0.1, 7.3, 4096) == (0.1, 0.1 * 0.1)
+
+    def test_maximum_at_hi_returned_exactly(self):
+        assert grid_refine_max(lambda t: t * t, 0.1, 7.3, 4096) == (7.3, 7.3 * 7.3)
+
+    def test_empty_interval_gives_lo(self):
+        assert grid_refine_min(lambda t: t + 1.0, 2.0, 2.0, 16) == (2.0, 3.0)
+
+    def test_rejects_fewer_than_two_grid_points(self):
+        with pytest.raises(ValueError):
+            grid_refine_min(lambda t: t, 0.0, 1.0, 1)
+
+    def test_tie_between_ends_goes_to_lo(self):
+        assert grid_refine_min(lambda t: -t * t, -1.0, 1.0, 64) == (-1.0, -1.0)
+
+    def test_tie_on_a_plateau_goes_to_the_refined_point(self):
+        # The minimum value 0 is taken on all of [0.5, 1]: the scan argmin,
+        # the refined point and hi tie, and the refined point comes first.
+        x, value = grid_refine_min(lambda t: np.where(t < 0.5, 1.0, 0.0), 0.0, 1.0, 64)
+        assert value == 0.0
+        assert 0.5 <= x <= 0.5 + 1e-12
+
+    def test_two_objectives_match_single_calls(self):
+        # One minimum at lo (its bracket starts half as wide) and one inside,
+        # so the two objectives stop after different numbers of passes.
+        first = lambda t: t * t
+        second = lambda t: (t - 0.37) ** 2 + np.sin(40.0 * t) * 1e-3
+        joint = counted(lambda t: (first(t), second(t)))
+        both = grid_refine_mins(joint, 0.0, 1.0, 4096)
+        singles = [grid_refine_min(fn, 0.0, 1.0, 4096) for fn in (first, second)]
+        assert [(x, fn(x)) for x, fn in zip(both, (first, second))] == singles
+        zooms = [np.shape(x) for x in joint.calls[1:]]
+        assert zooms == [(2, REFINE_POINTS)] * 4 + [(1, REFINE_POINTS)]
+
+    def test_search_of_4096_points_makes_at_most_8_calls(self):
+        fn = counted(lambda t: np.cos(t) + 0.1 * t)
+        x, _ = grid_refine_min(fn, 0.0, 10.0, 4096)
+        assert abs(x - (math.pi - math.asin(0.1))) <= 1e-7  # float-flat near its minimum
+        assert len(fn.calls) <= 8
+        assert np.shape(fn.calls[0]) == (4096,) and isinstance(fn.calls[-1], float)

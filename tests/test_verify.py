@@ -38,6 +38,7 @@ def test_urban_cost_guarantee_catches_planted_fault(monkeypatch):
     monkeypatch.setattr(mfd, "static_system_cost", tripled_at_gap)
     result = verify.mfd_agreement_suite(0, 15)
     flagged = [f for f in result.failures if "top-of-band system cost over the 2x guarantee" in f]
+    assert all(" vs cap " in f for f in flagged)
     # The guard fires on exactly the draws inside the theorem's precondition g <= W_max.
     within = [p for p in drawn if p.cost_gap <= bn.max_wait_car_only(p)]
     assert within
@@ -100,6 +101,18 @@ def test_nan_bottleneck_queuing_fails_oracle_agreement(monkeypatch):
     result = verify.oracle_agreement_suite(42, 50)
     assert not result.ok
     assert all(" queuing: oracle " in f for f in result.failures)
+
+
+def test_nan_flat_cost_shows_in_the_2x_bound_message(monkeypatch):
+    bay = builtin_scenario("bay_bridge")
+    params = bay.params(1.5)
+    report = bn.performance_bounds(params)
+    assert report.sc_ratio_upper_bound is not None
+    cap = report.sc_ratio_upper_bound * bn.optimal_system_cost(params) * (1 + 1e-9)
+    monkeypatch.setattr(bn, "static_system_cost", _nan_field(bn.static_system_cost, "queuing"))
+    result = verify.scenario_suite(bay)
+    want = f"eta=1.5: flat-toll system cost beats 2x bound: cost nan vs cap {cap:.8g}"
+    assert want in result.failures
 
 
 def test_nan_urban_revenue_fails_urban_agreement(monkeypatch):
