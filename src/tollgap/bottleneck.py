@@ -43,7 +43,6 @@ __all__ = [
     "dynamic_revenue_optimal",
     "dynamic_so_design",
     "static_system_cost",
-    "dynamic_ro_system_cost",
     "optimal_system_cost",
     "static_sc_optimal_toll",
     "performance_bounds",
@@ -71,7 +70,8 @@ class BoundReport:
 
     ``gap_scale`` is the ratio of the low regime threshold to the cost gap
     (infinite when the gap is zero).  ``revenue_ratio_lower_bound`` bounds
-    flat-optimal revenue over trapezoid-optimal revenue from below.
+    flat-optimal revenue over trapezoid-optimal revenue from below; it is
+    None only in an urban report (``mfd.guarantees``) outside the low band.
     ``sc_ratio_upper_bound`` (the factor-2 guarantee) is present only while
     transit is attractive enough that both modes run at the untolled
     equilibrium.  ``exact_sc_ratio`` is the exact cost ratio in the
@@ -80,7 +80,7 @@ class BoundReport:
     """
 
     gap_scale: float
-    revenue_ratio_lower_bound: float
+    revenue_ratio_lower_bound: float | None
     sc_ratio_upper_bound: float | None
     exact_sc_ratio: float | None
     regime: Regime
@@ -257,7 +257,10 @@ def _trapezoid_cost(params: BottleneckParams, flat_fraction: float) -> CostBreak
 
     The one implementation of the trapezoid cost, as a component sum: queuing
     is zero by construction; transit, car and schedule costs follow from the
-    flat fraction, and revenue from :func:`dynamic_revenue_at_fraction`.
+    flat fraction, and revenue from :func:`dynamic_revenue_at_fraction`.  A
+    collapsed one-line form must carry ``(1-mu/lam)^2 (1+mu/lam)``; the
+    ``(1-mu/lam)^3`` variant seen in derivations fails the calibrated
+    benchmarks (see docs/formulas.md).
     """
     demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
     if mu >= lam:
@@ -345,24 +348,11 @@ def static_system_cost(params: BottleneckParams, toll: float) -> CostBreakdown:
     return cost
 
 
-def dynamic_ro_system_cost(params: BottleneckParams) -> CostBreakdown:
-    """System cost under the revenue-optimal trapezoid toll, by component sum.
-
-    Queuing is zero by construction; transit, car, and schedule costs are
-    evaluated at the optimal flat fraction and summed.  The components are
-    summed directly rather than through a collapsed single expression: the
-    correct quadratic correction carries ``(1-mu/lam)^2 (1+mu/lam)``, and a
-    collapsed variant with ``(1-mu/lam)^3`` sometimes seen in derivations
-    fails the calibrated case-study benchmarks (see docs/formulas.md).
-    """
-    return _trapezoid_cost(params, _flat_fractions(params)[0])
-
-
 def optimal_system_cost(params: BottleneckParams) -> float:
     """Minimum achievable system cost over all toll schedules.
 
-    The cost of the system-cost-optimal trapezoid, by the same component sum
-    as :func:`dynamic_ro_system_cost` at the flat fraction
+    The cost of the system-cost-optimal trapezoid, by the component sum that
+    also gives :func:`dynamic_revenue_optimal`'s cost, at the flat fraction
     ``1 - min(gap/max_wait, 1)``: while the cost gap stays below the car-only
     peak wait the planner splits modes and the cost is quadratic in the gap;
     beyond that everyone drives under the queue-eliminating schedule.  A

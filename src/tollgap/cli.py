@@ -137,13 +137,19 @@ def cmd_analyze(scenario: Scenario, eta: float, jam_accumulation: float | None) 
         for name in names:
             print(f"    {_policy(name):10} {getattr(row, name):16.2f}   ratio {row.ratio(name):.5f}")
     if params.capacity < params.arrival_rate and params.cost_gap >= 0:
-        report = bottleneck.performance_bounds(params)
-        print("  guarantees:")
-        print(f"    revenue ratio lower bound {report.revenue_ratio_lower_bound:.5f}")
-        if report.sc_ratio_upper_bound is not None:
-            print(f"    system-cost ratio upper bound {report.sc_ratio_upper_bound:.1f}")
+        if scenario.is_mfd:
+            from . import mfd  # deferred: see the note above main
+
+            report = mfd.guarantees(params, scenario.mfd(jam_accumulation))
+            print("  guarantees: at toll = gap (urban network)")
         else:
-            print("    system-cost ratio upper bound: none in this regime")
+            report = bottleneck.performance_bounds(params)
+            print("  guarantees:")
+        for label, bound, spec in (
+            ("revenue ratio lower bound", report.revenue_ratio_lower_bound, ".5f"),
+            ("system-cost ratio upper bound", report.sc_ratio_upper_bound, ".1f"),
+        ):
+            print(f"    {label}: none in this regime" if bound is None else f"    {label} {bound:{spec}}")
         if report.exact_sc_ratio is not None:
             print(f"    exact degenerate-corner cost ratio {report.exact_sc_ratio:.5f}")
     return 0

@@ -12,20 +12,19 @@ throughput.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bottleneck
-from .core import BottleneckParams, CostBreakdown, DomainError, TriangularMfd
+from .core import BottleneckParams, CostBreakdown, DomainError, Regime, TriangularMfd
 from .search import grid_refine_mins
 
 __all__ = [
     "TriangularMfd",
     "MfdDynamicBenchmarks",
-    "throughput",
-    "throughput_from_wait",
     "static_lower_toll",
     "static_revenue",
     "static_system_cost",
@@ -33,47 +32,22 @@ __all__ = [
     "static_revenue_optimal",
     "static_sc_optimal",
     "dynamic_benchmarks",
+    "guarantees",
 ]
 
-DEFAULT_GRID_POINTS = 4096  # toll grid of both flat-toll searches
+DEFAULT_GRID_POINTS = 4096  # toll grid of the flat-toll searches
+_SERIES_CUTOFF = 1e-3  # below it, _excess_share sums its Taylor series
 
 
 @dataclass(frozen=True)
 class MfdDynamicBenchmarks:
-    """Dynamic benchmarks for an urban scenario (all at critical accumulation)."""
+    """Dynamic benchmarks for an urban scenario (all at critical accumulation).
+
+    ``so.system_cost`` is the minimum system cost over all toll schedules.
+    """
 
     ro: bottleneck.DynamicTollDesign
     so: bottleneck.DynamicTollDesign
-    sc_opt: float
-
-
-def throughput(mfd: TriangularMfd, accumulation: float) -> float:
-    """Outflow at a given accumulation: linear up to critical, linear down to jam."""
-    slack = 1e-12 * mfd.jam_accumulation
-    if accumulation < -slack or accumulation > mfd.jam_accumulation + slack:
-        raise DomainError("accumulation must lie in [0, jam_accumulation]")
-    accumulation = min(max(accumulation, 0.0), mfd.jam_accumulation)
-    n_c = mfd.critical_accumulation
-    if accumulation <= n_c:
-        return accumulation * mfd.freeflow_speed / mfd.trip_distance
-    return (
-        mfd.max_throughput
-        * (mfd.jam_accumulation - accumulation)
-        / (mfd.jam_accumulation - n_c)
-    )
-
-
-def throughput_from_wait(mfd: TriangularMfd, wait: float) -> float:
-    """Congested-branch outflow as a function of the excess travel time.
-
-    Inverting the triangular relation gives
-    ``n_j / (n_j / max_throughput + wait)``: strictly decreasing in the wait,
-    equal to the peak at zero wait, and vanishing as the wait grows.
-    """
-    if wait < 0:
-        raise DomainError("wait must be nonnegative")
-    n_j = mfd.jam_accumulation
-    return n_j / (n_j / mfd.max_throughput + wait)
 
 
 def static_lower_toll(params: BottleneckParams, mfd: TriangularMfd) -> float:
@@ -105,20 +79,36 @@ def _check_toll_domain(
         )
 
 
+def _excess_share(x: float | np.ndarray, log1p_x: float | np.ndarray) -> float | np.ndarray:
+    """``(x - log1p(x))/x`` for ``x >= 0``, to rounding, and 0 at ``x = 0``.
+
+    The difference cancels for small ``x``, so below ``_SERIES_CUTOFF`` the
+    share is the Taylor series ``x/2 - x^2/3 + x^3/4 - x^4/5 + x^5/6``, whose
+    first omitted term is under 3e-16 of it there; above the cutoff it is
+    read from the caller's ``log1p(x)``.
+    """
+    s = np.minimum(x, _SERIES_CUTOFF)
+    series = s * (1 / 2 - s * (1 / 3 - s * (1 / 4 - s * (1 / 5 - s / 6))))
+    return np.where(x < _SERIES_CUTOFF, series, (x - log1p_x) / np.maximum(x, _SERIES_CUTOFF))
+
+
 def _flat_toll(
     params: BottleneckParams, mfd: TriangularMfd, toll: float | np.ndarray
 ) -> CostBreakdown:
     """Cost pieces and revenue of a flat toll, unchecked; ``toll`` is a float or an array.
 
     The one implementation of the urban flat-toll formulas: the public
-    functions and both searches evaluate it, a search on a whole grid at once.
+    functions and the searches evaluate it, a search on a whole grid at once.
+    The shoulder queue and schedule are written over ``x = W/a`` through
+    :func:`_excess_share`, so both stay exact as the wait goes to zero.
     """
     n_j = mfd.jam_accumulation
     a = n_j / mfd.max_throughput
     lam = params.arrival_rate
     e, late = params.early_penalty, params.late_penalty
     wait = np.maximum(params.cost_gap - toll, 0.0)
-    log_term = np.log1p(wait * mfd.max_throughput / n_j)
+    x = wait * mfd.max_throughput / n_j
+    log_term = np.log1p(x)
     shoulder = n_j / params.schedule_factor * log_term
     peak_flow = n_j / (a + wait)
     flat_len = (params.total_demand - shoulder) / lam
@@ -127,13 +117,9 @@ def _flat_toll(
     transit = params.transit_cost * (params.total_demand - car_users)
     car = params.car_freeflow_cost * car_users
     queue_flat = flat_len * peak_flow * wait
-    queue_shoulders = (n_j / e + n_j / late) * (wait - a * log_term)
-    # The schedule term is 0 at zero wait, where a / wait would divide by zero.
-    divisor = np.where(wait > 0.0, wait, 1.0)
-    sched_core = np.where(
-        wait > 0.0, (wait - (n_j / lam) * log_term) * (1.0 - (a / divisor) * log_term), 0.0
-    )
-    schedule = (n_j / e + n_j / late) * sched_core
+    share = _excess_share(x, log_term)
+    queue_shoulders = (n_j / e + n_j / late) * wait * share
+    schedule = (n_j / e + n_j / late) * (wait - (n_j / lam) * log_term) * share
     return CostBreakdown(transit, car, queue_flat + queue_shoulders, schedule, toll * car_users)
 
 
@@ -168,42 +154,49 @@ def static_system_cost(
     return _flat_toll(params, mfd, toll)
 
 
-def static_optima(
-    params: BottleneckParams, mfd: TriangularMfd
-) -> tuple[tuple[float, CostBreakdown], tuple[float, CostBreakdown]]:
-    """Revenue-maximizing and system-cost-minimizing flat tolls, with their cost pieces.
+def _search(
+    params: BottleneckParams, mfd: TriangularMfd, goals: tuple[str, ...]
+) -> list[tuple[float, CostBreakdown]]:
+    """The optimal flat toll of each goal, "revenue" (most) or "cost" (least), with its pieces.
 
-    One search serves both: a shared ``DEFAULT_GRID_POINTS``-point scan of
-    the toll band ``[static_lower_toll, gap]``, then zoom passes that
-    evaluate both brackets in one call (:func:`~tollgap.search.grid_refine_mins`).
-    Each optimum comes as ``(toll, CostBreakdown at that toll)``.  The revenue
-    curve is Lipschitz on the band, so the grid resolution bounds the
-    optimality gap; the refinement makes boundary optima exact.  An empty
-    band (nonpositive gap) degenerates to the toll ``max(gap, 0)``.
+    One ``DEFAULT_GRID_POINTS``-point scan of the band ``[static_lower_toll,
+    gap]`` serves every goal, and each zoom pass evaluates the brackets still
+    refining in one call (:func:`~tollgap.search.grid_refine_mins`), so a
+    search refines exactly its own goals.  The revenue curve is Lipschitz on
+    the band, so the grid resolution bounds the optimality gap; the
+    refinement makes boundary optima exact.  An empty band (nonpositive gap)
+    degenerates to the toll ``max(gap, 0)``.
     """
     lo, hi = static_lower_toll(params, mfd), params.cost_gap
     if hi <= lo:
-        tolls = [max(hi, 0.0)] * 2
+        tolls = [max(hi, 0.0)] * len(goals)
     else:
 
-        def objectives(toll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def values(toll: np.ndarray) -> list[np.ndarray]:
             cost = _flat_toll(params, mfd, toll)
-            return -cost.revenue, cost.total
+            return [-cost.revenue if goal == "revenue" else cost.total for goal in goals]
 
-        tolls = grid_refine_mins(objectives, lo, hi, DEFAULT_GRID_POINTS)
-    ro, so = [(toll, _flat_toll(params, mfd, toll)) for toll in tolls]
+        tolls = grid_refine_mins(values, lo, hi, DEFAULT_GRID_POINTS)
+    return [(toll, _flat_toll(params, mfd, toll)) for toll in tolls]
+
+
+def static_optima(
+    params: BottleneckParams, mfd: TriangularMfd
+) -> tuple[tuple[float, CostBreakdown], tuple[float, CostBreakdown]]:
+    """Revenue-maximizing and cost-minimizing flat tolls with their cost pieces, from one search."""
+    ro, so = _search(params, mfd, ("revenue", "cost"))
     return ro, so
 
 
 def static_revenue_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, float]:
-    """Revenue-maximizing flat toll and its revenue, from :func:`static_optima`."""
-    toll, cost = static_optima(params, mfd)[0]
+    """Revenue-maximizing flat toll and its revenue, from a search of the revenue alone."""
+    [(toll, cost)] = _search(params, mfd, ("revenue",))
     return toll, cost.revenue
 
 
 def static_sc_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, float]:
-    """System-cost-minimizing flat toll and its system cost, from :func:`static_optima`."""
-    toll, cost = static_optima(params, mfd)[1]
+    """System-cost-minimizing flat toll and its system cost, from a search of the cost alone."""
+    [(toll, cost)] = _search(params, mfd, ("cost",))
     return toll, cost.total
 
 
@@ -215,14 +208,22 @@ def dynamic_benchmarks(params: BottleneckParams, mfd: TriangularMfd) -> MfdDynam
     capacity ``max_throughput``; revenue and cost therefore come from the
     bottleneck module with the capacity swapped in.
     """
-    delegated = BottleneckParams(
-        total_demand=params.total_demand,
-        arrival_rate=params.arrival_rate,
-        capacity=mfd.max_throughput,
-        early_penalty=params.early_penalty,
-        late_penalty=params.late_penalty,
-        car_freeflow_cost=params.car_freeflow_cost,
-        transit_cost=params.transit_cost,
+    delegated = dataclasses.replace(params, capacity=mfd.max_throughput)
+    return MfdDynamicBenchmarks(
+        bottleneck.dynamic_revenue_optimal(delegated), bottleneck.dynamic_so_design(delegated)
     )
-    so = bottleneck.dynamic_so_design(delegated)
-    return MfdDynamicBenchmarks(bottleneck.dynamic_revenue_optimal(delegated), so, so.system_cost)
+
+
+def guarantees(params: BottleneckParams, mfd: TriangularMfd) -> bottleneck.BoundReport:
+    """The guarantees the urban model has at one parameter set, both stated at the toll ``g``.
+
+    There the wait is zero and the network runs as the bottleneck at ``mu_f``,
+    so :func:`bottleneck.performance_bounds` at ``mu_f`` gives them: the
+    low-band revenue floor, and the factor 2 while ``g <= W_max``.  The other
+    bounds are None, as the urban model has no revenue floor outside the low
+    band.  The floor carries over to the revenue-optimal toll, whose revenue
+    is at least that at ``g``; the cost bound does not.
+    """
+    report = bottleneck.performance_bounds(dataclasses.replace(params, capacity=mfd.max_throughput))
+    floor = report.revenue_ratio_lower_bound if report.regime is Regime.MIXED_LOW else None
+    return dataclasses.replace(report, revenue_ratio_lower_bound=floor, exact_sc_ratio=None)

@@ -97,8 +97,8 @@ def compute_row(scenario: Scenario, eta: float, jam_accumulation: float | None =
 
     Raises :class:`DomainError` naming the CSV column when one of the row's
     hours or dollar numbers is not finite or is negative: finite but huge
-    inputs (a demand or a jam accumulation of 1e300) overflow the formulas,
-    and such a row is no result.
+    inputs (a demand of 1e300, a jam accumulation of 1.7e308) overflow the
+    formulas, and such a row is no result.
     """
     params = scenario.params(eta)
     regime = classify_regime(params)

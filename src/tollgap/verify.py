@@ -10,7 +10,7 @@ and the acceptance tests both run them.
 Each check is written once, for one parameter set, and returns ``(worst gap,
 failure messages)`` with the messages tagged ``case 7`` or ``eta=2.5``; the
 random and the scenario suites share the checks, and every guarantee is
-checked under exactly the precondition ``bottleneck.performance_bounds`` states.
+checked under exactly the precondition ``performance_bounds`` or ``mfd.guarantees`` states.
 A suite is a stream of these outcomes, and one fold turns every stream into
 its :class:`CheckResult`.  Each failure test reads ``not value <= bound`` (or
 ``>=``), so a NaN fails it, and every fold of gaps keeps a NaN, so it shows as
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bottleneck, mfd, oracle
-from .core import BottleneckParams, ParameterError, Regime, regime_thresholds
+from .core import BottleneckParams, ParameterError, regime_thresholds
 
 __all__ = [
     "CheckResult",
@@ -68,6 +68,8 @@ QUAD_TOL = 1e-8  # urban revenue, queuing and schedule vs Gauss–Legendre quadr
 # oracle keeps rounding residue up to ~4e-10 user-hours; a 1e-9 h floor fails.
 ORACLE_FLOOR = 1e-4
 ARGMAX_GRID = 2000  # dense revenue grid that certifies the closed-form flat optimum
+LIMIT_JAM = 1e15  # jam accumulation of the urban suite's fixed-capacity limit draws
+LIMIT_TOL = 1e-9  # urban revenue, queuing and schedule vs the bottleneck at LIMIT_JAM, relative
 
 
 def _rel_gap(got: float, want: float, floor: float = 1e-12) -> float:
@@ -252,21 +254,19 @@ def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
 def _check_urban(
     params: BottleneckParams, net: mfd.TriangularMfd, toll: float, tag: str
 ) -> _Outcome:
-    """Urban revenue, queuing and schedule at one toll vs quadrature; top-of-band guarantees.
+    """Urban revenue, queuing and schedule at one toll vs quadrature; the urban guarantees.
 
-    At the top of the band the wait is zero and the network runs as the
-    bottleneck at mu_f, so the bottleneck guarantees apply under their own
-    preconditions: the low-band revenue floor, and the factor-2 cost bound
-    while the gap stays within the car-only peak wait.
+    The guarantees are those :func:`mfd.guarantees` states, at the top of
+    the band ``toll = g``: the low-band revenue floor, and the factor 2 on the
+    system cost while the gap stays within the car-only peak wait.
     """
     numeric = oracle.integrate_mfd_revenue(params, net, toll)
-    closed = mfd.static_revenue(params, net, toll)
     cost = mfd.static_system_cost(params, net, toll)
     q = oracle.mfd_shoulder_quadrature(params, net, toll)
     worst = 0.0
     failures: list[str] = []
     for label, got, want, floor in (
-        ("urban revenue", numeric, closed, 1e-9 * params.total_demand),
+        ("urban revenue", numeric, cost.revenue, 1e-9 * params.total_demand),
         ("queuing", q["queue_early"] + q["queue_late"] + q["queue_flat"], cost.queuing, 1e-9),
         ("schedule", q["sched_early"] + q["sched_late"], cost.schedule, 1e-9),
     ):
@@ -275,23 +275,22 @@ def _check_urban(
         if not gap_ <= QUAD_TOL:
             failures.append(f"{tag}: {label} quadrature gap {gap_:.3e}")
 
-    report = bottleneck.performance_bounds(params)
+    report = mfd.guarantees(params, net)
     bench = mfd.dynamic_benchmarks(params, net)
-    if report.regime is Regime.MIXED_LOW and bench.ro.revenue > 0:
-        rev_at_gap = mfd.static_revenue(params, net, params.cost_gap)
+    at_gap = mfd.static_system_cost(params, net, params.cost_gap)
+    if report.revenue_ratio_lower_bound is not None and bench.ro.revenue > 0:
         floor = report.revenue_ratio_lower_bound * bench.ro.revenue * (1 - 1e-9)
-        if not rev_at_gap >= floor:
+        if not at_gap.revenue >= floor:
             failures.append(
                 f"{tag}: top-of-band revenue under the guarantee floor: "
-                f"revenue {rev_at_gap:.8g} vs floor {floor:.8g}"
+                f"revenue {at_gap.revenue:.8g} vs floor {floor:.8g}"
             )
     if report.sc_ratio_upper_bound is not None:
-        sc_at_gap = mfd.static_system_cost(params, net, params.cost_gap).total
-        cap = report.sc_ratio_upper_bound * bench.sc_opt * (1 + 1e-9)
-        if not sc_at_gap <= cap:
+        cap = report.sc_ratio_upper_bound * bench.so.system_cost * (1 + 1e-9)
+        if not at_gap.total <= cap:
             failures.append(
                 f"{tag}: top-of-band system cost over the 2x guarantee: "
-                f"cost {sc_at_gap:.8g} vs cap {cap:.8g}"
+                f"cost {at_gap.total:.8g} vs cap {cap:.8g}"
             )
     return worst, failures
 
@@ -373,14 +372,14 @@ def mfd_agreement_suite(seed: int, n_cases: int = 100) -> CheckResult:
                 yield _check_urban(params, net, rng.uniform(lo, hi), f"case {case}")
 
         # Fixed-capacity limit: a huge jam accumulation reduces the log forms to
-        # the bottleneck algebra with capacity = max throughput.  Its gaps are
-        # held to a looser tolerance and do not feed the worst gap.
+        # the bottleneck algebra with capacity = max throughput.  Its gaps do
+        # not feed the worst gap.
         rng_limit = random.Random(seed + 1)
         for case in range(20):
             params = sample_params(rng_limit, regime="low")
             net = mfd.TriangularMfd(
                 max_throughput=params.capacity,
-                jam_accumulation=1e9,
+                jam_accumulation=LIMIT_JAM,
                 freeflow_speed=30.0,
                 trip_distance=5.0,
             )
@@ -390,11 +389,14 @@ def mfd_agreement_suite(seed: int, n_cases: int = 100) -> CheckResult:
                 continue
             for frac in (0.25, 0.6, 1.0):
                 toll = lo + frac * (hi - lo)
-                got = mfd.static_revenue(params, net, toll)
-                want = bottleneck.static_revenue(params, toll)
-                gap_ = _rel_gap(got, want, floor=1e-9)
-                if not gap_ <= 1e-4:
-                    yield 0.0, [f"limit case {case}: toll {toll:.4g} rel gap {gap_:.3e}"]
+                got = mfd.static_system_cost(params, net, toll)
+                want = bottleneck.static_system_cost(params, toll)
+                for label in ("revenue", "queuing", "schedule"):
+                    gap_ = _rel_gap(getattr(got, label), getattr(want, label), floor=1e-9)
+                    if not gap_ <= LIMIT_TOL:
+                        yield 0.0, [
+                            f"limit case {case}: toll {toll:.4g} {label} rel gap {gap_:.3e}"
+                        ]
 
     return _fold(
         "urban-network agreement (log forms vs quadrature, limits, guarantees)",

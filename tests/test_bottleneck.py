@@ -217,7 +217,7 @@ class TestDynamicSoDesign:
     def test_negative_gap_is_domain_error(self):
         p = BAY.params(1.0)
         assert p.cost_gap < 0
-        for design in (bn.dynamic_revenue_optimal, bn.dynamic_so_design, bn.dynamic_ro_system_cost):
+        for design in (bn.dynamic_revenue_optimal, bn.dynamic_so_design):
             with pytest.raises(DomainError):
                 design(p)
 
@@ -245,15 +245,14 @@ class TestSystemCosts:
 
     def test_dynamic_ro_cost_bay(self):
         p = BAY.params(1.5)
-        cost = bn.dynamic_ro_system_cost(p)
-        assert cost.total == pytest.approx(122472.641527881)  # frozen component sum
-        assert cost.queuing == 0.0
+        cost = bn.dynamic_revenue_optimal(p).system_cost
+        assert cost == pytest.approx(122472.641527881)  # frozen component sum
         # The benchmark ratio was computed with the unrounded free-flow calibration, hence 1e-5.
-        assert cost.total / bn.optimal_system_cost(p) == pytest.approx(1.00015769, abs=1e-5)
+        assert cost / bn.optimal_system_cost(p) == pytest.approx(1.00015769, abs=1e-5)
 
     def test_dynamic_ro_cost_zero_gap(self):
         p = with_gap(BAY.params(1.5), 0.0)
-        assert bn.dynamic_ro_system_cost(p).total == pytest.approx(
+        assert bn.dynamic_revenue_optimal(p).system_cost == pytest.approx(
             p.transit_cost * p.total_demand, rel=1e-12
         )
 

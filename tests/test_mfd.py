@@ -1,11 +1,15 @@
+import dataclasses
+import decimal
+import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from tollgap import BottleneckParams, DomainError, ParameterError, TriangularMfd
 from tollgap import bottleneck as bn
-from tollgap import mfd, verify
+from tollgap import cli, mfd, verify
 from tollgap.calibration import builtin_scenario
 from tollgap.search import grid_refine_max, grid_refine_min
 
@@ -24,30 +28,6 @@ class TestTriangularMfd:
     def test_rejects_degenerate_triangle(self):
         with pytest.raises(ParameterError):
             TriangularMfd(45000.0, 6000.0, 40.0, 6.0)  # jam below critical
-
-    def test_throughput_branches(self):
-        net = NYC.mfd()
-        assert mfd.throughput(net, net.critical_accumulation) == pytest.approx(45000.0)
-        assert mfd.throughput(net, net.jam_accumulation) == 0.0
-        assert mfd.throughput(net, 0.0) == 0.0
-        midpoint = (net.critical_accumulation + net.jam_accumulation) / 2.0
-        assert mfd.throughput(net, midpoint) == pytest.approx(22500.0)
-
-    def test_throughput_domain(self):
-        net = NYC.mfd()
-        with pytest.raises(DomainError):
-            mfd.throughput(net, -1.0)
-        with pytest.raises(DomainError):
-            mfd.throughput(net, net.jam_accumulation + 1.0)
-
-    def test_throughput_from_wait(self):
-        net = NYC.mfd()
-        assert mfd.throughput_from_wait(net, 0.0) == pytest.approx(45000.0)
-        half_point = net.jam_accumulation / net.max_throughput
-        assert mfd.throughput_from_wait(net, half_point) == pytest.approx(22500.0)
-        waits = [0.1 * k for k in range(50)]
-        flows = [mfd.throughput_from_wait(net, w) for w in waits]
-        assert all(a > b for a, b in zip(flows, flows[1:]))
 
 
 class TestStaticLowerToll:
@@ -117,7 +97,7 @@ class TestStaticSystemCost:
         params, net = nyc_setup(1.5)
         cost = mfd.static_system_cost(params, net, params.cost_gap)
         bench = mfd.dynamic_benchmarks(params, net)
-        assert cost.total / bench.sc_opt == pytest.approx(1.00005841, abs=1e-6)
+        assert cost.total / bench.so.system_cost == pytest.approx(1.00005841, abs=1e-6)
 
     def test_components_positive_inside_band(self):
         params, net = nyc_setup(12.0)
@@ -163,6 +143,78 @@ class TestOptimizers:
             cost = mfd.static_system_cost(params, net, toll).total
             values.append((toll, revenue, cost))
         assert all(v == values[0] for v in values)
+
+
+class TestExactKernel:
+    """The shoulder queue and schedule against a 400-digit decimal reference, down to zero wait."""
+
+    # Transit cost is the gap, set per case; toll 0 then gives the peak wait W = gap exactly.
+    PARAMS = BottleneckParams(200.0, 100.0, 25.0, 0.5, 2.0, 0.0, 1.0)
+    NET = TriangularMfd(25.0, 30.0, 10.0, 5.0)  # a = n_j/mu_f = 1.2; toll 0 is in the band to x = 13
+    XS = [10.0**k for k in np.linspace(-300.0, 1.0, 61)] + [0.999e-3, 1e-3, 1.001e-3]
+
+    def reference(self, wait: float) -> tuple[float, float]:
+        """Queuing and schedule of the flat toll at peak wait ``wait``, from the model's formulas."""
+        params, net = self.PARAMS, self.NET
+        with decimal.localcontext() as ctx:
+            ctx.prec = 400
+            n_j, mu_f = decimal.Decimal(net.jam_accumulation), decimal.Decimal(net.max_throughput)
+            lam, demand = decimal.Decimal(params.arrival_rate), decimal.Decimal(params.total_demand)
+            e, late = decimal.Decimal(params.early_penalty), decimal.Decimal(params.late_penalty)
+            w, a = decimal.Decimal(wait), n_j / mu_f
+            lg = (1 + w / a).ln()
+            flat_len = (demand - n_j * (e + late) / (e * late) * lg) / lam
+            both = n_j / e + n_j / late
+            queuing = flat_len * n_j / (a + w) * w + both * (w - a * lg)
+            schedule = both * (w - n_j / lam * lg) * (1 - a / w * lg)
+            return float(queuing), float(schedule)
+
+    @pytest.mark.parametrize("wait", [1.2 * x for x in XS] + [2.373412115741015e-308])
+    def test_queuing_and_schedule_match_the_decimal_reference(self, wait):
+        params = dataclasses.replace(self.PARAMS, transit_cost=wait)
+        cost = mfd.static_system_cost(params, self.NET, 0.0)
+        pieces = dataclasses.astuple(cost)
+        assert all(math.isfinite(v) and v >= 0.0 for v in pieces), pieces
+        for got, want in zip((cost.queuing, cost.schedule), self.reference(wait)):
+            if want >= sys.float_info.min:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestGuarantees:
+    def test_low_band_floor_and_factor_two(self):
+        params, net = nyc_setup(3.0)
+        report = mfd.guarantees(params, net)
+        mu_f, lam = net.max_throughput, params.arrival_rate
+        assert report.revenue_ratio_lower_bound == pytest.approx(2.0 / (3.0 - mu_f / lam))
+        assert report.sc_ratio_upper_bound == 2.0
+        assert report.exact_sc_ratio is None
+
+    def test_no_revenue_floor_outside_the_low_band(self):
+        params, net = nyc_setup(9.0)
+        assert bn.performance_bounds(params).revenue_ratio_lower_bound is not None
+        report = mfd.guarantees(params, net)
+        assert report.revenue_ratio_lower_bound is None
+        assert report.sc_ratio_upper_bound == 2.0
+
+    def test_stated_at_the_max_throughput(self):
+        params, net = nyc_setup(3.0)
+        other = dataclasses.replace(params, capacity=0.5 * params.capacity)
+        assert mfd.guarantees(other, net) == mfd.guarantees(params, net)
+
+
+def test_crossover_searches_refine_one_objective_each(monkeypatch):
+    # A search of the revenue optimum refines the revenue alone.
+    objectives = []
+    real = mfd.grid_refine_mins
+
+    def counting(fn, lo, hi, grid_points):
+        tolls = real(fn, lo, hi, grid_points)
+        objectives.append(len(tolls))
+        return tolls
+
+    monkeypatch.setattr(mfd, "grid_refine_mins", counting)
+    cli.crossover_eta(NYC)
+    assert objectives and set(objectives) == {1}
 
 
 def sampled_bands(seed: int, per_regime: int):
@@ -244,7 +296,7 @@ class TestDynamicBenchmarks:
         params, net = nyc_setup(18.0)
         bench = mfd.dynamic_benchmarks(params, net)
         assert bench.ro.revenue == pytest.approx(4_503_995, rel=1e-4)
-        assert bench.sc_opt == pytest.approx(4_091_588, rel=1e-4)
+        assert bench.so.system_cost == pytest.approx(4_091_588, rel=1e-4)
         assert bench.ro.system_cost == pytest.approx(4_288_369, rel=1e-4)
         assert bench.so.revenue / bench.ro.revenue == pytest.approx(0.94175936, abs=1e-6)
 
@@ -261,7 +313,7 @@ class TestDynamicBenchmarks:
         )
         bench = mfd.dynamic_benchmarks(params, NYC.mfd())
         assert bench.ro.revenue == 0.0
-        assert bench.sc_opt == pytest.approx(params.transit_cost * params.total_demand, rel=1e-12)
+        assert bench.so.system_cost == pytest.approx(params.transit_cost * params.total_demand, rel=1e-12)
 
     def test_low_eta_reuses_bottleneck_value(self):
         params, net = nyc_setup(1.5)

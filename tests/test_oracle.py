@@ -204,7 +204,8 @@ class TestMfdIntegration:
             - net.jam_accumulation / params.schedule_factor
             * np.log1p(wait * net.max_throughput / net.jam_accumulation)
         ) / params.arrival_rate
-        queue_flat = flat_len * mfd.throughput_from_wait(net, wait) * wait
+        peak_outflow = net.jam_accumulation / (net.jam_accumulation / net.max_throughput + wait)
+        queue_flat = flat_len * peak_outflow * wait
         quad_queue = pieces["queue_early"] + pieces["queue_late"]
         assert quad_queue == pytest.approx(cost.queuing - queue_flat, rel=1e-8)
         quad_sched = pieces["sched_early"] + pieces["sched_late"]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tollgap
-from tollgap import bottleneck, cli, sweep, verify
+from tollgap import Regime, bottleneck, cli, sweep, verify
 from tollgap.calibration import builtin_scenario, serialize_scenario
 from tollgap.verify import CheckResult
 
@@ -97,6 +97,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mixed_low" in out
         assert "revenue ratio lower bound" in out
+
+    def test_analyze_prints_the_urban_guarantees(self, capsys):
+        # nyc at eta 3 is in the low band: the urban floor 2/(3 - mu_f/lam) holds at toll = gap.
+        params = NYC.params(3.0)
+        assert cli.main(["analyze", "--scenario", "nyc", "--eta", "3"]) == 0
+        out = capsys.readouterr().out
+        floor = 2.0 / (3.0 - params.capacity / params.arrival_rate)
+        assert "  regime: mixed_low\n" in out
+        assert "  guarantees: at toll = gap (urban network)\n" in out
+        assert f"    revenue ratio lower bound {floor:.5f}\n" in out
+        assert "    system-cost ratio upper bound 2.0\n" in out
 
     def test_analyze_all_transit(self, capsys):
         assert cli.main(["analyze", "--scenario", "bay_bridge", "--eta", "1.0"]) == 0
@@ -324,13 +335,30 @@ class TestCli:
         assert not out.exists()
 
     def test_huge_jam_accumulation_is_validation_error(self, tmp_path, capsys):
-        # The urban formulas overflow to a negative system cost: no result, no file.
+        # n_j/e overflows, so the urban formulas give no number: no result, no file.
         out = tmp_path / "x.csv"
-        argv = ["sweep", "--scenario", "nyc", "--eta-range=1:2:2", "--nj=1e300", "--out", str(out)]
+        argv = ["sweep", "--scenario", "nyc", "--eta-range=1:2:2", "--nj=1.7e308", "--out", str(out)]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert "error: scenario 'nyc' at eta=2: " in captured.err
         assert "Traceback" not in captured.err and not out.exists()
+
+    def test_large_jam_accumulation_gives_the_bottleneck_numbers(self, tmp_path):
+        # As n_j grows the urban model becomes the bottleneck at mu_f; 1e300 is far along.
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--scenario", "nyc", "--eta-range=1:2:2", "--nj=1e300", "--out", str(out)]
+        assert cli.main(argv) == 0 and out.exists()
+        for eta in NYC.eta_sweep:
+            row, params = sweep.compute_row(NYC, eta, 1e300), NYC.params(eta)
+            tau_ro, rev_ro = bottleneck.static_revenue_optimal_toll(params)
+            tau_so, sc_so = bottleneck.static_sc_optimal_toll(params)
+            assert row.rev_static_ro == pytest.approx(rev_ro, rel=2e-15)
+            assert row.sc_static_so == pytest.approx(sc_so, rel=2e-15)
+            if row.regime is Regime.MIXED_LOW:  # both optima sit at the band top, exactly
+                assert row.tau_static_ro == tau_ro and row.tau_static_so == tau_so
+                assert row.sc_static_ro == pytest.approx(
+                    bottleneck.static_system_cost(params, tau_ro).total, rel=2e-15
+                )
 
     @pytest.mark.parametrize("nj", ["0", "-5", "nan", "inf", "100"])
     @pytest.mark.parametrize("command", [["analyze", "--eta=3"], ["crossover"], ["sweep"]])
@@ -496,12 +524,12 @@ class TestScenarioFileValues:
     @pytest.mark.parametrize(
         "command, key, value",
         [
-            (["sweep", "--nj=1e300"], None, None),
-            (["analyze", "--eta=9", "--nj=1e300"], None, None),
-            (["crossover", "--nj=1e300"], None, None),
+            (["sweep", "--nj=1.7e308"], None, None),
+            (["analyze", "--eta=9", "--nj=1.7e308"], None, None),
+            (["crossover", "--nj=1.7e308"], None, None),
             (["analyze", "--eta=9"], "demand.arrival_rate", "1e-300 users_per_hour"),
             (["crossover"], "supply.max_throughput", "1e-300 vehicles_per_hour"),
-            (["crossover"], "supply.jam_accumulation", "1e300 vehicles"),
+            (["crossover"], "supply.jam_accumulation", "1.7e308 vehicles"),
         ],
     )
     def test_overflow_writes_only_the_error_line(self, command, key, value, tmp_path, capsys):

@@ -28,6 +28,8 @@ def test_urban_cost_guarantee_catches_planted_fault(monkeypatch):
 
     def tripled_at_gap(params, net, toll):
         cost = real(params, net, toll)
+        if net.jam_accumulation == verify.LIMIT_JAM:
+            return cost  # the limit draws compare every piece, and would flag the fault too
         if toll != params.cost_gap:
             drawn.append(params)
             return cost
@@ -91,6 +93,23 @@ def test_reported_exact_corner_ratio_is_checked(monkeypatch):
     assert all("exact corner ratio" in f for f in result.failures)
 
 
+@pytest.mark.parametrize("piece", ["queuing", "schedule"])
+def test_urban_limit_check_compares_every_piece(piece, monkeypatch):
+    # At the limit jam accumulation the urban pieces must match the bottleneck's to 1e-9.
+    real = mfd.static_system_cost
+
+    def skewed_at_the_limit(params, net, toll):
+        cost = real(params, net, toll)
+        if net.jam_accumulation != verify.LIMIT_JAM:
+            return cost
+        return dataclasses.replace(cost, **{piece: getattr(cost, piece) * (1 + 1e-8)})
+
+    monkeypatch.setattr(mfd, "static_system_cost", skewed_at_the_limit)
+    result = verify.mfd_agreement_suite(0, 15)
+    assert not result.ok
+    assert all(f.startswith("limit case ") and f" {piece} rel gap " in f for f in result.failures)
+
+
 def _nan_field(real, name):
     """``real`` with one field of its dataclass result replaced by NaN."""
     return lambda *args: dataclasses.replace(real(*args), **{name: math.nan})
@@ -116,7 +135,7 @@ def test_nan_flat_cost_shows_in_the_2x_bound_message(monkeypatch):
 
 
 def test_nan_urban_revenue_fails_urban_agreement(monkeypatch):
-    monkeypatch.setattr(mfd, "static_revenue", lambda params, net, toll: math.nan)
+    monkeypatch.setattr(mfd, "static_system_cost", _nan_field(mfd.static_system_cost, "revenue"))
     result = verify.mfd_agreement_suite(1, 30)
     assert not result.ok
     assert any("urban revenue quadrature gap nan" in f for f in result.failures)
