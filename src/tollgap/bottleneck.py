@@ -43,7 +43,6 @@ __all__ = [
     "dynamic_revenue_optimal",
     "dynamic_so_design",
     "static_system_cost",
-    "optimal_system_cost",
     "static_sc_optimal_toll",
     "performance_bounds",
 ]
@@ -200,8 +199,8 @@ def static_revenue(params: BottleneckParams, toll: float) -> float:
     return _flat_toll(params, toll).revenue
 
 
-def static_revenue_optimal_toll(params: BottleneckParams) -> tuple[float, float]:
-    """Revenue-maximizing flat toll and its revenue.
+def static_revenue_optimal_toll(params: BottleneckParams) -> tuple[float, CostBreakdown]:
+    """Revenue-maximizing flat toll with its cost pieces and revenue.
 
     The band-constrained quadratic program has three candidate solutions:
     the band top (gap), the unconstrained vertex
@@ -217,7 +216,7 @@ def static_revenue_optimal_toll(params: BottleneckParams) -> tuple[float, float]
     else:
         low, _ = regime_thresholds(params)
         toll = max(gap / 2.0 + low / 2.0, gap - max_wait_car_only(params))
-    return toll, static_revenue(params, toll)
+    return toll, _flat_toll(params, toll)
 
 
 def dynamic_revenue_at_fraction(params: BottleneckParams, flat_fraction: float) -> float:
@@ -325,11 +324,12 @@ def dynamic_revenue_optimal(params: BottleneckParams) -> DynamicTollDesign:
 def dynamic_so_design(params: BottleneckParams) -> DynamicTollDesign:
     """System-cost-optimal trapezoid toll, priced to its revenue-best variant.
 
+    Its ``system_cost`` is the minimum system cost over all toll schedules.
     The schedule mirrors the untolled equilibrium wait profile, so its flat
     fraction is ``1 - min(gap/max_wait, 1)``.  When the gap exceeds the
-    car-only peak wait the profile is shifted up to peak at the gap
-    (indifferent users break toward paying), which leaves system cost at the
-    optimum while collecting the larger revenue.
+    car-only peak wait everyone drives, and the profile is shifted up to peak
+    at the gap (indifferent users break toward paying), which leaves system
+    cost at the optimum while collecting the larger revenue.
     """
     return _design(params, _flat_fractions(params)[1])
 
@@ -348,23 +348,8 @@ def static_system_cost(params: BottleneckParams, toll: float) -> CostBreakdown:
     return cost
 
 
-def optimal_system_cost(params: BottleneckParams) -> float:
-    """Minimum achievable system cost over all toll schedules.
-
-    The cost of the system-cost-optimal trapezoid, by the component sum that
-    also gives :func:`dynamic_revenue_optimal`'s cost, at the flat fraction
-    ``1 - min(gap/max_wait, 1)``: while the cost gap stays below the car-only
-    peak wait the planner splits modes and the cost is quadratic in the gap;
-    beyond that everyone drives under the queue-eliminating schedule.  A
-    negative gap puts everyone on transit.
-    """
-    if params.cost_gap < 0:
-        return params.transit_cost * params.total_demand
-    return _trapezoid_cost(params, _flat_fractions(params)[1]).total
-
-
-def static_sc_optimal_toll(params: BottleneckParams) -> tuple[float, float]:
-    """System-cost-minimizing flat toll and the cost it achieves.
+def static_sc_optimal_toll(params: BottleneckParams) -> tuple[float, CostBreakdown]:
+    """System-cost-minimizing flat toll with its cost pieces and revenue.
 
     Evaluates candidates over the feasible band: both endpoints, plus the
     interior stationary point of the quadratic cost (which exists only when
@@ -384,8 +369,8 @@ def static_sc_optimal_toll(params: BottleneckParams) -> tuple[float, float]:
         ) / (2.0 - 3.0 * ratio)
         if lo < stationary < hi:
             candidates.append(stationary)
-    costs = [static_system_cost(params, t).total for t in candidates]
-    best = min(range(len(candidates)), key=costs.__getitem__)  # first minimum on ties
+    costs = [static_system_cost(params, t) for t in candidates]
+    best = min(range(len(candidates)), key=lambda i: costs[i].total)  # first minimum on ties
     return candidates[best], costs[best]
 
 

@@ -96,8 +96,9 @@ class Scenario:
 
     Exactly one of ``capacity`` (fixed bottleneck) or the four flow-diagram
     fields (urban network) is present.  ``jam_accumulations`` may list
-    several candidate jam levels; single-run commands use the largest and
-    sweep commands must report any divergence across the set.
+    several candidate jam levels: :meth:`mfd`, and so every computed row,
+    uses the largest, and a sweep reports any divergence across the set.
+    The CLI's ``--nj`` replaces the list with its one level.
     """
 
     name: str
@@ -155,14 +156,13 @@ class Scenario:
     def default_jam_accumulation(self) -> float:
         return max(self.jam_accumulations)
 
-    def mfd(self, jam_accumulation: float | None = None) -> TriangularMfd:
+    def mfd(self) -> TriangularMfd:
+        """The flow diagram at the default (largest) jam level."""
         if not self.is_mfd:
             raise ParameterError(f"scenario {self.name!r} has a fixed-capacity supply")
         return TriangularMfd(
             max_throughput=self.max_throughput,
-            jam_accumulation=(
-                self.default_jam_accumulation if jam_accumulation is None else jam_accumulation
-            ),
+            jam_accumulation=self.default_jam_accumulation,
             freeflow_speed=self.freeflow_speed,
             trip_distance=self.trip_distance,
         )

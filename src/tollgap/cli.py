@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input/validation error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import warnings
@@ -33,17 +34,19 @@ def _load(spec: str) -> Scenario:
     return load_scenario(spec)
 
 
-def _check_nj(scenario: Scenario, nj: float) -> None:
-    """Reject a ``--nj`` that ``scenario`` cannot take, naming the flag and its value."""
+def _with_nj(scenario: Scenario, nj: float) -> Scenario:
+    """``scenario`` with ``--nj`` as its one jam level; a level it cannot take names the flag."""
     if not scenario.is_mfd:
         raise ParameterError(
             f"--nj applies to urban scenarios only; {scenario.name!r} has a fixed capacity,"
             f" got {nj:g}"
         )
+    scenario = dataclasses.replace(scenario, jam_accumulations=(nj,))
     try:
-        scenario.mfd(nj)
+        scenario.mfd()
     except ParameterError as exc:
         raise ParameterError(f"--nj: {exc}, got {nj:g}") from exc
+    return scenario
 
 
 def _parse_eta_range(text: str) -> list[float]:
@@ -63,21 +66,25 @@ def _parse_eta_range(text: str) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def static_ro_toll_dollars(
-    scenario: Scenario, eta: float, jam_accumulation: float | None = None
-) -> float:
-    """Revenue-optimal flat toll at a given eta, converted to dollars."""
+def static_ro_toll_dollars(scenario: Scenario, eta: float) -> float:
+    """Revenue-optimal flat toll at a given eta, converted to dollars.
+
+    Raises the sweep row's :class:`DomainError` when the optimum's revenue
+    is not a finite nonnegative number: the inputs overflow the model, and
+    its toll is no result.
+    """
     params = scenario.params(eta)
     if scenario.is_mfd:
         from . import mfd  # deferred: see the note above main
 
-        toll, _ = mfd.static_revenue_optimal(params, scenario.mfd(jam_accumulation))
+        toll, cost = mfd.static_revenue_optimal(params, scenario.mfd())
     else:
-        toll, _ = bottleneck.static_revenue_optimal_toll(params)
+        toll, cost = bottleneck.static_revenue_optimal_toll(params)
+    sweep._require_in_range(scenario, eta, [("rev_static_ro", cost.revenue)])
     return float(toll) * scenario.value_of_time  # a Python float overflows to inf without a warning
 
 
-def crossover_eta(scenario: Scenario, jam_accumulation: float | None = None) -> float | None:
+def crossover_eta(scenario: Scenario) -> float | None:
     """Discomfort multiplier at which the flat optimum matches the live toll.
 
     Root of ``toll*(eta) * value_of_time - implemented_toll`` on
@@ -101,7 +108,7 @@ def crossover_eta(scenario: Scenario, jam_accumulation: float | None = None) -> 
         return bisect_root(gap_fn, eta_lo, eta_hi, xtol=1e-10)
 
     def objective(eta: float) -> float:
-        return static_ro_toll_dollars(scenario, eta, jam_accumulation) - target
+        return static_ro_toll_dollars(scenario, eta) - target
 
     return bisect_root(objective, eta_lo, eta_hi, xtol=1e-10)
 
@@ -115,8 +122,8 @@ def _policy(name: str) -> str:
     return f"{kind}-{goal.upper()}" if goal else "minimum"
 
 
-def cmd_analyze(scenario: Scenario, eta: float, jam_accumulation: float | None) -> int:
-    row = sweep.compute_row(scenario, eta, jam_accumulation)
+def cmd_analyze(scenario: Scenario, eta: float) -> int:
+    row = sweep.compute_row(scenario, eta)
     params = scenario.params(eta)
     print(f"scenario: {scenario.name}   eta = {eta:g}")
     print(
@@ -140,7 +147,7 @@ def cmd_analyze(scenario: Scenario, eta: float, jam_accumulation: float | None) 
         if scenario.is_mfd:
             from . import mfd  # deferred: see the note above main
 
-            report = mfd.guarantees(params, scenario.mfd(jam_accumulation))
+            report = mfd.guarantees(params, scenario.mfd())
             print("  guarantees: at toll = gap (urban network)")
         else:
             report = bottleneck.performance_bounds(params)
@@ -155,13 +162,11 @@ def cmd_analyze(scenario: Scenario, eta: float, jam_accumulation: float | None) 
     return 0
 
 
-def cmd_sweep(
-    scenario: Scenario, etas: list[float], out_path: str, jam_accumulation: float | None
-) -> int:
-    rows = sweep.compute_rows(scenario, etas, jam_accumulation)
+def cmd_sweep(scenario: Scenario, etas: list[float], out_path: str) -> int:
+    rows = sweep.compute_rows(scenario, etas)
     sweep.write_csv(rows, out_path)
     print(f"wrote {len(rows)} rows to {out_path}")
-    if scenario.is_mfd and jam_accumulation is None:
+    if len(scenario.jam_accumulations) > 1:
         notes = sweep.nj_divergence(scenario, etas, rows)
         if notes:
             print("jam-accumulation sweep divergence:")
@@ -192,10 +197,10 @@ def cmd_verify(scenario_spec: str, seed: int, cases: int) -> int:
     return 2 if failed else 0
 
 
-def cmd_crossover(scenario: Scenario, jam_accumulation: float | None) -> int:
-    eta = crossover_eta(scenario, jam_accumulation)
+def cmd_crossover(scenario: Scenario) -> int:
+    eta = crossover_eta(scenario)
     # Compute the row before the first line, so that a failing call prints no report.
-    row = None if eta is None else sweep.compute_row(scenario, eta, jam_accumulation)
+    row = None if eta is None else sweep.compute_row(scenario, eta)
     print(f"scenario: {scenario.name}")
     if scenario.implemented_toll is not None:
         print(f"  implemented flat toll: ${scenario.implemented_toll:.2f}")
@@ -271,19 +276,19 @@ def main(argv: list[str] | None = None) -> int:
                 return cmd_verify(args.scenario, args.seed, args.cases)
             scenario = _load(args.scenario)
             if args.nj is not None:
-                _check_nj(scenario, args.nj)
+                scenario = _with_nj(scenario, args.nj)
             if args.command == "analyze":
                 if not math.isfinite(args.eta):
                     raise ParameterError(f"--eta must be finite, got {args.eta}")
                 if args.eta <= 0:
                     raise ParameterError(f"--eta must be positive, got {args.eta:g}")
-                return cmd_analyze(scenario, args.eta, args.nj)
+                return cmd_analyze(scenario, args.eta)
             if args.command == "sweep":
                 etas = (
                     _parse_eta_range(args.eta_range) if args.eta_range else list(scenario.eta_sweep)
                 )
-                return cmd_sweep(scenario, etas, args.out, args.nj)
-            return cmd_crossover(scenario, args.nj)  # argparse admits no other command
+                return cmd_sweep(scenario, etas, args.out)
+            return cmd_crossover(scenario)  # argparse admits no other command
         except (ScenarioFormatError, ParameterError, DomainError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -188,16 +188,18 @@ def static_optima(
     return ro, so
 
 
-def static_revenue_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, float]:
-    """Revenue-maximizing flat toll and its revenue, from a search of the revenue alone."""
-    [(toll, cost)] = _search(params, mfd, ("revenue",))
-    return toll, cost.revenue
+def static_revenue_optimal(
+    params: BottleneckParams, mfd: TriangularMfd
+) -> tuple[float, CostBreakdown]:
+    """Revenue-maximizing flat toll with its cost pieces, from a search of the revenue alone."""
+    [ro] = _search(params, mfd, ("revenue",))
+    return ro
 
 
-def static_sc_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, float]:
-    """System-cost-minimizing flat toll and its system cost, from a search of the cost alone."""
-    [(toll, cost)] = _search(params, mfd, ("cost",))
-    return toll, cost.total
+def static_sc_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, CostBreakdown]:
+    """System-cost-minimizing flat toll with its cost pieces, from a search of the cost alone."""
+    [so] = _search(params, mfd, ("cost",))
+    return so
 
 
 def dynamic_benchmarks(params: BottleneckParams, mfd: TriangularMfd) -> MfdDynamicBenchmarks:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import bottleneck
 from .calibration import Scenario
@@ -92,83 +92,89 @@ CSV_HEADER = (
 _FLAT = tuple(name for name in _NAMES if "_static_" in name)
 
 
-def compute_row(scenario: Scenario, eta: float, jam_accumulation: float | None = None) -> SweepRow:
+def _require_in_range(scenario: Scenario, eta: float, numbers) -> None:
+    """Raise :class:`DomainError` at the first ``(name, value)`` that is not finite and nonnegative.
+
+    Finite but huge inputs (a demand of 1e300, a jam accumulation of 1.7e308)
+    overflow the formulas, and such a number is no result.
+    """
+    for name, value in numbers:
+        if not (math.isfinite(value) and value >= 0):
+            raise DomainError(
+                f"scenario {scenario.name!r} at eta={eta:g}: {name} = {value:g} is out of range"
+                " (the inputs overflow the model)"
+            )
+
+
+def compute_row(scenario: Scenario, eta: float) -> SweepRow:
     """Evaluate all four policies at one discomfort multiplier.
 
     Raises :class:`DomainError` naming the CSV column when one of the row's
-    hours or dollar numbers is not finite or is negative: finite but huge
-    inputs (a demand of 1e300, a jam accumulation of 1.7e308) overflow the
-    formulas, and such a row is no result.
+    hours or dollar numbers is not finite or is negative.
     """
     params = scenario.params(eta)
     regime = classify_regime(params)
     if regime is Regime.ALL_TRANSIT:
         # Transit dominates outright: no policy collects revenue or changes cost.
         cost = params.transit_cost * params.total_demand
-        values = (0.0,) * 6 + (cost,) * 4
+        values = dict.fromkeys(TOLLS + REVENUES, 0.0) | dict.fromkeys(COSTS, cost)
     else:
         if scenario.is_mfd:
             from . import mfd  # deferred: fixed-capacity rows never load numpy
 
-            net = scenario.mfd(jam_accumulation)
-            (tau_ro, at_ro), (tau_so, at_so) = mfd.static_optima(params, net)
-            rev_ro, sc_ro = at_ro.revenue, at_ro.total
-            rev_so, sc_so = at_so.revenue, at_so.total
+            optima = mfd.static_optima(params, scenario.mfd())
         else:
-            tau_ro, rev_ro = bottleneck.static_revenue_optimal_toll(params)
-            tau_so, sc_so = bottleneck.static_sc_optimal_toll(params)
-            sc_ro = bottleneck.static_system_cost(params, tau_ro).total
-            rev_so = bottleneck.static_revenue(params, tau_so)
+            optima = (
+                bottleneck.static_revenue_optimal_toll(params),
+                bottleneck.static_sc_optimal_toll(params),
+            )
+        (tau_ro, ro), (tau_so, so) = optima
         # The trapezoid schedules hold an urban network at its critical
         # accumulation, and the params carry its maximum throughput as capacity.
         dyn_ro = bottleneck.dynamic_revenue_optimal(params)
         dyn_so = bottleneck.dynamic_so_design(params)
-        values = (tau_ro, tau_so, rev_ro, rev_so, dyn_ro.revenue, dyn_so.revenue)
-        values += (sc_ro, sc_so, dyn_ro.system_cost, dyn_so.system_cost)
-    # ``values`` follows SweepRow's field order: two tolls, four revenues, four costs.
-    row = SweepRow(eta, regime, *values, value_of_time=scenario.value_of_time)
-    for name, value in zip(CSV_HEADER[2:], row.numbers()):
-        if not (math.isfinite(value) and value >= 0):
-            raise DomainError(
-                f"scenario {scenario.name!r} at eta={eta:g}: {name} = {value:g} is out of range"
-                " (the inputs overflow the model)"
-            )
+        values = dict(
+            tau_static_ro=tau_ro, tau_static_so=tau_so,
+            rev_static_ro=ro.revenue, rev_static_so=so.revenue,
+            rev_dynamic_ro=dyn_ro.revenue, rev_dynamic_so=dyn_so.revenue,
+            sc_static_ro=ro.total, sc_static_so=so.total,
+            sc_dynamic_ro=dyn_ro.system_cost, sc_opt=dyn_so.system_cost,
+        )
+    row = SweepRow(eta, regime, value_of_time=scenario.value_of_time, **values)
+    _require_in_range(scenario, eta, zip(CSV_HEADER[2:], row.numbers()))
     return row
 
 
-def compute_rows(
-    scenario: Scenario,
-    etas,
-    jam_accumulation: float | None = None,
-    max_workers: int | None = None,
-) -> list[SweepRow]:
+def compute_rows(scenario: Scenario, etas, max_workers: int | None = None) -> list[SweepRow]:
     """Rows for every eta, in eta order.
 
     ``max_workers`` is accepted and ignored: rows are computed serially.
     """
-    return [compute_row(scenario, eta, jam_accumulation) for eta in sorted(etas)]
+    return [compute_row(scenario, eta) for eta in sorted(etas)]
 
 
 def nj_divergence(scenario: Scenario, etas, rows=()) -> list[str]:
-    """Flat-toll columns that differ across the jam-accumulation sweep, per eta.
+    """Flat-toll columns that differ across the scenario's jam levels, per eta.
 
-    Empty when the flat optimum sits at the top of the band, where the
-    congested-branch terms vanish and the jam level drops out exactly.
-    ``rows`` already computed at the default jam level (a default sweep's)
-    are reused, so each (eta, jam level) row is computed once.
+    Each level's rows come from the scenario with that one level.  Empty
+    with fewer than two levels, and when the flat optimum sits at the top of
+    the band, where the congested-branch terms vanish and the jam level drops
+    out exactly.  ``rows`` already computed at the default jam level (a
+    default sweep's) are reused, so each (eta, jam level) row is computed once.
     """
-    if not scenario.is_mfd or len(scenario.jam_accumulations) < 2:
+    if len(scenario.jam_accumulations) < 2:
         return []
     notes = []
     known = {row.eta: row for row in rows}
     default = scenario.default_jam_accumulation
+    levels = [(nj, replace(scenario, jam_accumulations=(nj,))) for nj in scenario.jam_accumulations]
     for eta in etas:
-        levels = [
-            known[eta] if nj == default and eta in known else compute_row(scenario, eta, nj)
-            for nj in scenario.jam_accumulations
+        at_levels = [
+            known[eta] if nj == default and eta in known else compute_row(level, eta)
+            for nj, level in levels
         ]
         for name in _FLAT:
-            values = [getattr(row, name) for row in levels]
+            values = [getattr(row, name) for row in at_levels]
             spread = max(values) - min(values)
             scale = max(abs(v) for v in values) or 1.0
             if spread > DIVERGENCE_REL_TOL * scale:

@@ -167,15 +167,15 @@ def _check_recovery(params: BottleneckParams, tag: str) -> _Outcome:
     """
     failures: list[str] = []
     gap = params.cost_gap
-    toll_star, rev_star = bottleneck.static_revenue_optimal_toll(params)
+    toll_star, flat = bottleneck.static_revenue_optimal_toll(params)
     toll_hat, rev_hat = oracle.grid_search_static(params)
     step = gap / (oracle.SEARCH_POINTS - 1) if gap > 0 else 0.0
     err = abs(toll_hat - toll_star)
     if not err <= step * 1.0000001:
         failures.append(f"{tag}: flat argmax {toll_hat:.8g} vs closed {toll_star:.8g}")
     # Grid revenue can never beat the closed-form optimum.
-    if not rev_hat <= rev_star * (1 + 1e-9):
-        failures.append(f"{tag}: grid revenue {rev_hat} exceeds optimum {rev_star}")
+    if not rev_hat <= flat.revenue * (1 + 1e-9):
+        failures.append(f"{tag}: grid revenue {rev_hat} exceeds optimum {flat.revenue}")
 
     design = bottleneck.dynamic_revenue_optimal(params)
     frac_hat, _ = oracle.grid_search_dynamic_fraction(params)
@@ -191,34 +191,27 @@ def _check_recovery(params: BottleneckParams, tag: str) -> _Outcome:
 def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
     """Every performance guarantee that ``performance_bounds`` reports at one parameter set.
 
-    Also certifies the closed-form flat optimum against a dense revenue grid
-    (no grid point may beat it by more than the curve's Lipschitz constant
-    times the grid step).  The worst gap is the revenue ratio's margin over
-    its lower bound (infinite when the dynamic revenue is zero, NaN when it is NaN).
+    Also certifies the closed-form flat optimum against a dense revenue grid:
+    no grid point may beat it, as no toll beats a true maximum.  The worst gap
+    is the revenue ratio's margin over its lower bound (infinite when the
+    dynamic revenue is zero, NaN when it is NaN).
     """
     failures: list[str] = []
     report = bottleneck.performance_bounds(params)
-    toll_star, rev_static = bottleneck.static_revenue_optimal_toll(params)
+    _, flat = bottleneck.static_revenue_optimal_toll(params)
+    rev_static = flat.revenue
     design = bottleneck.dynamic_revenue_optimal(params)
     if not design.revenue >= rev_static * (1 - 1e-9):
         failures.append(
             f"{tag}: dynamic optimum below flat optimum: revenue {design.revenue:.8g} "
             f"vs flat {rev_static:.8g}"
         )
-    gap = params.cost_gap
-    if gap > 0:
-        grid = np.linspace(0.0, gap, ARGMAX_GRID)
+    if params.cost_gap > 0:
+        grid = np.linspace(0.0, params.cost_gap, ARGMAX_GRID)
         curve_max = float(oracle._static_revenue_curve(params, grid).max())
-        mu, lam = params.capacity, params.arrival_rate
-        lipschitz = max(
-            params.total_demand,
-            mu * params.total_demand / lam + 2.0 * mu * gap / params.schedule_factor,
-        )
-        slack = lipschitz * gap / (ARGMAX_GRID - 1) + 1e-9 * abs(rev_static)
-        if not curve_max <= rev_static + slack:
+        if not curve_max <= rev_static * (1 + 1e-9):
             failures.append(
-                f"{tag}: grid revenue {curve_max:.8g} beats closed optimum "
-                f"{rev_static:.8g} beyond resolution slack"
+                f"{tag}: grid revenue {curve_max:.8g} beats closed optimum {rev_static:.8g}"
             )
     margin = math.inf
     if not design.revenue <= 0:
@@ -231,19 +224,18 @@ def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
             )
         if not ratio >= 0.5 - 1e-9:
             failures.append(f"{tag}: revenue ratio {ratio:.6f} under the 1/2 floor")
+    if report.sc_ratio_upper_bound is None and report.exact_sc_ratio is None:
+        return margin, failures
+    sc_opt = bottleneck.dynamic_so_design(params).system_cost
     if report.sc_ratio_upper_bound is not None:
-        cap = report.sc_ratio_upper_bound * bottleneck.optimal_system_cost(params) * (1 + 1e-9)
-        for label, cost in (
-            ("flat-toll", bottleneck.static_system_cost(params, toll_star).total),
-            ("dynamic", design.system_cost),
-        ):
+        cap = report.sc_ratio_upper_bound * sc_opt * (1 + 1e-9)
+        for label, cost in (("flat-toll", flat.total), ("dynamic", design.system_cost)):
             if not cost <= cap:
                 failures.append(
                     f"{tag}: {label} system cost beats 2x bound: cost {cost:.8g} vs cap {cap:.8g}"
                 )
     if report.exact_sc_ratio is not None:
-        flat_cost = bottleneck.static_system_cost(params, toll_star).total
-        cost_ratio = flat_cost / bottleneck.optimal_system_cost(params)
+        cost_ratio = flat.total / sc_opt
         if not _rel_gap(cost_ratio, report.exact_sc_ratio) <= 1e-9:
             failures.append(
                 f"{tag}: cost ratio {cost_ratio!r} vs exact corner ratio {report.exact_sc_ratio!r}"

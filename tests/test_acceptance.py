@@ -16,6 +16,8 @@ Two criteria are checked in the form the frozen reference series supports
   hold: the nyc reference curves fix the gap, whose root is 1.8261.
 """
 
+import dataclasses
+
 import pytest
 
 from benchmark_series import (
@@ -140,7 +142,7 @@ def test_criterion_5_nyc_high_eta_ratios_and_jam_insensitivity():
     }
     per_jam = {}
     for nj in NYC.jam_accumulations:
-        row = sweep.compute_row(NYC, 18.0, nj)
+        row = sweep.compute_row(dataclasses.replace(NYC, jam_accumulations=(nj,)), 18.0)
         per_jam[nj] = (
             row.rev_ratio(row.rev_static_ro),
             row.rev_ratio(row.rev_dynamic_so),

@@ -109,9 +109,10 @@ class TestStaticRevenue:
 class TestStaticRevenueOptimal:
     def test_low_regime_hits_gap(self):
         p = BAY.params(1.5)
-        toll, revenue = bn.static_revenue_optimal_toll(p)
+        toll, cost = bn.static_revenue_optimal_toll(p)
         assert toll == pytest.approx(0.11545454545454548)
-        assert revenue == pytest.approx(5541.818181818182)
+        assert cost.revenue == pytest.approx(5541.818181818182)
+        assert cost == bn.static_system_cost(p, toll)
 
     def test_mid_regime_interior(self):
         toll, _ = bn.static_revenue_optimal_toll(BAY.params(12.15151515))
@@ -124,11 +125,13 @@ class TestStaticRevenueOptimal:
 
     def test_uncongested(self):
         p = BottleneckParams(10, 1, 2, 0.5, 2.0, 0.5, 1.0)
-        assert bn.static_revenue_optimal_toll(p) == (0.5, 5.0)
+        toll, cost = bn.static_revenue_optimal_toll(p)
+        assert (toll, cost.revenue) == (0.5, 5.0)
 
     def test_all_transit(self):
         p = BottleneckParams(10, 2, 1, 0.5, 2.0, 0.5, 0.4)
-        assert bn.static_revenue_optimal_toll(p) == (0.0, 0.0)
+        toll, cost = bn.static_revenue_optimal_toll(p)
+        assert (toll, cost.revenue) == (0.0, 0.0)
 
 
 class TestDynamicRevenue:
@@ -198,7 +201,6 @@ class TestDynamicSoDesign:
         so = bn.dynamic_so_design(p)
         ro = bn.dynamic_revenue_optimal(p)
         assert so.revenue / ro.revenue == pytest.approx(0.94175936, abs=1e-6)
-        assert so.system_cost == pytest.approx(bn.optimal_system_cost(p), rel=1e-12)
 
     def test_gap_above_max_wait(self):
         base = BAY.params(1.5)
@@ -248,7 +250,7 @@ class TestSystemCosts:
         cost = bn.dynamic_revenue_optimal(p).system_cost
         assert cost == pytest.approx(122472.641527881)  # frozen component sum
         # The benchmark ratio was computed with the unrounded free-flow calibration, hence 1e-5.
-        assert cost / bn.optimal_system_cost(p) == pytest.approx(1.00015769, abs=1e-5)
+        assert cost / bn.dynamic_so_design(p).system_cost == pytest.approx(1.00015769, abs=1e-5)
 
     def test_dynamic_ro_cost_zero_gap(self):
         p = with_gap(BAY.params(1.5), 0.0)
@@ -258,11 +260,11 @@ class TestSystemCosts:
 
     def test_optimal_cost_branches(self):
         p = BAY.params(1.5)
-        assert bn.optimal_system_cost(p) == pytest.approx(122453.20137108791)
+        assert bn.dynamic_so_design(p).system_cost == pytest.approx(122453.20137108791)
         high = BAY.params(16.0)
-        assert bn.optimal_system_cost(high) == pytest.approx(158966.1733615222)
+        assert bn.dynamic_so_design(high).system_cost == pytest.approx(158966.1733615222)
         flat = with_gap(p, 0.0)
-        assert bn.optimal_system_cost(flat) == pytest.approx(
+        assert bn.dynamic_so_design(flat).system_cost == pytest.approx(
             flat.car_freeflow_cost * flat.total_demand, rel=1e-12
         )
 
@@ -278,7 +280,7 @@ class TestSystemCosts:
                 want = car * demand + away * demand * gap - away * mu / (2.0 * sf) * gap**2
             else:
                 want = car * demand + sf / 2.0 * demand**2 * (1.0 / mu - 1.0 / lam)
-            assert bn.optimal_system_cost(p) == pytest.approx(want, rel=1e-13), case
+            assert bn.dynamic_so_design(p).system_cost == pytest.approx(want, rel=1e-13), case
 
     def test_above_gap_is_all_transit(self):
         p = BAY.params(3.0)
@@ -301,13 +303,14 @@ class TestStaticScOptimal:
         p = BAY.params(8.69696970)
         toll, cost = bn.static_sc_optimal_toll(p)
         assert toll == pytest.approx(p.cost_gap - bn.max_wait_car_only(p), rel=1e-9)
-        assert cost / bn.optimal_system_cost(p) == pytest.approx(1.78071480, abs=1e-3)
+        assert cost == bn.static_system_cost(p, toll)
+        assert cost.total / bn.dynamic_so_design(p).system_cost == pytest.approx(1.78071480, abs=1e-3)
 
     def test_band_top_before_crossover(self):
         p = BAY.params(8.40909091)
         toll, cost = bn.static_sc_optimal_toll(p)
         assert toll == pytest.approx(p.cost_gap, rel=1e-9)
-        assert cost / bn.optimal_system_cost(p) == pytest.approx(1.75844216, abs=1e-3)
+        assert cost.total / bn.dynamic_so_design(p).system_cost == pytest.approx(1.75844216, abs=1e-3)
 
 
 class TestPerformanceBounds:

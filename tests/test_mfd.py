@@ -17,7 +17,8 @@ NYC = builtin_scenario("nyc")
 
 
 def nyc_setup(eta: float, nj: float | None = None):
-    return NYC.params(eta), NYC.mfd(nj)
+    scenario = NYC if nj is None else dataclasses.replace(NYC, jam_accumulations=(nj,))
+    return scenario.params(eta), scenario.mfd()
 
 
 class TestTriangularMfd:
@@ -110,9 +111,9 @@ class TestOptimizers:
     @pytest.mark.parametrize("eta", [1.5, 18.0])
     def test_revenue_argmax_at_band_top(self, eta):
         params, net = nyc_setup(eta)
-        toll, revenue = mfd.static_revenue_optimal(params, net)
+        toll, cost = mfd.static_revenue_optimal(params, net)
         assert toll == params.cost_gap  # boundary optimum is exact
-        assert revenue == pytest.approx(mfd.static_revenue(params, net, toll), rel=1e-12)
+        assert cost == mfd.static_system_cost(params, net, toll)
 
     def test_zero_gap_degenerates(self):
         base = NYC.params(1.5)
@@ -125,7 +126,8 @@ class TestOptimizers:
             base.car_freeflow_cost,
             base.car_freeflow_cost,
         )
-        assert mfd.static_revenue_optimal(params, NYC.mfd()) == (0.0, 0.0)
+        toll, cost = mfd.static_revenue_optimal(params, NYC.mfd())
+        assert (toll, cost.revenue) == (0.0, 0.0)
 
     @pytest.mark.parametrize("eta", [1.5, 18.0])
     def test_sc_optimal_coincides(self, eta):
@@ -133,15 +135,14 @@ class TestOptimizers:
         toll, cost = mfd.static_sc_optimal(params, net)
         assert toll == params.cost_gap
         zero_queue = mfd.static_system_cost(params, net, params.cost_gap).total
-        assert cost <= zero_queue * (1 + 1e-12)
+        assert cost.total <= zero_queue * (1 + 1e-12)
 
     def test_jam_level_insensitive_at_band_top(self):
         values = []
         for nj in NYC.jam_accumulations:
             params, net = nyc_setup(18.0, nj)
-            toll, revenue = mfd.static_revenue_optimal(params, net)
-            cost = mfd.static_system_cost(params, net, toll).total
-            values.append((toll, revenue, cost))
+            toll, cost = mfd.static_revenue_optimal(params, net)
+            values.append((toll, cost.revenue, cost.total))
         assert all(v == values[0] for v in values)
 
 
@@ -245,10 +246,10 @@ class TestSearchRecovery:
             if hi <= lo:
                 continue
             dense = mfd.static_system_cost(params, net, np.linspace(lo, hi, self.DENSE_POINTS))
-            _, revenue = mfd.static_revenue_optimal(params, net)
-            _, cost = mfd.static_sc_optimal(params, net)
-            assert revenue >= dense.revenue.max() * (1 - 1e-12), (params, net)
-            assert cost <= dense.total.min() * (1 + 1e-12), (params, net)
+            _, ro = mfd.static_revenue_optimal(params, net)
+            _, so = mfd.static_sc_optimal(params, net)
+            assert ro.revenue >= dense.revenue.max() * (1 - 1e-12), (params, net)
+            assert so.total <= dense.total.min() * (1 + 1e-12), (params, net)
             checked += 1
 
     @pytest.mark.parametrize("regime, params, net", sampled_bands(seed=13, per_regime=3))

@@ -65,20 +65,20 @@ def test_revenue_matches_paying_headcount(params, frac):
 @example(params=BottleneckParams(132.5, 106.0, 10.6, 0.5, 2.0, 0.0, 1.04e-322))  # subnormal gap
 @settings(max_examples=200)
 def test_dynamic_revenue_dominates_static(params):
-    _, static_rev = bn.static_revenue_optimal_toll(params)
+    _, static = bn.static_revenue_optimal_toll(params)
     dynamic_rev = bn.dynamic_revenue_optimal(params).revenue
-    assert dynamic_rev >= static_rev * (1.0 - 1e-9)
+    assert dynamic_rev >= static.revenue * (1.0 - 1e-9)
 
 
 @given(params=congested_params())
 @settings(max_examples=200)
 def test_revenue_ratio_respects_lower_bound(params):
     assume(params.cost_gap > 0)
-    _, static_rev = bn.static_revenue_optimal_toll(params)
+    _, static = bn.static_revenue_optimal_toll(params)
     dynamic_rev = bn.dynamic_revenue_optimal(params).revenue
     assume(dynamic_rev > 0)
     report = bn.performance_bounds(params)
-    ratio = static_rev / dynamic_rev
+    ratio = static.revenue / dynamic_rev
     assert ratio >= report.revenue_ratio_lower_bound * (1.0 - 1e-9)
     assert ratio >= 0.5 * (1.0 - 1e-9)
 
@@ -86,9 +86,9 @@ def test_revenue_ratio_respects_lower_bound(params):
 @given(params=congested_params(gap_mode="guarantee"))
 @settings(max_examples=200)
 def test_cost_guarantee_in_mixed_regime(params):
-    toll, _ = bn.static_revenue_optimal_toll(params)
-    sc_opt = bn.optimal_system_cost(params)
-    assert bn.static_system_cost(params, toll).total <= 2.0 * sc_opt * (1 + 1e-9)
+    _, static = bn.static_revenue_optimal_toll(params)
+    sc_opt = bn.dynamic_so_design(params).system_cost
+    assert static.total <= 2.0 * sc_opt * (1 + 1e-9)
     assert bn.dynamic_revenue_optimal(params).system_cost <= 2.0 * sc_opt * (1 + 1e-9)
 
 

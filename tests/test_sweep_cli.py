@@ -90,6 +90,35 @@ class TestCsvOutput:
         assert len(calls) == 72
         assert "results identical across levels" in capsys.readouterr().out
 
+    def test_nj_at_the_default_level_writes_the_default_csv(self, tmp_path, capsys):
+        default, pinned = tmp_path / "default.csv", tmp_path / "pinned.csv"
+        assert cli.main(["sweep", "--scenario", "nyc", "--out", str(default)]) == 0
+        assert cli.main(["sweep", "--scenario", "nyc", "--nj=140000", "--out", str(pinned)]) == 0
+        assert pinned.read_bytes() == default.read_bytes()
+        # --nj leaves one jam level, so only the default sweep reports the levels.
+        assert capsys.readouterr().out.count("jam-accumulation") == 1
+
+    def test_single_level_urban_sweep_prints_no_jam_line(self, tmp_path, capsys):
+        path = tmp_path / "one_level.scenario"
+        path.write_text(serialize_scenario(dataclasses.replace(NYC, jam_accumulations=(70_000.0,))))
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--scenario", str(path), "--eta-range", "2:9:3", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == f"wrote 3 rows to {out}\n"
+
+    def test_bottleneck_rows_read_the_pieces_of_their_optima(self, monkeypatch, tmp_path):
+        real, tolls = bottleneck._flat_toll, []
+
+        def counted(params, toll):
+            tolls.append(toll)
+            return real(params, toll)
+
+        monkeypatch.setattr(bottleneck, "_flat_toll", counted)
+        assert cli.main(["sweep", "--scenario", "bay_bridge", "--out", str(tmp_path / "b.csv")]) == 0
+        # A row evaluates the revenue optimum and the cost optimum's candidates
+        # (both band ends: bay's mu/lam is above 2/3), and nothing again.
+        assert len(tolls) <= 300
+
 
 class TestCli:
     def test_analyze_exit_and_output(self, capsys):
@@ -343,22 +372,32 @@ class TestCli:
         assert "error: scenario 'nyc' at eta=2: " in captured.err
         assert "Traceback" not in captured.err and not out.exists()
 
+    def test_overflowing_crossover_stops_where_the_revenue_does(self, capsys):
+        # The revenue optimum is nan from the window's start on, so the
+        # crossover bisects on no toll and names the first eta.
+        assert cli.main(["crossover", "--scenario", "nyc", "--nj=1.7e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scenario 'nyc' at eta=1: rev_static_ro = nan is out of range"
+            " (the inputs overflow the model)\n"
+        )
+
     def test_large_jam_accumulation_gives_the_bottleneck_numbers(self, tmp_path):
         # As n_j grows the urban model becomes the bottleneck at mu_f; 1e300 is far along.
         out = tmp_path / "x.csv"
         argv = ["sweep", "--scenario", "nyc", "--eta-range=1:2:2", "--nj=1e300", "--out", str(out)]
         assert cli.main(argv) == 0 and out.exists()
+        large = dataclasses.replace(NYC, jam_accumulations=(1e300,))
         for eta in NYC.eta_sweep:
-            row, params = sweep.compute_row(NYC, eta, 1e300), NYC.params(eta)
-            tau_ro, rev_ro = bottleneck.static_revenue_optimal_toll(params)
-            tau_so, sc_so = bottleneck.static_sc_optimal_toll(params)
-            assert row.rev_static_ro == pytest.approx(rev_ro, rel=2e-15)
-            assert row.sc_static_so == pytest.approx(sc_so, rel=2e-15)
+            row, params = sweep.compute_row(large, eta), NYC.params(eta)
+            tau_ro, ro = bottleneck.static_revenue_optimal_toll(params)
+            tau_so, so = bottleneck.static_sc_optimal_toll(params)
+            assert row.rev_static_ro == pytest.approx(ro.revenue, rel=2e-15)
+            assert row.sc_static_so == pytest.approx(so.total, rel=2e-15)
             if row.regime is Regime.MIXED_LOW:  # both optima sit at the band top, exactly
                 assert row.tau_static_ro == tau_ro and row.tau_static_so == tau_so
-                assert row.sc_static_ro == pytest.approx(
-                    bottleneck.static_system_cost(params, tau_ro).total, rel=2e-15
-                )
+                assert row.sc_static_ro == pytest.approx(ro.total, rel=2e-15)
 
     @pytest.mark.parametrize("nj", ["0", "-5", "nan", "inf", "100"])
     @pytest.mark.parametrize("command", [["analyze", "--eta=3"], ["crossover"], ["sweep"]])
@@ -400,9 +439,9 @@ class TestCli:
     def test_crossover_evaluates_each_eta_once(self, monkeypatch):
         real, etas = cli.static_ro_toll_dollars, []
 
-        def counted(scenario, eta, jam_accumulation=None):
+        def counted(scenario, eta):
             etas.append(eta)
-            return real(scenario, eta, jam_accumulation)
+            return real(scenario, eta)
 
         monkeypatch.setattr(cli, "static_ro_toll_dollars", counted)
         assert f"{cli.crossover_eta(NYC):.4f}" == "1.8261"

@@ -127,8 +127,9 @@ def test_nan_flat_cost_shows_in_the_2x_bound_message(monkeypatch):
     params = bay.params(1.5)
     report = bn.performance_bounds(params)
     assert report.sc_ratio_upper_bound is not None
-    cap = report.sc_ratio_upper_bound * bn.optimal_system_cost(params) * (1 + 1e-9)
-    monkeypatch.setattr(bn, "static_system_cost", _nan_field(bn.static_system_cost, "queuing"))
+    cap = report.sc_ratio_upper_bound * bn.dynamic_so_design(params).system_cost * (1 + 1e-9)
+    # In the kernel, since the check reads the flat optimum's own pieces.
+    monkeypatch.setattr(bn, "_flat_toll", _nan_field(bn._flat_toll, "queuing"))
     result = verify.scenario_suite(bay)
     want = f"eta=1.5: flat-toll system cost beats 2x bound: cost nan vs cap {cap:.8g}"
     assert want in result.failures
@@ -162,3 +163,21 @@ def test_nan_dynamic_revenue_shows_as_the_margin(monkeypatch):
     result = verify.bound_property_suite(44, 200)
     assert math.isnan(result.worst)
     assert result.line().endswith("smallest revenue-bound margin nan")
+
+
+def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
+    # No grid point can beat a true maximum, so a toll a quarter grid step below
+    # the band-top optimum fails, although a step's Lipschitz slack would cover it.
+    params = builtin_scenario("bay_bridge").params(1.5)
+    assert verify._check_guarantees(params, "eta=1.5")[1] == []
+    real = bn.static_revenue_optimal_toll
+    step = params.cost_gap / (verify.ARGMAX_GRID - 1)
+
+    def shifted(p):
+        toll = real(p)[0] - 0.25 * step
+        return toll, bn.static_system_cost(p, toll)
+
+    monkeypatch.setattr(bn, "static_revenue_optimal_toll", shifted)
+    _, failures = verify._check_guarantees(params, "eta=1.5")
+    assert len(failures) == 1
+    assert failures[0].startswith("eta=1.5: grid revenue 5541.8182 beats closed optimum 5541.")
