@@ -67,18 +67,15 @@ class DynamicTollDesign:
 class BoundReport:
     """Worst-case performance guarantees at the current parameter point.
 
-    ``gap_scale`` is the ratio of the low regime threshold to the cost gap
-    (infinite when the gap is zero).  ``revenue_ratio_lower_bound`` bounds
-    flat-optimal revenue over trapezoid-optimal revenue from below; it is
-    None only in an urban report (``mfd.guarantees``) outside the low band.
-    ``sc_ratio_upper_bound`` (the factor-2 guarantee) is present only while
-    transit is attractive enough that both modes run at the untolled
-    equilibrium.  ``exact_sc_ratio`` is the exact cost ratio in the
+    ``revenue_ratio_lower_bound`` bounds flat-optimal revenue over
+    trapezoid-optimal revenue from below; it is None only in an urban report
+    (``mfd.guarantees``) outside the low band.  ``sc_ratio_upper_bound`` (the
+    factor-2 guarantee) is present only while transit is attractive enough
+    that both modes run at the untolled equilibrium.  ``exact_sc_ratio`` is the exact cost ratio in the
     zero-free-flow-cost, car-saturated corner where the guarantee provably
     degenerates; None when its preconditions fail.
     """
 
-    gap_scale: float
     revenue_ratio_lower_bound: float | None
     sc_ratio_upper_bound: float | None
     exact_sc_ratio: float | None
@@ -407,4 +404,4 @@ def performance_bounds(params: BottleneckParams) -> BoundReport:
     if params.car_freeflow_cost == 0.0 and gap > low * (2.0 * lam - mu) / mu:
         exact_ratio = 1.0 + 1.0 / (1.0 - mu / lam)
 
-    return BoundReport(scale, revenue_bound, sc_bound, exact_ratio, regime)
+    return BoundReport(revenue_bound, sc_bound, exact_ratio, regime)

@@ -164,12 +164,15 @@ def _search(
     refining in one call (:func:`~tollgap.search.grid_refine_mins`), so a
     search refines exactly its own goals.  The revenue curve is Lipschitz on
     the band, so the grid resolution bounds the optimality gap; the
-    refinement makes boundary optima exact.  An empty band (nonpositive gap)
-    degenerates to the toll ``max(gap, 0)``.
+    refinement makes boundary optima exact.  An empty band degenerates to the
+    toll ``gap``; at a negative gap every user rides transit, at the toll 0.
     """
     lo, hi = static_lower_toll(params, mfd), params.cost_gap
+    if hi < 0:
+        all_transit = CostBreakdown(params.transit_cost * params.total_demand, 0.0, 0.0, 0.0, 0.0)
+        return [(0.0, all_transit)] * len(goals)
     if hi <= lo:
-        tolls = [max(hi, 0.0)] * len(goals)
+        tolls = [hi] * len(goals)
     else:
 
         def values(toll: np.ndarray) -> list[np.ndarray]:

@@ -6,9 +6,12 @@ principles (wait slopes, service-rate accounting, the indifference ceiling),
 the bottleneck's piecewise-linear integrands are integrated by the trapezoid
 rule on each linear segment's two ends (exact, since every kink is a segment
 end), the urban network's curved shoulder integrals by fixed Gauss–Legendre
-quadrature, and optima are recovered by exhaustive search.  Where a search
-needs a revenue curve, the curve is an independent transcription evaluated
-point by point, so agreement is evidence rather than tautology.
+quadrature, and optima are recovered by exhaustive search.  One call answers
+a flat toll in each model, with its revenue and four cost pieces as a
+``CostBreakdown``: :func:`static_bottleneck_costs` and
+:func:`mfd_shoulder_quadrature`.  Where a search needs a revenue curve, the
+curve is an independent transcription evaluated point by point, so agreement
+is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -72,21 +75,27 @@ def _gauss_legendre(f, span: float) -> float:
     return 0.5 * span * float(weights @ f(0.5 * span * (nodes + 1.0)))
 
 
-def _segment_ends(a: float, b: float) -> np.ndarray:
-    """Nodes of one linear segment: its two ends, or one node when it is empty."""
-    return np.array([a, b]) if b > a else np.array([a])
+def _trapezoid(t0: float, t1: float, y0: float, y1: float) -> float:
+    """Integral of the line through ``(t0, y0)`` and ``(t1, y1)``, and 0 unless ``t1 > t0``.
+
+    Below the band the flat segment can come out an ulp negative.
+    """
+    return (t1 - t0) * (y1 + y0) / 2.0 if t1 > t0 else 0.0
 
 
-# (times, wait) on the rising, flat and falling segments of the wait profile.
-_Segments = tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def _static_equilibrium(
+def static_bottleneck_costs(
     params: BottleneckParams, toll: float
-) -> tuple[_Segments | None, EquilibriumOutcome, CostBreakdown]:
-    """Wait-profile geometry and trapezoid quadrature of one flat-toll equilibrium.
+) -> tuple[EquilibriumOutcome, CostBreakdown]:
+    """Rebuild the flat-toll equilibrium numerically and integrate its costs.
 
-    The segments are None when the toll prices every car out.
+    The wait profile is the trapezoid with peak ``clamp(gap - toll, 0,
+    car-only max wait)``, slopes equal to the schedule penalties, and
+    endpoints anchored by service-rate accounting (cars desiring the early
+    window are exactly the cars served over the rising segment, and
+    symmetrically for the late one).  Revenue and the four cost components
+    come from the trapezoid rule on each of the profile's three linear
+    segments, exact from the segment's two ends; mode counts are read off
+    the service interval.
     """
     if params.cost_gap < 0:
         raise DomainError("simulation requires transit_cost >= car_freeflow_cost")
@@ -102,8 +111,7 @@ def _static_equilibrium(
     if toll > gap:
         # Strictly dominated car: nothing flows, everything is transit.
         outcome = EquilibriumOutcome(0, 0, 0, demand, 0, 0, 0, 0, 0, regime)
-        cost = CostBreakdown(params.transit_cost * demand, 0.0, 0.0, 0.0, 0.0)
-        return None, outcome, cost
+        return outcome, CostBreakdown(params.transit_cost * demand, 0.0, 0.0, 0.0, 0.0)
 
     # Car-only peak wait, rebuilt from the slope geometry: serving all demand
     # at rate mu takes demand/mu hours split e:L across rise and fall.
@@ -128,20 +136,16 @@ def _static_equilibrium(
     peak_end = peak_start + flat_len
     end = peak_end + fall_len
 
-    t_rise = _segment_ends(start, peak_start)
-    t_flat = _segment_ends(peak_start, peak_end)
-    t_fall = _segment_ends(peak_end, end)
-
-    w_rise = e * (t_rise - start)
-    w_flat = np.full_like(t_flat, peak_wait)
-    w_fall = peak_wait - late * (t_fall - peak_end)
-
-    trapz = np.trapezoid  # 0 on an empty segment's single node
     away = 1.0 - mu / lam
     revenue = toll * mu * (end - start)
-    queuing = mu * float(trapz(w_rise, t_rise) + trapz(w_flat, t_flat) + trapz(w_fall, t_fall))
-    schedule = mu * away * float(
-        e * trapz(peak_start - t_rise, t_rise) + late * trapz(t_fall - peak_end, t_fall)
+    queuing = mu * (
+        _trapezoid(start, peak_start, 0.0, e * (peak_start - start))
+        + _trapezoid(peak_start, peak_end, peak_wait, peak_wait)
+        + _trapezoid(peak_end, end, peak_wait, peak_wait - late * (end - peak_end))
+    )
+    schedule = mu * away * (
+        e * _trapezoid(start, peak_start, peak_start - start, 0.0)
+        + late * _trapezoid(peak_end, end, 0.0, end - peak_end)
     )
     n_car = mu * (end - start)
     n_early = mu * (peak_start - start)
@@ -158,24 +162,6 @@ def _static_equilibrium(
     outcome = EquilibriumOutcome(
         n_early, n_late, n_ontime, n_transit, peak_wait, start, peak_start, peak_end, end, regime
     )
-    return ((t_rise, w_rise), (t_flat, w_flat), (t_fall, w_fall)), outcome, cost
-
-
-def static_bottleneck_costs(
-    params: BottleneckParams, toll: float
-) -> tuple[EquilibriumOutcome, CostBreakdown]:
-    """Rebuild the flat-toll equilibrium numerically and integrate its costs.
-
-    The wait profile is the trapezoid with peak ``clamp(gap - toll, 0,
-    car-only max wait)``, slopes equal to the schedule penalties, and
-    endpoints anchored by service-rate accounting (cars desiring the early
-    window are exactly the cars served over the rising segment, and
-    symmetrically for the late one).  Revenue and the four cost components
-    come from the trapezoid rule on each of the profile's three linear
-    segments, exact from the segment's two ends; mode counts are read off
-    the service interval.
-    """
-    _, outcome, cost = _static_equilibrium(params, toll)
     return outcome, cost
 
 
@@ -185,11 +171,12 @@ def simulate_static_bottleneck(
     """:func:`static_bottleneck_costs` plus the equilibrium profiles at the segment ends.
 
     The outcome and the cost are exactly those of ``static_bottleneck_costs``.
+    A segment's end is a node only when it lies past the segment's start.
     ``dt`` is accepted and ignored: the segment ends describe the
     piecewise-linear profiles exactly.
     """
-    segments, outcome, cost = _static_equilibrium(params, toll)
-    if segments is None:
+    outcome, cost = static_bottleneck_costs(params, toll)
+    if toll > params.cost_gap:
         times = np.array([0.0, params.rush_length])
         zeros = np.zeros_like(times)
         trace = EquilibriumTrace(times, zeros, np.full_like(times, toll), zeros, zeros, zeros)
@@ -197,11 +184,12 @@ def simulate_static_bottleneck(
 
     mu = min(params.capacity, params.arrival_rate)
     e, late = params.early_penalty, params.late_penalty
-    start, peak_start, peak_end = outcome.start, outcome.peak_start, outcome.peak_end
+    start, peak_start, peak_end, end = outcome.start, outcome.peak_start, outcome.peak_end, outcome.end
     peak_wait = outcome.peak_wait
-    (t_rise, w_rise), (t_flat, w_flat), (t_fall, w_fall) = segments
-    times = np.concatenate([t_rise, t_flat[1:], t_fall[1:]])
-    wait = np.concatenate([w_rise, w_flat[1:], w_fall[1:]])
+    ends = [(start, 0.0), (peak_start, e * (peak_start - start)), (peak_end, peak_wait)]
+    ends.append((end, peak_wait - late * (end - peak_end)))
+    nodes = ends[:1] + [node for prev, node in zip(ends, ends[1:]) if node[0] > prev[0]]
+    times, wait = map(np.array, zip(*nodes))
     cum_dep = mu * (times - start)
     # FIFO inversion: the car crossing at time t arrived at t - wait(t), so
     # the arrival curve is the departure curve read through that map.
@@ -217,7 +205,7 @@ def simulate_static_bottleneck(
             mu * ((times + peak_wait + late * peak_end) / (1.0 + late) - start),
         ),
     )
-    cum_arr = np.minimum(cum_arr, mu * (outcome.end - start))
+    cum_arr = np.minimum(cum_arr, mu * (end - start))
     trace = EquilibriumTrace(
         times, wait, np.full_like(times, float(toll)), np.full_like(times, mu), cum_arr, cum_dep
     )
@@ -259,68 +247,60 @@ def grid_search_dynamic_fraction(params: BottleneckParams) -> tuple[float, float
     return float(fracs[i]), float(values[i])
 
 
-def _served_cars(mfd: TriangularMfd, wait: float, slope: float) -> float:
-    """Cars served over one shoulder, whose wait falls from ``wait`` to 0 at ``slope``."""
+def _shoulder(
+    params: BottleneckParams, mfd: TriangularMfd, wait: float, slope: float
+) -> tuple[float, float, float]:
+    """(served cars, queue, schedule) over a shoulder whose wait falls from ``wait`` to 0 at ``slope``.
+
+    The integrands are the outflow, alone or times the wait or the shrinking
+    schedule offset; all three are 0 at zero wait, where the span vanishes.
+    """
+    if wait == 0.0:
+        return 0.0, 0.0, 0.0
     n_j, a = mfd.jam_accumulation, mfd.jam_accumulation / mfd.max_throughput
-    return _gauss_legendre(lambda x: n_j / (a + wait - slope * x), wait / slope)
+    span = wait / slope
+    served = _gauss_legendre(lambda x: n_j / (a + wait - slope * x), span)
+    queue = _gauss_legendre(lambda x: n_j * (wait - slope * x) / (a + wait - slope * x), span)
+    offset = span - served / params.arrival_rate  # shoulder duration minus desired-window share
+    sched = _gauss_legendre(
+        lambda x: (n_j / (a + wait - slope * x)) * offset * (span - x) / span, span
+    )
+    return served, queue, slope * sched
+
+
+def mfd_shoulder_quadrature(
+    params: BottleneckParams, mfd: TriangularMfd, toll: float
+) -> CostBreakdown:
+    """Revenue and the four cost pieces of a flat toll on the urban network, by quadrature.
+
+    Each shoulder's served cars, queue and schedule come from one Gauss–Legendre
+    integral each (:func:`_shoulder`), written as the closed antiderivatives'
+    sources.  The flat segment's length comes from those car counts, not from
+    the closed log expression, and the flat block runs at the peak outflow.  A
+    toll below the band, where that length is negative, raises DomainError.
+    """
+    wait = max(params.cost_gap - toll, 0.0)
+    n_j, a = mfd.jam_accumulation, mfd.jam_accumulation / mfd.max_throughput
+    served_early, queue_early, sched_early = _shoulder(params, mfd, wait, params.early_penalty)
+    served_late, queue_late, sched_late = _shoulder(params, mfd, wait, params.late_penalty)
+    flat_len = (params.total_demand - (served_early + served_late)) / params.arrival_rate
+    if flat_len < -1e-9 * params.rush_length:
+        raise DomainError("toll below the operational band: flat segment would be negative")
+    car_users = served_early + served_late + n_j / (a + wait) * max(flat_len, 0.0)
+    return CostBreakdown(
+        transit=params.transit_cost * (params.total_demand - car_users),
+        car_freeflow=params.car_freeflow_cost * car_users,
+        queuing=queue_early + queue_late + flat_len * n_j / (a + wait) * wait,
+        schedule=sched_early + sched_late,
+        revenue=toll * car_users,
+    )
 
 
 def integrate_mfd_revenue(
     params: BottleneckParams, mfd: TriangularMfd, toll: float, dt: float | None = None
 ) -> float:
-    """Numeric revenue of a flat toll on the urban network.
-
-    Integrates the wait-dependent outflow along the trapezoidal wait profile
-    (slopes equal to the schedule penalties, peak ``gap - toll``) with the
-    shoulder rule of :func:`mfd_shoulder_quadrature`; the flat segment's
-    length comes from those shoulder car counts, not from the closed log
-    expression.  ``dt`` is accepted and ignored.
-    """
+    """:func:`mfd_shoulder_quadrature`'s revenue at a toll in ``[0, gap]``; ``dt`` is ignored."""
     gap = params.cost_gap
     if toll < 0 or toll > gap + 1e-12 * max(1.0, abs(gap)):
         raise DomainError("toll must lie in [0, gap]")
-    wait = max(gap - toll, 0.0)
-    served = _served_cars(mfd, wait, params.early_penalty) + _served_cars(mfd, wait, params.late_penalty)
-    flat_len = (params.total_demand - served) / params.arrival_rate
-    if flat_len < -1e-9 * params.rush_length:
-        raise DomainError("toll below the operational band: flat segment would be negative")
-    outflow = mfd.jam_accumulation / (mfd.jam_accumulation / mfd.max_throughput + wait)
-    return toll * (served + outflow * max(flat_len, 0.0))
-
-
-def mfd_shoulder_quadrature(
-    params: BottleneckParams, mfd: TriangularMfd, toll: float
-) -> dict[str, float]:
-    """Gauss–Legendre quadrature of the four shoulder cost integrals, plus the flat queue.
-
-    Integrands are written exactly as the closed antiderivatives' sources:
-    outflow at the shoulder wait times the queuing wait (queue terms) or
-    times the linearly shrinking schedule offset (schedule terms).  The flat
-    block ``queue_flat`` takes its length from the integrated shoulder counts.
-    """
-    wait = max(params.cost_gap - toll, 0.0)
-    n_j, lam = mfd.jam_accumulation, params.arrival_rate
-    a = n_j / mfd.max_throughput
-    if wait == 0.0:
-        keys = ("queue_early", "queue_late", "queue_flat", "sched_early", "sched_late")
-        return dict.fromkeys(keys, 0.0)
-
-    def shoulder(slope: float) -> tuple[float, float, float]:
-        """(queue, served cars, schedule) over one shoulder."""
-        span = wait / slope
-        queue = _gauss_legendre(lambda x: n_j * (wait - slope * x) / (a + wait - slope * x), span)
-        served = _served_cars(mfd, wait, slope)
-        offset = span - served / lam  # shoulder duration minus desired-window share
-        sched = _gauss_legendre(lambda x: (n_j / (a + wait - slope * x)) * offset * (span - x) / span, span)
-        return queue, served, slope * sched
-
-    queue_early, served_early, sched_early = shoulder(params.early_penalty)
-    queue_late, served_late, sched_late = shoulder(params.late_penalty)
-    flat_len = (params.total_demand - (served_early + served_late)) / lam
-    return {
-        "queue_early": queue_early,
-        "queue_late": queue_late,
-        "queue_flat": flat_len * n_j / (a + wait) * wait,
-        "sched_early": sched_early,
-        "sched_late": sched_late,
-    }
+    return mfd_shoulder_quadrature(params, mfd, toll).revenue

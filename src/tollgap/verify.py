@@ -20,6 +20,7 @@ the suite's printed worst gap.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 from collections.abc import Iterable, Iterator
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bottleneck, mfd, oracle
-from .core import BottleneckParams, ParameterError, regime_thresholds
+from .core import BottleneckParams, CostBreakdown, ParameterError, regime_thresholds
 
 __all__ = [
     "CheckResult",
@@ -62,18 +63,29 @@ class CheckResult:
 _Outcome = tuple[float, list[str]]
 
 REL_TOL = 1e-6  # bottleneck closed forms vs trapezoid quadrature, relative
-QUAD_TOL = 1e-8  # urban revenue, queuing and schedule vs Gauss–Legendre quadrature, relative
-# Floor (hours, times lam*max(z_T, 1)) of the bottleneck relative gap: where a
-# component cancels to zero, such as transit N - n_car below the band, the
-# oracle keeps rounding residue up to ~4e-10 user-hours; a 1e-9 h floor fails.
+QUAD_TOL = 1e-8  # urban revenue and the four cost pieces vs Gauss–Legendre quadrature, relative
+# Floor (hours, times lam*max(z_T, 1)) of the bottleneck and urban transit/car relative gaps: where
+# a piece cancels to zero, such as transit N - n_car below the bottleneck band, the oracle
+# keeps rounding residue up to ~4e-10 user-hours; a 1e-9 h floor fails.
 ORACLE_FLOOR = 1e-4
 ARGMAX_GRID = 2000  # dense revenue grid that certifies the closed-form flat optimum
 LIMIT_JAM = 1e15  # jam accumulation of the urban suite's fixed-capacity limit draws
 LIMIT_TOL = 1e-9  # urban revenue, queuing and schedule vs the bottleneck at LIMIT_JAM, relative
+_PIECES = ("revenue", "transit", "car_freeflow", "queuing", "schedule")  # of a CostBreakdown
 
 
 def _rel_gap(got: float, want: float, floor: float = 1e-12) -> float:
     return abs(got - want) / max(abs(want), floor)
+
+
+def _oracle_floor(params: BottleneckParams) -> float:
+    """Floor of a cost piece's relative gap: ``ORACLE_FLOOR * lam * max(z_T, 1)``."""
+    return ORACLE_FLOOR * params.arrival_rate * max(params.transit_cost, 1.0)
+
+
+def _pieces(got, want, floors: dict[str, float]) -> list[tuple]:
+    """``(label, got.label, want.label, floor)`` for each ``label: floor`` of ``floors``."""
+    return [(key, getattr(got, key), getattr(want, key), floor) for key, floor in floors.items()]
 
 
 def sample_params(rng: random.Random, regime: str | None = None) -> BottleneckParams:
@@ -136,28 +148,33 @@ def _fold(
     return CheckResult(name, not failures, worst, detail.format(worst=worst), failures)
 
 
+def _compare(tag: str, toll: float, pairs: Iterable[tuple], tol: float) -> _Outcome:
+    """The one comparison of ``(label, got, want, floor)`` pieces at one toll, in either model.
+
+    ``got`` is the oracle's piece (at the urban limit, the urban model's) and
+    ``want`` the closed form's; gaps are relative to ``max(|want|, floor)``.
+    """
+    worst = 0.0
+    failures: list[str] = []
+    for label, got, want, floor in pairs:
+        gap_ = _rel_gap(got, want, floor)
+        worst = _worse(max, worst, gap_)
+        if not gap_ <= tol:
+            failures.append(
+                f"{tag} toll={toll:.6g} {label}: {got:.10g} vs {want:.10g}, rel gap {gap_:.3e}"
+            )
+    return worst, failures
+
+
 def _check_oracle(params: BottleneckParams, toll: float, tag: str) -> _Outcome:
     """Revenue, the four cost components and ``n_transit`` at one toll vs quadrature."""
     outcome, sim_cost = oracle.static_bottleneck_costs(params, toll)
     closed_cost = bottleneck.static_system_cost(params, toll)
     closed_eq = bottleneck.static_equilibrium(params, toll)
-    floor = ORACLE_FLOOR * params.arrival_rate * max(params.transit_cost, 1.0)
-    pairs = [
-        ("revenue", sim_cost.revenue, closed_cost.revenue),
-        ("transit", sim_cost.transit, closed_cost.transit),
-        ("car_freeflow", sim_cost.car_freeflow, closed_cost.car_freeflow),
-        ("queuing", sim_cost.queuing, closed_cost.queuing),
-        ("schedule", sim_cost.schedule, closed_cost.schedule),
-        ("n_transit", outcome.n_transit, closed_eq.n_transit),
-    ]
-    worst = 0.0
-    failures: list[str] = []
-    for label, got, want in pairs:
-        gap_ = _rel_gap(got, want, floor)
-        worst = _worse(max, worst, gap_)
-        if not gap_ <= REL_TOL:
-            failures.append(f"{tag} toll={toll:.6g} {label}: oracle {got:.10g} vs closed {want:.10g}")
-    return worst, failures
+    floor = _oracle_floor(params)
+    pairs = _pieces(sim_cost, closed_cost, dict.fromkeys(_PIECES, floor))
+    pairs.append(("n_transit", outcome.n_transit, closed_eq.n_transit, floor))
+    return _compare(tag, toll, pairs, REL_TOL)
 
 
 def _check_recovery(params: BottleneckParams, tag: str) -> _Outcome:
@@ -188,48 +205,32 @@ def _check_recovery(params: BottleneckParams, tag: str) -> _Outcome:
     return err - step, failures
 
 
-def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
-    """Every performance guarantee that ``performance_bounds`` reports at one parameter set.
+def _check_bounds(
+    report: bottleneck.BoundReport, flat: CostBreakdown, ro: bottleneck.DynamicTollDesign, so, tag: str
+) -> _Outcome:
+    """Every guarantee ``report`` states for the flat toll's pieces ``flat``, in either model.
 
-    Also certifies the closed-form flat optimum against a dense revenue grid:
-    no grid point may beat it, as no toll beats a true maximum.  The worst gap
-    is the revenue ratio's margin over its lower bound (infinite when the
-    dynamic revenue is zero, NaN when it is NaN).
+    ``ro`` is the dynamic revenue-optimal design and ``so()`` the system-optimal
+    one, read only where a cost bound applies.  The worst gap is the revenue
+    ratio's margin over its floor (infinite without a floor or a positive
+    dynamic revenue, NaN when that is NaN).
     """
     failures: list[str] = []
-    report = bottleneck.performance_bounds(params)
-    _, flat = bottleneck.static_revenue_optimal_toll(params)
-    rev_static = flat.revenue
-    design = bottleneck.dynamic_revenue_optimal(params)
-    if not design.revenue >= rev_static * (1 - 1e-9):
-        failures.append(
-            f"{tag}: dynamic optimum below flat optimum: revenue {design.revenue:.8g} "
-            f"vs flat {rev_static:.8g}"
-        )
-    if params.cost_gap > 0:
-        grid = np.linspace(0.0, params.cost_gap, ARGMAX_GRID)
-        curve_max = float(oracle._static_revenue_curve(params, grid).max())
-        if not curve_max <= rev_static * (1 + 1e-9):
-            failures.append(
-                f"{tag}: grid revenue {curve_max:.8g} beats closed optimum {rev_static:.8g}"
-            )
     margin = math.inf
-    if not design.revenue <= 0:
-        ratio = rev_static / design.revenue
-        margin = ratio - report.revenue_ratio_lower_bound
-        if not ratio >= report.revenue_ratio_lower_bound * (1 - 1e-9):
+    bound = report.revenue_ratio_lower_bound
+    if bound is not None and not ro.revenue <= 0:
+        ratio = flat.revenue / ro.revenue
+        margin = ratio - bound
+        if not ratio >= bound * (1 - 1e-9):
             failures.append(
-                f"{tag}: revenue ratio {ratio:.6f} below bound "
-                f"{report.revenue_ratio_lower_bound:.6f} ({report.regime.value})"
+                f"{tag}: revenue ratio {ratio:.6f} below bound {bound:.6f} ({report.regime.value})"
             )
-        if not ratio >= 0.5 - 1e-9:
-            failures.append(f"{tag}: revenue ratio {ratio:.6f} under the 1/2 floor")
     if report.sc_ratio_upper_bound is None and report.exact_sc_ratio is None:
         return margin, failures
-    sc_opt = bottleneck.dynamic_so_design(params).system_cost
+    sc_opt = so().system_cost
     if report.sc_ratio_upper_bound is not None:
         cap = report.sc_ratio_upper_bound * sc_opt * (1 + 1e-9)
-        for label, cost in (("flat-toll", flat.total), ("dynamic", design.system_cost)):
+        for label, cost in (("flat-toll", flat.total), ("dynamic", ro.system_cost)):
             if not cost <= cap:
                 failures.append(
                     f"{tag}: {label} system cost beats 2x bound: cost {cost:.8g} vs cap {cap:.8g}"
@@ -243,48 +244,52 @@ def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
     return margin, failures
 
 
-def _check_urban(
-    params: BottleneckParams, net: mfd.TriangularMfd, toll: float, tag: str
-) -> _Outcome:
-    """Urban revenue, queuing and schedule at one toll vs quadrature; the urban guarantees.
+def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
+    """Every performance guarantee that ``performance_bounds`` reports at one parameter set.
+
+    Also certifies the closed-form flat optimum against a dense revenue grid
+    (no grid point may beat it, as no toll beats a true maximum), the dynamic
+    optimum against it, and the 1/2 revenue floor.  The worst gap is
+    :func:`_check_bounds`' revenue margin.
+    """
+    failures: list[str] = []
+    _, flat = bottleneck.static_revenue_optimal_toll(params)
+    design = bottleneck.dynamic_revenue_optimal(params)
+    if not design.revenue >= flat.revenue * (1 - 1e-9):
+        failures.append(
+            f"{tag}: dynamic optimum below flat optimum: revenue {design.revenue:.8g} "
+            f"vs flat {flat.revenue:.8g}"
+        )
+    if params.cost_gap > 0:
+        grid = np.linspace(0.0, params.cost_gap, ARGMAX_GRID)
+        curve_max = float(oracle._static_revenue_curve(params, grid).max())
+        if not curve_max <= flat.revenue * (1 + 1e-9):
+            failures.append(
+                f"{tag}: grid revenue {curve_max:.8g} beats closed optimum {flat.revenue:.8g}"
+            )
+    if not design.revenue <= 0 and not (ratio := flat.revenue / design.revenue) >= 0.5 - 1e-9:
+        failures.append(f"{tag}: revenue ratio {ratio:.6f} under the 1/2 floor")
+    so = functools.partial(bottleneck.dynamic_so_design, params)
+    margin, found = _check_bounds(bottleneck.performance_bounds(params), flat, design, so, tag)
+    return margin, failures + found
+
+
+def _check_urban(params: BottleneckParams, net: mfd.TriangularMfd, toll: float, tag: str) -> _Outcome:
+    """The urban revenue and four cost pieces at one toll vs quadrature; the urban guarantees.
 
     The guarantees are those :func:`mfd.guarantees` states, at the top of
     the band ``toll = g``: the low-band revenue floor, and the factor 2 on the
     system cost while the gap stays within the car-only peak wait.
     """
-    numeric = oracle.integrate_mfd_revenue(params, net, toll)
-    cost = mfd.static_system_cost(params, net, toll)
-    q = oracle.mfd_shoulder_quadrature(params, net, toll)
-    worst = 0.0
-    failures: list[str] = []
-    for label, got, want, floor in (
-        ("urban revenue", numeric, cost.revenue, 1e-9 * params.total_demand),
-        ("queuing", q["queue_early"] + q["queue_late"] + q["queue_flat"], cost.queuing, 1e-9),
-        ("schedule", q["sched_early"] + q["sched_late"], cost.schedule, 1e-9),
-    ):
-        gap_ = _rel_gap(got, want, floor)
-        worst = _worse(max, worst, gap_)
-        if not gap_ <= QUAD_TOL:
-            failures.append(f"{tag}: {label} quadrature gap {gap_:.3e}")
-
-    report = mfd.guarantees(params, net)
+    got = oracle.mfd_shoulder_quadrature(params, net, toll)
+    want = mfd.static_system_cost(params, net, toll)
+    floors = {"revenue": 1e-9 * params.total_demand, "queuing": 1e-9, "schedule": 1e-9}
+    floors |= dict.fromkeys(("transit", "car_freeflow"), _oracle_floor(params))
+    worst, failures = _compare(tag, toll, _pieces(got, want, floors), QUAD_TOL)
     bench = mfd.dynamic_benchmarks(params, net)
     at_gap = mfd.static_system_cost(params, net, params.cost_gap)
-    if report.revenue_ratio_lower_bound is not None and bench.ro.revenue > 0:
-        floor = report.revenue_ratio_lower_bound * bench.ro.revenue * (1 - 1e-9)
-        if not at_gap.revenue >= floor:
-            failures.append(
-                f"{tag}: top-of-band revenue under the guarantee floor: "
-                f"revenue {at_gap.revenue:.8g} vs floor {floor:.8g}"
-            )
-    if report.sc_ratio_upper_bound is not None:
-        cap = report.sc_ratio_upper_bound * bench.so.system_cost * (1 + 1e-9)
-        if not at_gap.total <= cap:
-            failures.append(
-                f"{tag}: top-of-band system cost over the 2x guarantee: "
-                f"cost {at_gap.total:.8g} vs cap {cap:.8g}"
-            )
-    return worst, failures
+    _, found = _check_bounds(mfd.guarantees(params, net), at_gap, bench.ro, lambda: bench.so, tag)
+    return worst, failures + found
 
 
 def oracle_agreement_suite(seed: int, n_cases: int) -> CheckResult:
@@ -369,12 +374,7 @@ def mfd_agreement_suite(seed: int, n_cases: int = 100) -> CheckResult:
         rng_limit = random.Random(seed + 1)
         for case in range(20):
             params = sample_params(rng_limit, regime="low")
-            net = mfd.TriangularMfd(
-                max_throughput=params.capacity,
-                jam_accumulation=LIMIT_JAM,
-                freeflow_speed=30.0,
-                trip_distance=5.0,
-            )
+            net = mfd.TriangularMfd(params.capacity, LIMIT_JAM, freeflow_speed=30.0, trip_distance=5.0)
             lo = max(mfd.static_lower_toll(params, net), bottleneck.feasible_toll_band(params)[0])
             hi = params.cost_gap
             if hi <= lo:
@@ -383,12 +383,8 @@ def mfd_agreement_suite(seed: int, n_cases: int = 100) -> CheckResult:
                 toll = lo + frac * (hi - lo)
                 got = mfd.static_system_cost(params, net, toll)
                 want = bottleneck.static_system_cost(params, toll)
-                for label in ("revenue", "queuing", "schedule"):
-                    gap_ = _rel_gap(getattr(got, label), getattr(want, label), floor=1e-9)
-                    if not gap_ <= LIMIT_TOL:
-                        yield 0.0, [
-                            f"limit case {case}: toll {toll:.4g} {label} rel gap {gap_:.3e}"
-                        ]
+                pairs = _pieces(got, want, dict.fromkeys(("revenue", "queuing", "schedule"), 1e-9))
+                yield 0.0, _compare(f"limit case {case}", toll, pairs, LIMIT_TOL)[1]
 
     return _fold(
         "urban-network agreement (log forms vs quadrature, limits, guarantees)",

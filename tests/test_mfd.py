@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tollgap import BottleneckParams, DomainError, ParameterError, TriangularMfd
+from tollgap import BottleneckParams, CostBreakdown, DomainError, ParameterError, TriangularMfd
 from tollgap import bottleneck as bn
 from tollgap import cli, mfd, verify
 from tollgap.calibration import builtin_scenario
@@ -128,6 +128,15 @@ class TestOptimizers:
         )
         toll, cost = mfd.static_revenue_optimal(params, NYC.mfd())
         assert (toll, cost.revenue) == (0.0, 0.0)
+
+    def test_negative_gap_is_all_transit(self):
+        # Transit dominates: every user rides it at the toll 0, for either goal.
+        base = NYC.params(1.5)
+        params = dataclasses.replace(base, transit_cost=0.5 * base.car_freeflow_cost)
+        assert params.cost_gap < 0
+        all_transit = CostBreakdown(params.transit_cost * params.total_demand, 0.0, 0.0, 0.0, 0.0)
+        for optimum in (mfd.static_sc_optimal, mfd.static_revenue_optimal):
+            assert optimum(params, NYC.mfd()) == (0.0, all_transit)
 
     @pytest.mark.parametrize("eta", [1.5, 18.0])
     def test_sc_optimal_coincides(self, eta):

@@ -11,6 +11,7 @@ from tollgap.calibration import builtin_scenario
 
 BAY = builtin_scenario("bay_bridge")
 NYC = builtin_scenario("nyc")
+PIECES = ("revenue", "transit", "car_freeflow", "queuing", "schedule")
 
 
 def car_saturated_params() -> BottleneckParams:
@@ -82,6 +83,21 @@ class TestSimulation:
                 nearest = np.abs(kinks[:, None] - trace.times[None, :]).min(axis=1)
                 assert float(nearest.max()) <= 1e-12 * params.rush_length
                 assert oracle.static_bottleneck_costs(params, toll) == (outcome, cost)
+
+    def test_below_band_trace_ends_at_the_service_end(self):
+        # Below the band the flat segment can round an ulp below zero; its end
+        # node is dropped, and the nodes still rise strictly up to outcome.end.
+        rng = random.Random(19)
+        checked = 0
+        while checked < 200:
+            params = verify.sample_params(rng)
+            lo, _ = bn.feasible_toll_band(params)
+            if lo <= 0:
+                continue
+            trace, outcome, _ = oracle.simulate_static_bottleneck(params, rng.uniform(0.0, lo))
+            assert trace.times.size <= 4 and np.all(np.diff(trace.times) > 0)
+            assert trace.times[-1] == outcome.end
+            checked += 1
 
 
 class TestCostsEntryPoint:
@@ -196,8 +212,11 @@ class TestMfdIntegration:
     def test_shoulder_quadrature_matches_closed_forms(self):
         params, net = NYC.params(18.0), NYC.mfd()
         toll = 0.4 * params.cost_gap
-        pieces = oracle.mfd_shoulder_quadrature(params, net, toll)
+        got = oracle.mfd_shoulder_quadrature(params, net, toll)
         cost = mfd.static_system_cost(params, net, toll)
+        for piece in PIECES:
+            assert getattr(got, piece) == pytest.approx(getattr(cost, piece), rel=1e-8), piece
+        # The shoulders alone match the closed queuing less its flat block.
         wait = params.cost_gap - toll
         flat_len = (
             params.total_demand
@@ -206,14 +225,15 @@ class TestMfdIntegration:
         ) / params.arrival_rate
         peak_outflow = net.jam_accumulation / (net.jam_accumulation / net.max_throughput + wait)
         queue_flat = flat_len * peak_outflow * wait
-        quad_queue = pieces["queue_early"] + pieces["queue_late"]
+        quad_queue = sum(
+            oracle._shoulder(params, net, wait, slope)[1]
+            for slope in (params.early_penalty, params.late_penalty)
+        )
         assert quad_queue == pytest.approx(cost.queuing - queue_flat, rel=1e-8)
-        quad_sched = pieces["sched_early"] + pieces["sched_late"]
-        assert quad_sched == pytest.approx(cost.schedule, rel=1e-8)
 
     def test_gauss_legendre_order_is_converged(self, monkeypatch):
-        # Doubling the rule's order moves no shoulder piece, at the suite's
-        # tolls and at the band bottom where the shoulders are longest.
+        # Doubling the rule's order moves no shoulder integral and no piece,
+        # at the suite's tolls and at the band bottom where the shoulders are longest.
         rng = random.Random(5)
         cases = []
         while len(cases) < 60:
@@ -222,14 +242,26 @@ class TestMfdIntegration:
             lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
             if hi > lo:
                 cases += [(params, net, rng.uniform(lo, hi)), (params, net, lo)]
-        coarse = [oracle.mfd_shoulder_quadrature(*case) for case in cases]
+
+        def quadrature(params, net, toll):
+            wait = params.cost_gap - toll
+            slopes = (params.early_penalty, params.late_penalty)
+            shoulders = [oracle._shoulder(params, net, wait, slope) for slope in slopes]
+            return shoulders, oracle.mfd_shoulder_quadrature(params, net, toll)
+
+        coarse = [quadrature(*case) for case in cases]
         monkeypatch.setattr(oracle, "GAUSS_LEGENDRE_NODES", 256)
-        fine = [oracle.mfd_shoulder_quadrature(*case) for case in cases]
-        for got, want in zip(coarse, fine):
-            assert got.keys() == want.keys()
-            for key in ("queue_early", "queue_late", "sched_early", "sched_late"):
-                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-300), key
-            # The flat block is N minus the shoulder counts, which cancels to
-            # rounding noise at the band bottom: judge it on the queue's scale.
-            scale = want["queue_early"] + want["queue_late"]
-            assert got["queue_flat"] == pytest.approx(want["queue_flat"], rel=1e-12, abs=1e-12 * scale)
+        fine = [quadrature(*case) for case in cases]
+        for (params, _, _), (got_shoulders, got), (want_shoulders, want) in zip(cases, coarse, fine):
+            for got_shoulder, want_shoulder in zip(got_shoulders, want_shoulders):
+                # (served, queue, schedule) of one shoulder
+                assert got_shoulder == pytest.approx(want_shoulder, rel=1e-12, abs=1e-300)
+            for piece in ("revenue", "car_freeflow", "schedule"):
+                assert getattr(got, piece) == pytest.approx(getattr(want, piece), rel=1e-12, abs=1e-300)
+            # Transit and the flat queue block take N minus the shoulder counts,
+            # which cancels to rounding noise at the band bottom: judge them on
+            # the scale of all demand and of the shoulder queues.
+            transit_scale = params.transit_cost * params.total_demand
+            assert got.transit == pytest.approx(want.transit, rel=1e-12, abs=1e-12 * transit_scale)
+            queue_scale = want_shoulders[0][1] + want_shoulders[1][1]
+            assert got.queuing == pytest.approx(want.queuing, rel=1e-12, abs=1e-12 * queue_scale)

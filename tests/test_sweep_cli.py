@@ -373,13 +373,13 @@ class TestCli:
         assert "Traceback" not in captured.err and not out.exists()
 
     def test_overflowing_crossover_stops_where_the_revenue_does(self, capsys):
-        # The revenue optimum is nan from the window's start on, so the
-        # crossover bisects on no toll and names the first eta.
+        # At eta=1 transit dominates and the optimum is the all-transit toll 0;
+        # at the window's end the revenue optimum is nan, which stops the search there.
         assert cli.main(["crossover", "--scenario", "nyc", "--nj=1.7e308"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: scenario 'nyc' at eta=1: rev_static_ro = nan is out of range"
+            "error: scenario 'nyc' at eta=30: rev_static_ro = nan is out of range"
             " (the inputs overflow the model)\n"
         )
 

@@ -39,7 +39,7 @@ def test_urban_cost_guarantee_catches_planted_fault(monkeypatch):
 
     monkeypatch.setattr(mfd, "static_system_cost", tripled_at_gap)
     result = verify.mfd_agreement_suite(0, 15)
-    flagged = [f for f in result.failures if "top-of-band system cost over the 2x guarantee" in f]
+    flagged = [f for f in result.failures if "flat-toll system cost beats 2x bound" in f]
     assert all(" vs cap " in f for f in flagged)
     # The guard fires on exactly the draws inside the theorem's precondition g <= W_max.
     within = [p for p in drawn if p.cost_gap <= bn.max_wait_car_only(p)]
@@ -59,7 +59,7 @@ def test_urban_queuing_check_catches_planted_fault(monkeypatch):
     monkeypatch.setattr(mfd, "static_system_cost", skewed_queue)
     result = verify.mfd_agreement_suite(0, 15)
     assert not result.ok
-    assert any("queuing quadrature gap" in f for f in result.failures)
+    assert any(" queuing: " in f and ", rel gap 1.000e-06" in f for f in result.failures)
 
 
 def test_nyc_scenario_checks_the_urban_queuing_cost(monkeypatch):
@@ -73,7 +73,23 @@ def test_nyc_scenario_checks_the_urban_queuing_cost(monkeypatch):
     monkeypatch.setattr(mfd, "static_system_cost", skewed_queue)
     result = verify.scenario_suite(builtin_scenario("nyc"))
     assert not result.ok
-    assert any("queuing quadrature gap" in f for f in result.failures)
+    assert any(" queuing: " in f and ", rel gap 1.000e-06" in f for f in result.failures)
+
+
+@pytest.mark.parametrize("piece", ["transit", "car_freeflow"])
+def test_urban_mode_split_pieces_are_compared(piece, monkeypatch):
+    # Every urban cost ratio sums the transit and car pieces, so both suites
+    # compare them with the oracle too.
+    real = mfd.static_system_cost
+
+    def skewed(params, net, toll):
+        cost = real(params, net, toll)
+        return dataclasses.replace(cost, **{piece: getattr(cost, piece) * (1 + 1e-6)})
+
+    monkeypatch.setattr(mfd, "static_system_cost", skewed)
+    for result in (verify.mfd_agreement_suite(0, 15), verify.scenario_suite(builtin_scenario("nyc"))):
+        assert not result.ok
+        assert any(f" {piece}: " in f for f in result.failures)
 
 
 def test_reported_exact_corner_ratio_is_checked(monkeypatch):
@@ -107,7 +123,7 @@ def test_urban_limit_check_compares_every_piece(piece, monkeypatch):
     monkeypatch.setattr(mfd, "static_system_cost", skewed_at_the_limit)
     result = verify.mfd_agreement_suite(0, 15)
     assert not result.ok
-    assert all(f.startswith("limit case ") and f" {piece} rel gap " in f for f in result.failures)
+    assert all(f.startswith("limit case ") and f" {piece}: " in f for f in result.failures)
 
 
 def _nan_field(real, name):
@@ -119,7 +135,7 @@ def test_nan_bottleneck_queuing_fails_oracle_agreement(monkeypatch):
     monkeypatch.setattr(bn, "static_system_cost", _nan_field(bn.static_system_cost, "queuing"))
     result = verify.oracle_agreement_suite(42, 50)
     assert not result.ok
-    assert all(" queuing: oracle " in f for f in result.failures)
+    assert all(" queuing: " in f and f.endswith(" vs nan, rel gap nan") for f in result.failures)
 
 
 def test_nan_flat_cost_shows_in_the_2x_bound_message(monkeypatch):
@@ -139,7 +155,7 @@ def test_nan_urban_revenue_fails_urban_agreement(monkeypatch):
     monkeypatch.setattr(mfd, "static_system_cost", _nan_field(mfd.static_system_cost, "revenue"))
     result = verify.mfd_agreement_suite(1, 30)
     assert not result.ok
-    assert any("urban revenue quadrature gap nan" in f for f in result.failures)
+    assert any(" revenue: " in f and f.endswith(" vs nan, rel gap nan") for f in result.failures)
 
 
 def test_nan_dynamic_revenue_fails_bound_properties(monkeypatch):
