@@ -13,6 +13,14 @@ mixed-mode equilibrium only on the band
 ``max(0, gap - max_wait) <= tau <= gap``; below the band everyone drives,
 above it everyone rides transit (ties at the top break toward the car, i.e.
 toward higher revenue).
+
+The kernels (``max_wait_car_only``, ``_flat_toll``, ``_flat_fractions``,
+``_trapezoid_cost``, ``static_revenue_optimal_toll`` and
+``performance_bounds``) take one parameter set or a
+:class:`~tollgap.core.ParamsBlock` of them.  Each branch is computed in full
+and chosen by :func:`~tollgap.core.select`, with a stand-in denominator
+wherever a branch not taken would divide by zero; on floats that is the
+scalar formula, on a block it is the same formula elementwise.
 """
 
 from __future__ import annotations
@@ -27,8 +35,11 @@ from .core import (
     EquilibriumOutcome,
     Regime,
     TrapezoidToll,
+    anywhere,
+    clamp,
     classify_regime,
     regime_thresholds,
+    select,
 )
 
 __all__ = [
@@ -73,7 +84,8 @@ class BoundReport:
     factor-2 guarantee) is present only while transit is attractive enough
     that both modes run at the untolled equilibrium.  ``exact_sc_ratio`` is the exact cost ratio in the
     zero-free-flow-cost, car-saturated corner where the guarantee provably
-    degenerates; None when its preconditions fail.
+    degenerates; None when its preconditions fail.  A block's report holds
+    arrays, with NaN for None and an object array of regimes.
     """
 
     revenue_ratio_lower_bound: float | None
@@ -87,9 +99,8 @@ def max_wait_car_only(params: BottleneckParams) -> float:
 
     Zero when capacity meets the desired arrival rate (no queue forms).
     """
-    if params.capacity >= params.arrival_rate:
-        return 0.0
-    return params.total_demand * params.schedule_factor / params.capacity
+    car_only = params.total_demand * params.schedule_factor / params.capacity
+    return select(params.capacity >= params.arrival_rate, 0.0, car_only)
 
 
 def feasible_toll_band(params: BottleneckParams) -> tuple[float, float]:
@@ -99,7 +110,7 @@ def feasible_toll_band(params: BottleneckParams) -> tuple[float, float]:
 
 
 def _require_outside_option_regime(params: BottleneckParams) -> None:
-    if params.cost_gap < 0:
+    if anywhere(params.cost_gap < 0):
         raise DomainError("transit strictly dominates: no congested analysis applies")
 
 
@@ -109,31 +120,34 @@ def _flat_toll(params: BottleneckParams, toll: float) -> CostBreakdown:
     The one implementation of the flat-toll formulas.  The peak wait is
     ``gap - toll`` clamped to ``[0, max_wait]``: the clamp's top is the
     car-only equilibrium below the band, its bottom the zero-queue split at
-    the gap.  A toll above the gap (or a negative gap) prices every car out.
+    the gap.  A toll above the gap (or a negative gap) prices every car out;
+    with no queue (``mu >= lam``) everyone crosses on time by car and pays.
     """
-    if toll < 0:
+    if anywhere(toll < 0):
         raise DomainError("toll must be nonnegative")
     demand, gap = params.total_demand, params.cost_gap
-    if gap < 0 or toll > gap:
-        return CostBreakdown(params.transit_cost * demand, 0.0, 0.0, 0.0, 0.0)
     mu, lam = params.capacity, params.arrival_rate
-    if mu >= lam:
-        # No queue forms: everyone crosses on time by car and pays.
-        return CostBreakdown(0.0, params.car_freeflow_cost * demand, 0.0, 0.0, toll * demand)
+    z_t, z_c = params.transit_cost, params.car_freeflow_cost
+    priced_out = (gap < 0) | (toll > gap)
+    congested = mu < lam
+
+    def pick(out: float, mixed: float, no_queue: float) -> float:
+        return select(priced_out, out, select(congested, mixed, no_queue))
 
     max_wait = max_wait_car_only(params)
-    wait = min(max(gap - toll, 0.0), max_wait)
+    wait = clamp(gap - toll, 0.0, max_wait)
     away = 1.0 - mu / lam
-    ontime_share = 1.0 - wait / max_wait
+    ontime_share = 1.0 - wait / select(congested, max_wait, 1.0)
     inv_factor = 1.0 / params.schedule_factor  # (e+L)/(eL)
     car_users = mu * wait * inv_factor + ontime_share * demand * mu / lam
     shoulders = (mu * wait * wait / 2.0) * inv_factor
+    revenue = mu * toll * (demand / lam + wait / params.schedule_factor * away)
     return CostBreakdown(
-        transit=params.transit_cost * ontime_share * demand * away,
-        car_freeflow=params.car_freeflow_cost * car_users,
-        queuing=wait * ontime_share * demand * mu / lam + shoulders,
-        schedule=shoulders * away,
-        revenue=mu * toll * (demand / lam + wait / params.schedule_factor * away),
+        transit=pick(z_t * demand, z_t * ontime_share * demand * away, 0.0),
+        car_freeflow=pick(0.0, z_c * car_users, z_c * demand),
+        queuing=pick(0.0, wait * ontime_share * demand * mu / lam + shoulders, 0.0),
+        schedule=pick(0.0, shoulders * away, 0.0),
+        revenue=pick(0.0, revenue, toll * demand),
     )
 
 
@@ -206,13 +220,10 @@ def static_revenue_optimal_toll(params: BottleneckParams) -> tuple[float, CostBr
     """
     regime = classify_regime(params)
     gap = params.cost_gap
-    if regime is Regime.ALL_TRANSIT:
-        toll = 0.0
-    elif regime in (Regime.UNCONGESTED, Regime.MIXED_LOW):
-        toll = gap
-    else:
-        low, _ = regime_thresholds(params)
-        toll = max(gap / 2.0 + low / 2.0, gap - max_wait_car_only(params))
+    low, _ = regime_thresholds(params)
+    interior = clamp(gap / 2.0 + low / 2.0, gap - max_wait_car_only(params))
+    at_gap = (regime == Regime.UNCONGESTED) | (regime == Regime.MIXED_LOW)
+    toll = select(regime == Regime.ALL_TRANSIT, 0.0, select(at_gap, gap, interior))
     return toll, _flat_toll(params, toll)
 
 
@@ -227,11 +238,21 @@ def dynamic_revenue_at_fraction(params: BottleneckParams, flat_fraction: float) 
     if not 0.0 <= flat_fraction <= 1.0:
         raise DomainError("flat_fraction must lie in [0, 1]")
     _require_outside_option_regime(params)
+    return _trapezoid_revenue(params, flat_fraction)
+
+
+def _trapezoid_revenue(params: BottleneckParams, flat_fraction: float) -> float:
+    """:func:`dynamic_revenue_at_fraction`'s formula, unchecked.
+
+    The square is a product: numpy squares an array by multiplication, while
+    Python's ``** 2`` calls C ``pow``, which rounds about one square in a
+    thousand the other way.
+    """
     gap = params.cost_gap
     demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
     served_share = flat_fraction * demand * mu / lam + (1.0 - flat_fraction) * demand
     shoulder_loss = demand * demand / (2.0 * mu) * params.schedule_factor
-    return gap * served_share - shoulder_loss * (1.0 - flat_fraction) ** 2
+    return gap * served_share - shoulder_loss * ((1.0 - flat_fraction) * (1.0 - flat_fraction))
 
 
 def _flat_fractions(params: BottleneckParams) -> tuple[float, float]:
@@ -242,10 +263,10 @@ def _flat_fractions(params: BottleneckParams) -> tuple[float, float]:
     """
     _require_outside_option_regime(params)
     mu, lam = params.capacity, params.arrival_rate
-    if mu >= lam:
-        return 1.0, 1.0
-    ratio = params.cost_gap / max_wait_car_only(params)
-    return max(1.0 - ratio * (1.0 - mu / lam), 0.0), 1.0 - min(ratio, 1.0)
+    congested = mu < lam
+    ratio = params.cost_gap / select(congested, max_wait_car_only(params), 1.0)
+    f_star = clamp(1.0 - ratio * (1.0 - mu / lam), 0.0)
+    return select(congested, f_star, 1.0), select(congested, 1.0 - clamp(ratio, hi=1.0), 1.0)
 
 
 def _trapezoid_cost(params: BottleneckParams, flat_fraction: float) -> CostBreakdown:
@@ -253,28 +274,31 @@ def _trapezoid_cost(params: BottleneckParams, flat_fraction: float) -> CostBreak
 
     The one implementation of the trapezoid cost, as a component sum: queuing
     is zero by construction; transit, car and schedule costs follow from the
-    flat fraction, and revenue from :func:`dynamic_revenue_at_fraction`.  A
-    collapsed one-line form must carry ``(1-mu/lam)^2 (1+mu/lam)``; the
-    ``(1-mu/lam)^3`` variant seen in derivations fails the calibrated
-    benchmarks (see docs/formulas.md).
+    flat fraction, and revenue from :func:`dynamic_revenue_at_fraction`'s
+    formula.  With no queue to price (``mu >= lam``, flat fraction 1)
+    everyone drives and pays the gap.  A collapsed one-line form must carry
+    ``(1-mu/lam)^2 (1+mu/lam)``; the ``(1-mu/lam)^3`` variant seen in
+    derivations fails the calibrated benchmarks (see docs/formulas.md).
     """
     demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
-    if mu >= lam:
-        # No queue to price (the flat fraction is 1): everyone drives and pays the gap.
-        return CostBreakdown(
-            0.0, params.car_freeflow_cost * demand, 0.0, 0.0, params.cost_gap * demand
-        )
+    congested = mu < lam
     transit = params.transit_cost * flat_fraction * demand * (1.0 - mu / lam)
     car = params.car_freeflow_cost * (
         flat_fraction * demand * mu / lam + (1.0 - flat_fraction) * demand
     )
     schedule = (
         demand * demand * params.schedule_factor / (2.0 * mu)
-        * (1.0 - flat_fraction) ** 2
+        * ((1.0 - flat_fraction) * (1.0 - flat_fraction))
         * (1.0 - mu / lam)
     )
-    revenue = dynamic_revenue_at_fraction(params, flat_fraction)
-    return CostBreakdown(transit, car, 0.0, schedule, revenue)
+    revenue = _trapezoid_revenue(params, flat_fraction)
+    return CostBreakdown(
+        transit=select(congested, transit, 0.0),
+        car_freeflow=select(congested, car, params.car_freeflow_cost * demand),
+        queuing=0.0,
+        schedule=select(congested, schedule, 0.0),
+        revenue=select(congested, revenue, params.cost_gap * demand),
+    )
 
 
 def _trapezoid_for_fraction(params: BottleneckParams, flat_fraction: float) -> TrapezoidToll:
@@ -379,29 +403,26 @@ def performance_bounds(params: BottleneckParams) -> BoundReport:
     cost gap stays within the car-only peak wait.  In the opposite corner
     (zero car free-flow cost, gap beyond ``low*(2*lam-mu)/mu``) the exact
     cost ratio ``1 + 1/(1 - mu/lam)`` is reported, which grows without bound
-    as capacity approaches the arrival rate.
+    as capacity approaches the arrival rate.  A block is in this domain
+    only if every one of its sets is.
     """
     _require_outside_option_regime(params)
-    if params.capacity >= params.arrival_rate:
+    if anywhere(params.capacity >= params.arrival_rate):
         raise DomainError("bounds are stated for the congested case (capacity < arrival rate)")
     regime = classify_regime(params)
     gap = params.cost_gap
     mu, lam = params.capacity, params.arrival_rate
     low, _high = regime_thresholds(params)
-    scale = math.inf if gap == 0 else low / gap
+    scale = select(gap == 0, math.inf, low / select(gap == 0, 1.0, gap))
 
-    if regime is Regime.MIXED_LOW:
-        revenue_bound = 2.0 / (3.0 - mu / lam)
-    elif regime is Regime.MIXED_MID:
-        revenue_bound = min((2.0 + scale) / 4.0, 1.0 / (2.0 * (1.0 - mu / lam)))
-    else:
-        revenue_bound = 2.0 / 3.0
+    mid_bound = clamp((2.0 + scale) / 4.0, hi=1.0 / (2.0 * (1.0 - mu / lam)))
+    above_low = select(regime == Regime.MIXED_MID, mid_bound, 2.0 / 3.0)
+    revenue_bound = select(regime == Regime.MIXED_LOW, 2.0 / (3.0 - mu / lam), above_low)
 
     max_wait = max_wait_car_only(params)
-    sc_bound = 2.0 if gap <= max_wait else None
+    sc_bound = select(gap <= max_wait, 2.0, None)
 
-    exact_ratio = None
-    if params.car_freeflow_cost == 0.0 and gap > low * (2.0 * lam - mu) / mu:
-        exact_ratio = 1.0 + 1.0 / (1.0 - mu / lam)
+    corner = (params.car_freeflow_cost == 0.0) & (gap > low * (2.0 * lam - mu) / mu)
+    exact_ratio = select(corner, 1.0 + 1.0 / (1.0 - mu / lam), None)
 
     return BoundReport(revenue_bound, sc_bound, exact_ratio, regime)

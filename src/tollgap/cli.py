@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 input/validation error, 2 verification failure.
 
 from __future__ import annotations
 
+import os
+
+# Before numpy loads: no call here gains from BLAS threads, and starting them costs time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import dataclasses
 import math

@@ -15,19 +15,28 @@ All types are immutable value objects and every operation is a pure function.
 The module needs only the standard library, so the urban network's plain
 ``TriangularMfd`` lives here and not in ``mfd``: loading a scenario does not
 load numpy.
+
+Every bottleneck kernel reads a :class:`ParamsBlock` (parameter sets stacked
+into arrays) as it reads one :class:`BottleneckParams`, elementwise.  Its
+clamps and branch choices go through :func:`clamp` and :func:`select`, which
+take Python's ``min``/``max`` and conditional expression on floats and import
+numpy only when given an array.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 __all__ = [
     "ParameterError",
     "DomainError",
     "BottleneckParams",
+    "ParamsBlock",
     "TriangularMfd",
     "Regime",
     "TrapezoidToll",
@@ -44,6 +53,37 @@ class ParameterError(ValueError):
 
 class DomainError(ValueError):
     """An argument falls outside an operation's domain."""
+
+
+def select(cond, if_true, if_false):
+    """``if_true if cond else if_false``, elementwise when ``cond`` is an array.
+
+    On an array an absent value (None) reads as NaN, so a block's optional
+    bound is a float array.
+    """
+    if getattr(cond, "ndim", 0) == 0:
+        return if_true if cond else if_false
+    import numpy as np
+
+    nan_for_none = (math.nan if v is None else v for v in (if_true, if_false))
+    return np.where(cond, *nan_for_none)
+
+
+def clamp(x, lo=-math.inf, hi=math.inf):
+    """``min(max(x, lo), hi)``, elementwise, with the same picks, when any argument is an array.
+
+    Python's ``max(x, lo)`` is ``lo if lo > x else x``; the array form keeps
+    that, so a NaN or a signed zero comes out as it does on floats.
+    """
+    if getattr(x, "ndim", 0) == getattr(lo, "ndim", 0) == getattr(hi, "ndim", 0) == 0:
+        return min(max(x, lo), hi)
+    x = select(lo > x, lo, x)
+    return select(hi < x, hi, x)
+
+
+def anywhere(cond) -> bool:
+    """``cond``, or whether it holds anywhere in an array: a block is in a domain only whole."""
+    return bool(cond.any() if getattr(cond, "ndim", 0) else cond)
 
 
 @dataclass(frozen=True)
@@ -110,13 +150,38 @@ class BottleneckParams:
         A subnormal gap reads as 0: products of it keep too few bits to compare.
         """
         gap = self.transit_cost - self.car_freeflow_cost
-        return 0.0 if abs(gap) < sys.float_info.min else gap
+        return select(abs(gap) < sys.float_info.min, 0.0, gap)
 
     @property
     def schedule_factor(self) -> float:
         """Harmonic combination e*L/(e+L) of the two schedule penalties."""
         e, late = self.early_penalty, self.late_penalty
         return e * late / (e + late)
+
+
+class ParamsBlock(BottleneckParams):
+    """Parameter sets stacked field by field into equal-length float64 arrays.
+
+    Built by :meth:`stack` from validated sets, so it skips their checks.  The
+    derived properties are elementwise, and a bottleneck kernel's result at
+    index ``i`` is its result on the ``i``-th set.  It inherits the frozen
+    dataclass machinery (re-applying the decorator costs the CLI's import
+    about 0.7 ms).
+    """
+
+    def __post_init__(self) -> None:
+        pass
+
+    @classmethod
+    def stack(cls, sets: Sequence[BottleneckParams]) -> ParamsBlock:
+        import numpy as np
+
+        names = [f.name for f in dataclasses.fields(BottleneckParams)]
+        return cls(*(np.array([getattr(p, name) for p in sets], dtype=float) for name in names))
+
+    def __getitem__(self, rows) -> ParamsBlock:
+        """The sets at ``rows`` (an index array or a slice), as a block."""
+        return ParamsBlock(*(getattr(self, f.name)[rows] for f in dataclasses.fields(self)))
 
 
 @dataclass(frozen=True)
@@ -168,12 +233,15 @@ def regime_thresholds(params: BottleneckParams) -> tuple[float, float]:
     Returns ``(low, high)``: below ``low`` the revenue-optimal flat toll sits
     at the cost gap itself; above ``high`` it sits at the lower edge of the
     feasible band; in between it is the interior quadratic-program optimum.
-    Requires ``capacity < arrival_rate``.
+    They mean something only where ``capacity < arrival_rate``; elsewhere,
+    which a block may mix in, ``lam - mu`` reads as infinite, so no set
+    divides by zero.
     """
     lam, mu = params.arrival_rate, params.capacity
     base = params.total_demand * params.schedule_factor
-    low = base / (lam - mu)
-    high = base * (1.0 / (lam - mu) + 2.0 / mu)
+    excess = select(mu < lam, lam - mu, math.inf)
+    low = base / excess
+    high = base * (1.0 / excess + 2.0 / mu)
     return low, high
 
 
@@ -183,19 +251,15 @@ def classify_regime(params: BottleneckParams) -> Regime:
     Ties at a threshold resolve to the lower-indexed regime; both branch
     formulas agree at the boundary, so the choice is cosmetic.  Transit
     dominates exactly when ``cost_gap`` is negative, so a subnormal gap,
-    which reads as 0, is congested like a zero gap.
+    which reads as 0, is congested like a zero gap.  On a block the regimes
+    come as an object array of :class:`Regime` members.
     """
     gap = params.cost_gap
-    if gap < 0:
-        return Regime.ALL_TRANSIT
-    if params.capacity >= params.arrival_rate:
-        return Regime.UNCONGESTED
     low, high = regime_thresholds(params)
-    if gap <= low:
-        return Regime.MIXED_LOW
-    if gap <= high:
-        return Regime.MIXED_MID
-    return Regime.MIXED_HIGH
+    above_low = select(gap <= high, Regime.MIXED_MID, Regime.MIXED_HIGH)
+    congested = select(gap <= low, Regime.MIXED_LOW, above_low)
+    nonnegative = select(params.capacity >= params.arrival_rate, Regime.UNCONGESTED, congested)
+    return select(gap < 0, Regime.ALL_TRANSIT, nonnegative)
 
 
 @dataclass(frozen=True)

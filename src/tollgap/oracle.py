@@ -213,15 +213,34 @@ def simulate_static_bottleneck(
 
 
 def _static_revenue_curve(params: BottleneckParams, tolls: np.ndarray) -> np.ndarray:
-    """Vectorized transcription of the flat-toll revenue curve."""
-    demand, lam, mu = params.total_demand, params.arrival_rate, params.capacity
-    gap = params.cost_gap
-    if mu >= lam:
-        return np.where(tolls <= gap, tolls * demand, 0.0)
-    car_only_wait = demand * params.schedule_factor / mu
-    lo = max(0.0, gap - car_only_wait)
-    banded = mu * tolls * (demand / lam + (gap - tolls) / params.schedule_factor * (1 - mu / lam))
-    return np.where(tolls < lo, tolls * demand, np.where(tolls > gap, 0.0, banded))
+    """Vectorized transcription of the flat-toll revenue curve.
+
+    On the band a toll ``T`` earns ``mu*T*(demand/lam + (gap - T)/sf*(1 - mu/lam))``,
+    which is ``T*(c0 - c1*T)`` with ``c1 = mu*(1 - mu/lam)/sf`` and
+    ``c0 = mu*demand/lam + c1*gap``.  Below the band's bottom ``lo`` every
+    user drives and pays, ``T*demand = T*(c0 - c1*lo)``, so the curve is
+    ``T*(c0 - c1*max(T, lo))`` up to the gap, and 0 above it.  With no queue
+    (``mu >= lam``) it is ``T*demand`` up to the gap: ``c1 = 0``, ``c0 = demand``.
+    ``params`` is one parameter set and ``tolls`` a vector, or a block of
+    sets, each reading its own row of ``tolls``.  The curve is built in
+    place, since a dense grid's temporaries would dominate its cost.
+    """
+
+    def column(values) -> np.ndarray:
+        return np.asarray(values, dtype=float)[..., np.newaxis]
+
+    demand, lam, mu = (column(v) for v in (params.total_demand, params.arrival_rate, params.capacity))
+    gap, factor = column(params.cost_gap), column(params.schedule_factor)
+    queued = mu < lam
+    c1 = np.where(queued, mu * (1 - mu / lam) / factor, 0.0)
+    c0 = np.where(queued, mu * demand / lam + c1 * gap, demand)
+    lo = np.where(queued, np.maximum(0.0, gap - demand * factor / mu), 0.0)
+    revenue = np.maximum(tolls, lo)
+    revenue *= c1
+    np.subtract(c0, revenue, out=revenue)
+    revenue *= tolls
+    revenue[tolls > gap] = 0.0
+    return revenue
 
 
 def grid_search_static(params: BottleneckParams) -> tuple[float, float]:

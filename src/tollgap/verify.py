@@ -7,10 +7,13 @@ shoulders, exhaustive search), and reports the worst discrepancy seen.
 A suite's report depends only on its arguments; the CLI ``verify`` command
 and the acceptance tests both run them.
 
-Each check is written once, for one parameter set, and returns ``(worst gap,
-failure messages)`` with the messages tagged ``case 7`` or ``eta=2.5``; the
-random and the scenario suites share the checks, and every guarantee is
-checked under exactly the precondition ``performance_bounds`` or ``mfd.guarantees`` states.
+Each check is written once and returns ``(worst gap, failure messages)``
+with the messages tagged ``case 7`` or ``eta=2.5``; the random and the
+scenario suites share the checks, and every guarantee is checked under
+exactly the precondition ``performance_bounds`` or ``mfd.guarantees`` states.
+The guarantee check takes a block of parameter sets at once (``BLOCK`` random
+draws, or a scenario's whole sweep) and builds messages only for the sets
+that fail, set by set in the order of its checks.
 A suite is a stream of these outcomes, and one fold turns every stream into
 its :class:`CheckResult`.  Each failure test reads ``not value <= bound`` (or
 ``>=``), so a NaN fails it, and every fold of gaps keeps a NaN, so it shows as
@@ -20,16 +23,15 @@ the suite's printed worst gap.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bottleneck, mfd, oracle
-from .core import BottleneckParams, CostBreakdown, ParameterError, regime_thresholds
+from .core import BottleneckParams, ParameterError, ParamsBlock, clamp, regime_thresholds
 
 __all__ = [
     "CheckResult",
@@ -61,6 +63,7 @@ class CheckResult:
 
 
 _Outcome = tuple[float, list[str]]
+_Check = tuple[np.ndarray, Callable[[int], str]]  # which sets of a block fail, and set i's message
 
 REL_TOL = 1e-6  # bottleneck closed forms vs trapezoid quadrature, relative
 QUAD_TOL = 1e-8  # urban revenue and the four cost pieces vs Gauss–Legendre quadrature, relative
@@ -69,13 +72,15 @@ QUAD_TOL = 1e-8  # urban revenue and the four cost pieces vs Gauss–Legendre qu
 # keeps rounding residue up to ~4e-10 user-hours; a 1e-9 h floor fails.
 ORACLE_FLOOR = 1e-4
 ARGMAX_GRID = 2000  # dense revenue grid that certifies the closed-form flat optimum
+GRID_ROWS = 16  # parameter sets whose dense revenue grids are evaluated at once (16 x 2000 floats)
+BLOCK = 512  # random draws stacked into one block of the guarantee check
 LIMIT_JAM = 1e15  # jam accumulation of the urban suite's fixed-capacity limit draws
 LIMIT_TOL = 1e-9  # urban revenue, queuing and schedule vs the bottleneck at LIMIT_JAM, relative
 _PIECES = ("revenue", "transit", "car_freeflow", "queuing", "schedule")  # of a CostBreakdown
 
 
 def _rel_gap(got: float, want: float, floor: float = 1e-12) -> float:
-    return abs(got - want) / max(abs(want), floor)
+    return abs(got - want) / clamp(abs(want), floor)
 
 
 def _oracle_floor(params: BottleneckParams) -> float:
@@ -205,73 +210,133 @@ def _check_recovery(params: BottleneckParams, tag: str) -> _Outcome:
     return err - step, failures
 
 
+def _column(values, n: int) -> np.ndarray:
+    """``values`` as ``n`` floats: a block's array as it is, one value repeated, None (absent) as NaN."""
+    return np.broadcast_to(np.asarray(values, dtype=float), (n,))
+
+
+def _messages(tags: Sequence[str], checks: list[_Check]) -> list[str]:
+    """The failure messages of a block, set by set, each set's in the order of ``checks``."""
+    failing = np.flatnonzero(np.logical_or.reduce([fails for fails, _ in checks]))
+    return [f"{tags[i]}: {text(i)}" for i in failing for fails, text in checks if fails[i]]
+
+
 def _check_bounds(
-    report: bottleneck.BoundReport, flat: CostBreakdown, ro: bottleneck.DynamicTollDesign, so, tag: str
-) -> _Outcome:
-    """Every guarantee ``report`` states for the flat toll's pieces ``flat``, in either model.
+    report: bottleneck.BoundReport,
+    flat_revenue,
+    flat_cost,
+    ro_revenue,
+    ro_cost,
+    so_cost,
+    n: int,
+) -> tuple[np.ndarray, list[_Check]]:
+    """Every guarantee ``report`` states for ``n`` parameter sets, in either model.
 
-    ``ro`` is the dynamic revenue-optimal design and ``so()`` the system-optimal
-    one, read only where a cost bound applies.  The worst gap is the revenue
+    ``flat_*`` are the flat toll's revenue and system cost, ``ro_*`` the
+    dynamic revenue-optimal design's, and ``so_cost`` the least system cost;
+    each is a float or an array of ``n``.  Returns each set's revenue
     ratio's margin over its floor (infinite without a floor or a positive
-    dynamic revenue, NaN when that is NaN).
+    dynamic revenue, NaN when that is NaN), and the checks.
     """
-    failures: list[str] = []
-    margin = math.inf
-    bound = report.revenue_ratio_lower_bound
-    if bound is not None and not ro.revenue <= 0:
-        ratio = flat.revenue / ro.revenue
-        margin = ratio - bound
-        if not ratio >= bound * (1 - 1e-9):
-            failures.append(
-                f"{tag}: revenue ratio {ratio:.6f} below bound {bound:.6f} ({report.regime.value})"
-            )
-    if report.sc_ratio_upper_bound is None and report.exact_sc_ratio is None:
-        return margin, failures
-    sc_opt = so().system_cost
-    if report.sc_ratio_upper_bound is not None:
-        cap = report.sc_ratio_upper_bound * sc_opt * (1 + 1e-9)
-        for label, cost in (("flat-toll", flat.total), ("dynamic", ro.system_cost)):
-            if not cost <= cap:
-                failures.append(
-                    f"{tag}: {label} system cost beats 2x bound: cost {cost:.8g} vs cap {cap:.8g}"
-                )
-    if report.exact_sc_ratio is not None:
-        cost_ratio = flat.total / sc_opt
-        if not _rel_gap(cost_ratio, report.exact_sc_ratio) <= 1e-9:
-            failures.append(
-                f"{tag}: cost ratio {cost_ratio!r} vs exact corner ratio {report.exact_sc_ratio!r}"
-            )
-    return margin, failures
+    bound, cap_factor, exact = (
+        _column(v, n)
+        for v in (report.revenue_ratio_lower_bound, report.sc_ratio_upper_bound, report.exact_sc_ratio)
+    )
+    regime = np.broadcast_to(np.asarray(report.regime, dtype=object), (n,))
+    flat_revenue, flat_cost, ro_revenue, ro_cost, so_cost = (
+        _column(v, n) for v in (flat_revenue, flat_cost, ro_revenue, ro_cost, so_cost)
+    )
+    floored = ~np.isnan(bound) & ~(ro_revenue <= 0)
+    ratio = flat_revenue / np.where(floored, ro_revenue, 1.0)
+    margin = np.where(floored, ratio - bound, math.inf)
+    capped = ~np.isnan(cap_factor)
+    cap = cap_factor * so_cost * (1 + 1e-9)
+    cornered = ~np.isnan(exact)
+    cost_ratio = flat_cost / np.where(cornered, so_cost, 1.0)
+    exact_gap = _rel_gap(cost_ratio, np.where(cornered, exact, 1.0))
+
+    def over_cap(label: str, cost: np.ndarray) -> _Check:
+        return capped & ~(cost <= cap), lambda i: (
+            f"{label} system cost beats 2x bound: cost {cost[i]:.8g} vs cap {cap[i]:.8g}"
+        )
+
+    checks = [
+        (
+            floored & ~(ratio >= bound * (1 - 1e-9)),
+            lambda i: f"revenue ratio {ratio[i]:.6f} below bound {bound[i]:.6f} ({regime[i].value})",
+        ),
+        over_cap("flat-toll", flat_cost),
+        over_cap("dynamic", ro_cost),
+        (
+            cornered & ~(exact_gap <= 1e-9),
+            # float(): numpy 2 prints np.float64(...) as its repr
+            lambda i: f"cost ratio {float(cost_ratio[i])!r} vs exact corner ratio {float(exact[i])!r}",
+        ),
+    ]
+    return margin, checks
 
 
-def _check_guarantees(params: BottleneckParams, tag: str) -> _Outcome:
-    """Every performance guarantee that ``performance_bounds`` reports at one parameter set.
+def _grid_maxima(params: ParamsBlock) -> np.ndarray:
+    """Each set's largest revenue on ``ARGMAX_GRID`` uniform tolls over ``[0, gap]``.
+
+    A set's grid is its gap times one shared grid on ``[0, 1]``, cheaper than
+    a ``linspace`` per set.  The grids are evaluated ``GRID_ROWS`` sets at a
+    time, so memory stays flat in the block size.
+    """
+    unit = np.linspace(0.0, 1.0, ARGMAX_GRID)
+    maxima = []
+    for start in range(0, len(params.total_demand), GRID_ROWS):
+        chunk = params[start:start + GRID_ROWS]
+        tolls = chunk.cost_gap[:, np.newaxis] * unit
+        maxima.append(oracle._static_revenue_curve(chunk, tolls).max(axis=1))
+    return np.concatenate(maxima)
+
+
+def _check_guarantees(
+    sets: Sequence[BottleneckParams], tags: Sequence[str], corner: bool = False
+) -> tuple[np.ndarray, list[str]]:
+    """Every performance guarantee that ``performance_bounds`` reports, on a block of parameter sets.
 
     Also certifies the closed-form flat optimum against a dense revenue grid
     (no grid point may beat it, as no toll beats a true maximum), the dynamic
-    optimum against it, and the 1/2 revenue floor.  The worst gap is
-    :func:`_check_bounds`' revenue margin.
+    optimum against it, and the 1/2 revenue floor; ``corner`` sets must
+    report the exact cost ratio.  Returns each set's revenue margin (see
+    :func:`_check_bounds`) and the failures, tagged by ``tags``.
     """
-    failures: list[str] = []
+    params = ParamsBlock.stack(sets)
+    n = len(tags)
     _, flat = bottleneck.static_revenue_optimal_toll(params)
-    design = bottleneck.dynamic_revenue_optimal(params)
-    if not design.revenue >= flat.revenue * (1 - 1e-9):
-        failures.append(
-            f"{tag}: dynamic optimum below flat optimum: revenue {design.revenue:.8g} "
-            f"vs flat {flat.revenue:.8g}"
-        )
-    if params.cost_gap > 0:
-        grid = np.linspace(0.0, params.cost_gap, ARGMAX_GRID)
-        curve_max = float(oracle._static_revenue_curve(params, grid).max())
-        if not curve_max <= flat.revenue * (1 + 1e-9):
-            failures.append(
-                f"{tag}: grid revenue {curve_max:.8g} beats closed optimum {flat.revenue:.8g}"
-            )
-    if not design.revenue <= 0 and not (ratio := flat.revenue / design.revenue) >= 0.5 - 1e-9:
-        failures.append(f"{tag}: revenue ratio {ratio:.6f} under the 1/2 floor")
-    so = functools.partial(bottleneck.dynamic_so_design, params)
-    margin, found = _check_bounds(bottleneck.performance_bounds(params), flat, design, so, tag)
-    return margin, failures + found
+    ro, so = (bottleneck._trapezoid_cost(params, f) for f in bottleneck._flat_fractions(params))
+    report = bottleneck.performance_bounds(params)
+    flat_revenue, ro_revenue = _column(flat.revenue, n), _column(ro.revenue, n)
+    curve_max = _grid_maxima(params)
+    paid = ~(ro_revenue <= 0)
+    ratio = flat_revenue / np.where(paid, ro_revenue, 1.0)
+    margin, bound_checks = _check_bounds(
+        report, flat_revenue, flat.total, ro_revenue, ro.total, so.total, n
+    )
+    checks = [
+        (
+            ~(ro_revenue >= flat_revenue * (1 - 1e-9)),
+            lambda i: (
+                f"dynamic optimum below flat optimum: revenue {ro_revenue[i]:.8g} "
+                f"vs flat {flat_revenue[i]:.8g}"
+            ),
+        ),
+        (
+            (params.cost_gap > 0) & ~(curve_max <= flat_revenue * (1 + 1e-9)),
+            lambda i: f"grid revenue {curve_max[i]:.8g} beats closed optimum {flat_revenue[i]:.8g}",
+        ),
+        (
+            paid & ~(ratio >= 0.5 - 1e-9),
+            lambda i: f"revenue ratio {ratio[i]:.6f} under the 1/2 floor",
+        ),
+        *bound_checks,
+    ]
+    if corner:
+        reported = _column(report.exact_sc_ratio, n)
+        checks.insert(0, (np.isnan(reported), lambda i: "exact corner ratio not reported"))
+    return margin, _messages(tags, checks)
 
 
 def _check_urban(params: BottleneckParams, net: mfd.TriangularMfd, toll: float, tag: str) -> _Outcome:
@@ -288,8 +353,12 @@ def _check_urban(params: BottleneckParams, net: mfd.TriangularMfd, toll: float, 
     worst, failures = _compare(tag, toll, _pieces(got, want, floors), QUAD_TOL)
     bench = mfd.dynamic_benchmarks(params, net)
     at_gap = mfd.static_system_cost(params, net, params.cost_gap)
-    _, found = _check_bounds(mfd.guarantees(params, net), at_gap, bench.ro, lambda: bench.so, tag)
-    return worst, failures + found
+    report = mfd.guarantees(params, net)
+    ro, so = bench.ro, bench.so
+    _, checks = _check_bounds(
+        report, at_gap.revenue, at_gap.total, ro.revenue, ro.system_cost, so.system_cost, 1
+    )
+    return worst, failures + _messages([tag], checks)
 
 
 def oracle_agreement_suite(seed: int, n_cases: int) -> CheckResult:
@@ -331,20 +400,26 @@ def bound_property_suite(seed: int, n_cases: int) -> CheckResult:
     """
     rng = random.Random(seed)
 
+    def corner_draw() -> BottleneckParams:
+        zero_car = dataclasses.replace(sample_params(rng), car_freeflow_cost=0.0, transit_cost=0.0)
+        low, _ = regime_thresholds(zero_car)
+        threshold = low * (2 * zero_car.arrival_rate - zero_car.capacity) / zero_car.capacity
+        return dataclasses.replace(zero_car, transit_cost=threshold * rng.uniform(1.01, 3.0))
+
+    def blocks(n: int) -> Iterator[range]:
+        return (range(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
+
     def outcomes() -> Iterator[_Outcome]:
-        for case in range(n_cases):
-            yield _check_guarantees(sample_params(rng), f"case {case}")
+        for cases in blocks(n_cases):
+            draws = [sample_params(rng) for _ in cases]
+            margins, failures = _check_guarantees(draws, [f"case {case}" for case in cases])
+            yield float(margins.min()), failures
         # Degenerate-corner draws: zero car free-flow cost, gap beyond the
         # saturation threshold.  They do not feed the printed margin.
-        for case in range(max(n_cases // 10, 10)):
-            zero_car = dataclasses.replace(sample_params(rng), car_freeflow_cost=0.0, transit_cost=0.0)
-            low, _ = regime_thresholds(zero_car)
-            threshold = low * (2 * zero_car.arrival_rate - zero_car.capacity) / zero_car.capacity
-            params = dataclasses.replace(zero_car, transit_cost=threshold * rng.uniform(1.01, 3.0))
-            tag = f"exact-ratio case {case}"
-            if bottleneck.performance_bounds(params).exact_sc_ratio is None:
-                yield math.inf, [f"{tag}: exact corner ratio not reported"]
-            yield math.inf, _check_guarantees(params, tag)[1]
+        for cases in blocks(max(n_cases // 10, 10)):
+            draws = [corner_draw() for _ in cases]
+            tags = [f"exact-ratio case {case}" for case in cases]
+            yield math.inf, _check_guarantees(draws, tags, corner=True)[1]
 
     return _fold(
         "performance-bound properties (revenue floors, 2x cost bound, exact corner)",
@@ -398,10 +473,13 @@ def scenario_suite(scenario) -> CheckResult:
 
     At every sweep point the random suites' checks run: oracle vs closed
     forms at three tolls, optimum recovery by grid search, every performance
-    guarantee, and (for urban scenarios) the urban check mid-band.
+    guarantee (on all the sweep points at once, after the rest), and (for
+    urban scenarios) the urban check mid-band.
     """
 
     def outcomes() -> Iterator[_Outcome]:
+        checked: list[BottleneckParams] = []
+        tags: list[str] = []
         for eta in scenario.eta_sweep:
             params = scenario.params(eta)
             gap = params.cost_gap
@@ -412,12 +490,15 @@ def scenario_suite(scenario) -> CheckResult:
                 yield _check_oracle(params, frac * gap, tag)
             # Recovery and guarantee gaps are not relative gaps: only their failures count.
             yield 0.0, _check_recovery(params, tag)[1]
-            yield 0.0, _check_guarantees(params, tag)[1]
+            checked.append(params)
+            tags.append(tag)
             if scenario.is_mfd:
                 net = scenario.mfd()
                 lo = mfd.static_lower_toll(params, net)
                 if gap > lo:
                     yield _check_urban(params, net, lo + 0.5 * (gap - lo), tag)
+        if checked:
+            yield 0.0, _check_guarantees(checked, tags)[1]
 
     return _fold(
         f"scenario suite ({scenario.name})",

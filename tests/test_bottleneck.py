@@ -1,10 +1,16 @@
+import dataclasses
+import math
 import random
+import sys
+import warnings
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from tollgap import BottleneckParams, DomainError, Regime, oracle, verify
 from tollgap import bottleneck as bn
+from tollgap.core import ParamsBlock, classify_regime, regime_thresholds
 from tollgap.calibration import builtin_scenario
 
 BAY = builtin_scenario("bay_bridge")
@@ -361,3 +367,106 @@ class TestPerformanceBounds:
         assert astuple(bn.static_system_cost(p, hi + eps)) == pytest.approx(
             astuple(want), rel=1e-9
         )
+
+
+def _every_regime(seed: int) -> list[BottleneckParams]:
+    """Seeded sets over all five regimes: zero and subnormal gaps, ``mu == lam``, the exact corner."""
+    rng = random.Random(seed)
+    sets = [verify.sample_params(rng, band) for band in ("low", "mid", "high") for _ in range(12)]
+    for _ in range(6):
+        p = verify.sample_params(rng)
+        corner_gap = 2.0 * regime_thresholds(p)[0] * (2.0 * p.arrival_rate - p.capacity) / p.capacity
+        sets += [
+            dataclasses.replace(p, car_freeflow_cost=0.0, transit_cost=corner_gap),
+            dataclasses.replace(p, car_freeflow_cost=p.transit_cost + rng.uniform(0.01, 2.0)),
+            dataclasses.replace(p, capacity=p.arrival_rate * rng.uniform(1.0, 2.0)),
+            dataclasses.replace(p, capacity=p.arrival_rate),
+            dataclasses.replace(p, transit_cost=p.car_freeflow_cost),
+            dataclasses.replace(p, car_freeflow_cost=0.0, transit_cost=sys.float_info.min / 4),
+        ]
+    return sets
+
+
+def _tolls(rng: random.Random, p: BottleneckParams) -> list[float]:
+    """Below the band, inside it, at the gap and above it (only the last two when empty)."""
+    lo, hi = bn.feasible_toll_band(p)
+    inside = [rng.uniform(0.0, lo), rng.uniform(lo, hi)] if hi >= 0 else []
+    return [*inside, max(hi, 0.0), max(hi, 0.0) + rng.uniform(0.01, 1.0)]
+
+
+def _assert_bitwise(block_value, scalar_values) -> None:
+    """The block's values equal the scalar calls' bit for bit, with None read as NaN."""
+    want = np.array([math.nan if v is None else v for v in scalar_values], dtype=float)
+    got = np.ascontiguousarray(np.broadcast_to(np.asarray(block_value, dtype=float), want.shape))
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+class TestBlockKernels:
+    """A kernel on a block gives, at every index, the scalar call's result, with no warning."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    SETS = _every_regime(17)
+
+    def test_draws_cover_every_regime(self):
+        assert {classify_regime(p) for p in self.SETS} == set(Regime)
+        assert any(p.transit_cost != p.car_freeflow_cost and p.cost_gap == 0 for p in self.SETS)
+        congested = [p for p in self.SETS if p.cost_gap >= 0 and p.capacity < p.arrival_rate]
+        assert any(bn.performance_bounds(p).exact_sc_ratio is not None for p in congested)
+        assert any(bn.performance_bounds(p).sc_ratio_upper_bound is None for p in congested)
+
+    def test_flat_toll(self):
+        rng = random.Random(3)
+        pairs = [(p, toll) for p in self.SETS for toll in _tolls(rng, p)]
+        block = ParamsBlock.stack([p for p, _ in pairs])
+        got = bn._flat_toll(block, np.array([toll for _, toll in pairs]))
+        for field in dataclasses.fields(got):
+            want = [getattr(bn._flat_toll(p, toll), field.name) for p, toll in pairs]
+            _assert_bitwise(getattr(got, field.name), want)
+
+    def test_revenue_optimal_toll_and_regime(self):
+        block = ParamsBlock.stack(self.SETS)
+        toll, cost = bn.static_revenue_optimal_toll(block)
+        want = [bn.static_revenue_optimal_toll(p) for p in self.SETS]
+        _assert_bitwise(toll, [t for t, _ in want])
+        for field in dataclasses.fields(cost):
+            _assert_bitwise(getattr(cost, field.name), [getattr(c, field.name) for _, c in want])
+        _assert_bitwise(bn.max_wait_car_only(block), [bn.max_wait_car_only(p) for p in self.SETS])
+        assert list(classify_regime(block)) == [classify_regime(p) for p in self.SETS]
+        queued = [p for p in self.SETS if p.capacity < p.arrival_rate]
+        block_thresholds = regime_thresholds(ParamsBlock.stack(queued))
+        for got, want in zip(block_thresholds, zip(*map(regime_thresholds, queued))):
+            _assert_bitwise(got, want)
+
+    def test_trapezoid_kernels(self):
+        rng = random.Random(5)
+        fractions = [rng.choice([0.0, 1.0, rng.random()]) for _ in self.SETS]
+        got = bn._trapezoid_cost(ParamsBlock.stack(self.SETS), np.array(fractions))
+        for field in dataclasses.fields(got):
+            want = [bn._trapezoid_cost(p, f) for p, f in zip(self.SETS, fractions)]
+            _assert_bitwise(getattr(got, field.name), [getattr(c, field.name) for c in want])
+        open_sets = [p for p in self.SETS if p.cost_gap >= 0]
+        block_fractions = bn._flat_fractions(ParamsBlock.stack(open_sets))
+        for got, want in zip(block_fractions, zip(*map(bn._flat_fractions, open_sets))):
+            _assert_bitwise(got, want)
+
+    def test_performance_bounds(self):
+        congested = [p for p in self.SETS if p.cost_gap >= 0 and p.capacity < p.arrival_rate]
+        got = bn.performance_bounds(ParamsBlock.stack(congested))
+        want = [bn.performance_bounds(p) for p in congested]
+        for name in ("revenue_ratio_lower_bound", "sc_ratio_upper_bound", "exact_sc_ratio"):
+            _assert_bitwise(getattr(got, name), [getattr(r, name) for r in want])
+        assert list(got.regime) == [r.regime for r in want]
+
+    def test_a_block_is_in_a_domain_only_whole(self):
+        block = ParamsBlock.stack(self.SETS)
+        with pytest.raises(DomainError):
+            bn.performance_bounds(block)
+        with pytest.raises(DomainError):
+            bn._flat_fractions(block)
+        with pytest.raises(DomainError):
+            bn._flat_toll(block, np.full(len(self.SETS), -1.0))

@@ -38,6 +38,7 @@ def test_default_sweep_csv_sha256(scenario, tmp_path, capsys):
         (["crossover", "--scenario", "nyc"], "crossover_nyc.txt"),
         (["verify", "--scenario", "bay_bridge"], "verify_bay_bridge.txt"),
         (["verify", "--scenario", "nyc"], "verify_nyc.txt"),
+        (["verify", "--seed", "42", "--cases", "1000"], "verify_seed42_cases1000.txt"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys):

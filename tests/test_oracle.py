@@ -8,6 +8,7 @@ from tollgap import BottleneckParams
 from tollgap import bottleneck as bn
 from tollgap import mfd, oracle, verify
 from tollgap.calibration import builtin_scenario
+from tollgap.core import ParamsBlock
 
 BAY = builtin_scenario("bay_bridge")
 NYC = builtin_scenario("nyc")
@@ -156,6 +157,20 @@ class TestGridSearches:
             base.car_freeflow_cost,
         )
         assert oracle.grid_search_static(params) == (0.0, 0.0)
+
+    def test_revenue_curve_matches_the_closed_form(self):
+        # The two-coefficient form of the curve, on a block with one toll row
+        # per set, within 1e-12 of bottleneck.static_revenue: below the band,
+        # on it, at and above the gap, and with no queue.
+        rng = random.Random(8)
+        sets = [verify.sample_params(rng) for _ in range(30)]
+        sets += [dataclasses.replace(p, capacity=1.5 * p.arrival_rate) for p in sets[:5]]
+        tolls = np.array([np.linspace(0.0, 1.2 * p.cost_gap, 61) for p in sets])
+        curve = oracle._static_revenue_curve(ParamsBlock.stack(sets), tolls)
+        for p, row, values in zip(sets, tolls, curve):
+            want = [bn.static_revenue(p, toll) for toll in row]
+            assert values.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12 * max(want))
+            assert (oracle._static_revenue_curve(p, row) == values).all()
 
     def test_fraction_argmax_nyc(self):
         params = NYC.params(18.0)

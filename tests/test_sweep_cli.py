@@ -282,6 +282,24 @@ class TestCli:
         checks = [line for line in done.stdout.splitlines() if line.startswith("check ")]
         assert checks == ["check False", "check True", "check True"]
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_cli_runs_numpy_on_one_thread(self):
+        # The CLI asks OpenBLAS for one thread unless the caller set a count.
+        script = (
+            "from tollgap import cli\n"
+            "assert cli.main(['verify', '--scenario', 'nyc']) == 0\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print([line.split() for line in status if line.startswith('Threads:')])\n"
+        )
+        src = str(Path(tollgap.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[['Threads:', '1']]"
+
     @pytest.mark.parametrize(
         "argv",
         [

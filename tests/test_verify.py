@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import random
 
+import numpy as np
 import pytest
 
 from tollgap import bottleneck as bn
@@ -159,8 +161,9 @@ def test_nan_urban_revenue_fails_urban_agreement(monkeypatch):
 
 
 def test_nan_dynamic_revenue_fails_bound_properties(monkeypatch):
-    planted = _nan_field(bn.dynamic_revenue_optimal, "revenue")
-    monkeypatch.setattr(bn, "dynamic_revenue_optimal", planted)
+    # The suite reads the dynamic designs' pieces from the trapezoid kernel.
+    planted = _nan_field(bn._trapezoid_cost, "revenue")
+    monkeypatch.setattr(bn, "_trapezoid_cost", planted)
     result = verify.bound_property_suite(44, 200)
     assert not result.ok
     assert any("dynamic optimum below flat optimum" in f for f in result.failures)
@@ -174,8 +177,8 @@ def test_nan_gap_shows_as_the_worst_gap(monkeypatch):
 
 
 def test_nan_dynamic_revenue_shows_as_the_margin(monkeypatch):
-    planted = _nan_field(bn.dynamic_revenue_optimal, "revenue")
-    monkeypatch.setattr(bn, "dynamic_revenue_optimal", planted)
+    planted = _nan_field(bn._trapezoid_cost, "revenue")
+    monkeypatch.setattr(bn, "_trapezoid_cost", planted)
     result = verify.bound_property_suite(44, 200)
     assert math.isnan(result.worst)
     assert result.line().endswith("smallest revenue-bound margin nan")
@@ -185,7 +188,7 @@ def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
     # No grid point can beat a true maximum, so a toll a quarter grid step below
     # the band-top optimum fails, although a step's Lipschitz slack would cover it.
     params = builtin_scenario("bay_bridge").params(1.5)
-    assert verify._check_guarantees(params, "eta=1.5")[1] == []
+    assert verify._check_guarantees([params], ["eta=1.5"])[1] == []
     real = bn.static_revenue_optimal_toll
     step = params.cost_gap / (verify.ARGMAX_GRID - 1)
 
@@ -194,6 +197,70 @@ def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
         return toll, bn.static_system_cost(p, toll)
 
     monkeypatch.setattr(bn, "static_revenue_optimal_toll", shifted)
-    _, failures = verify._check_guarantees(params, "eta=1.5")
+    _, failures = verify._check_guarantees([params], ["eta=1.5"])
     assert len(failures) == 1
     assert failures[0].startswith("eta=1.5: grid revenue 5541.8182 beats closed optimum 5541.")
+
+
+BOUND_LINE = (
+    "[{}] performance-bound properties (revenue floors, 2x cost bound, exact corner): "
+    "{} draws; smallest revenue-bound margin {}"
+)
+
+
+@pytest.mark.parametrize(
+    "seed, n_cases, margin",
+    [(5, 1, "1.749e-02"), (5, 513, "4.256e-04"), (3, 1025, "2.547e-04"), (0, 0, "inf")],
+)
+def test_block_edges_report_the_per_draw_line(seed, n_cases, margin):
+    # One draw, one past a block, and two blocks and one: the lines the
+    # per-draw check printed for these seeds.
+    assert verify.BLOCK == 512
+    result = verify.bound_property_suite(seed, n_cases)
+    assert result.line() == BOUND_LINE.format("PASS", n_cases, margin)
+
+
+def _nth_draw(seed, index):
+    rng = random.Random(seed)
+    return [verify.sample_params(rng) for _ in range(index + 1)][index]
+
+
+def test_fault_past_the_first_block_keeps_its_global_tag(monkeypatch):
+    # Draw 600 of seed 5 sits in the second block; its dynamic revenue is tripled.
+    target = _nth_draw(5, 600).total_demand
+    real = bn._trapezoid_cost
+
+    def tripled_at_target(params, fraction):
+        cost = real(params, fraction)
+        revenue = np.where(params.total_demand == target, 3 * cost.revenue, cost.revenue)
+        return dataclasses.replace(cost, revenue=revenue)
+
+    monkeypatch.setattr(bn, "_trapezoid_cost", tripled_at_target)
+    result = verify.bound_property_suite(5, 700)
+    # The per-draw check's line and messages for the same planted fault.
+    assert result.line() == BOUND_LINE.format("FAIL", 700, "-3.821e-01")
+    assert result.failures == [
+        "case 600: revenue ratio 0.284570 under the 1/2 floor",
+        "case 600: revenue ratio 0.284570 below bound 0.666667 (mixed_high)",
+    ]
+
+
+def test_corner_fault_past_the_first_block_keeps_its_global_tag(monkeypatch):
+    # 6000 draws give 600 corner draws; corner draw 530 stops reporting its exact ratio.
+    rng = random.Random(5)
+    for _ in range(6000):
+        verify.sample_params(rng)
+    for _ in range(531):
+        target = verify.sample_params(rng).total_demand
+        rng.uniform(1.01, 3.0)
+    real = bn.performance_bounds
+
+    def dropped_at_target(params):
+        report = real(params)
+        exact = np.where(params.total_demand == target, math.nan, report.exact_sc_ratio)
+        return dataclasses.replace(report, exact_sc_ratio=exact)
+
+    monkeypatch.setattr(bn, "performance_bounds", dropped_at_target)
+    result = verify.bound_property_suite(5, 6000)
+    assert result.line() == BOUND_LINE.format("FAIL", 6000, "5.475e-05")
+    assert result.failures == ["exact-ratio case 530: exact corner ratio not reported"]
