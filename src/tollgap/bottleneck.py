@@ -14,8 +14,8 @@ mixed-mode equilibrium only on the band
 above it everyone rides transit (ties at the top break toward the car, i.e.
 toward higher revenue).
 
-The kernels (``max_wait_car_only``, ``_flat_toll``, ``_flat_fractions``,
-``_trapezoid_cost``, ``static_revenue_optimal_toll`` and
+The kernels (``max_wait_car_only``, ``_flat_toll``, ``static_equilibrium``,
+``_flat_fractions``, ``_trapezoid_cost``, ``static_revenue_optimal_toll`` and
 ``performance_bounds``) take one parameter set or a
 :class:`~tollgap.core.ParamsBlock` of them.  Each branch is computed in full
 and chosen by :func:`~tollgap.core.select`, with a stand-in denominator
@@ -114,6 +114,23 @@ def _require_outside_option_regime(params: BottleneckParams) -> None:
         raise DomainError("transit strictly dominates: no congested analysis applies")
 
 
+def _branch_picker(params: BottleneckParams, toll: float):
+    """``pick(out, mixed, no_queue)``: a flat toll's value on its branch, elementwise on a block.
+
+    ``out`` where every car is priced out (a negative gap, or a toll above
+    it), else ``mixed`` where a queue forms (``mu < lam``) and ``no_queue``
+    where none does.
+    """
+    gap = params.cost_gap
+    priced_out = (gap < 0) | (toll > gap)
+    congested = params.capacity < params.arrival_rate
+
+    def pick(out: float, mixed: float, no_queue: float) -> float:
+        return select(priced_out, out, select(congested, mixed, no_queue))
+
+    return pick
+
+
 def _flat_toll(params: BottleneckParams, toll: float) -> CostBreakdown:
     """Cost pieces and revenue of a flat toll, for any toll and any gap.
 
@@ -128,12 +145,8 @@ def _flat_toll(params: BottleneckParams, toll: float) -> CostBreakdown:
     demand, gap = params.total_demand, params.cost_gap
     mu, lam = params.capacity, params.arrival_rate
     z_t, z_c = params.transit_cost, params.car_freeflow_cost
-    priced_out = (gap < 0) | (toll > gap)
+    pick = _branch_picker(params, toll)
     congested = mu < lam
-
-    def pick(out: float, mixed: float, no_queue: float) -> float:
-        return select(priced_out, out, select(congested, mixed, no_queue))
-
     max_wait = max_wait_car_only(params)
     wait = clamp(gap - toll, 0.0, max_wait)
     away = 1.0 - mu / lam
@@ -159,30 +172,22 @@ def static_equilibrium(params: BottleneckParams, toll: float) -> EquilibriumOutc
     ``early_penalty`` up, ``late_penalty`` down) plus service-rate accounting.
     Below the band the outcome is the car-only equilibrium; above it all
     users ride transit, except at ``toll == gap`` where indifferent users
-    break toward the car.
+    break toward the car.  With no queue (``mu >= lam``) everyone crosses on
+    time by car (at ``toll == gap`` the tie also resolves toward the car).
     """
-    if toll < 0:
+    if anywhere(toll < 0):
         raise DomainError("toll must be nonnegative")
-    regime = classify_regime(params)
+    pick = _branch_picker(params, toll)
     demand = params.total_demand
     rush = params.rush_length
-
-    if regime is Regime.ALL_TRANSIT or toll > params.cost_gap:
-        return EquilibriumOutcome(0.0, 0.0, 0.0, demand, 0.0, 0.0, 0.0, 0.0, 0.0, regime)
-
-    if regime is Regime.UNCONGESTED:
-        # Capacity covers demand: no queue, everyone crosses on time by car
-        # (at toll == gap the tie also resolves toward the car).
-        return EquilibriumOutcome(0.0, 0.0, demand, 0.0, 0.0, 0.0, 0.0, rush, rush, regime)
-
-    max_wait = max_wait_car_only(params)
-    wait = min(max(params.cost_gap - toll, 0.0), max_wait)
     mu, lam = params.capacity, params.arrival_rate
     e, late = params.early_penalty, params.late_penalty
 
+    max_wait = max_wait_car_only(params)
+    wait = clamp(params.cost_gap - toll, 0.0, max_wait)
     n_early = mu * wait / e
     n_late = mu * wait / late
-    ontime_share = 1.0 - wait / max_wait
+    ontime_share = 1.0 - wait / select(mu < lam, max_wait, 1.0)
     n_ontime = ontime_share * demand * mu / lam
     n_transit = ontime_share * demand * (1.0 - mu / lam)
 
@@ -194,7 +199,16 @@ def static_equilibrium(params: BottleneckParams, toll: float) -> EquilibriumOutc
     peak_end = peak_start + flat
     end = peak_end + fall
     return EquilibriumOutcome(
-        n_early, n_late, n_ontime, n_transit, wait, start, peak_start, peak_end, end, regime
+        pick(0.0, n_early, 0.0),
+        pick(0.0, n_late, 0.0),
+        pick(0.0, n_ontime, demand),
+        pick(demand, n_transit, 0.0),
+        pick(0.0, wait, 0.0),
+        pick(0.0, start, 0.0),
+        pick(0.0, peak_start, 0.0),
+        pick(0.0, peak_end, rush),
+        pick(0.0, end, rush),
+        classify_regime(params),
     )
 
 

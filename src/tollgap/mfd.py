@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bottleneck
-from .core import BottleneckParams, CostBreakdown, DomainError, Regime, TriangularMfd
+from .core import BottleneckParams, CostBreakdown, DomainError, Regime, TriangularMfd, anywhere
 from .search import grid_refine_mins
 
 __all__ = [
@@ -72,7 +72,7 @@ def _check_toll_domain(
     lo = static_lower_toll(params, mfd)
     hi = params.cost_gap
     slack = 1e-9 * max(1.0, abs(hi))
-    if np.min(toll) < lo - slack or np.max(toll) > hi + slack:
+    if anywhere((toll < lo - slack) | (toll > hi + slack)):
         raise DomainError(
             f"toll {toll!r} outside the mixed-mode band [{lo!r}, {hi!r}]; "
             "the all-car congested regime is not modeled"

@@ -11,7 +11,10 @@ a flat toll in each model, with its revenue and four cost pieces as a
 ``CostBreakdown``: :func:`static_bottleneck_costs` and
 :func:`mfd_shoulder_quadrature`.  Where a search needs a revenue curve, the
 curve is an independent transcription evaluated point by point, so agreement
-is evidence rather than tautology.
+is evidence rather than tautology.  The bottleneck rebuild and both searches
+take a :class:`~tollgap.core.ParamsBlock` of sets as well as one set: their
+branches go through ``core.select`` and ``core.clamp``, which choose values
+and hold no formula, so the oracle stays independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ from .core import (
     DomainError,
     EquilibriumOutcome,
     TriangularMfd,
+    anywhere,
+    clamp,
     classify_regime,
+    select,
 )
 
 __all__ = [
@@ -60,6 +66,7 @@ class EquilibriumTrace:
 
 GAUSS_LEGENDRE_NODES = 128  # shoulder rule; 256 nodes move no piece by 1e-12 relative
 SEARCH_POINTS = 10_000  # uniform grid of both exhaustive revenue searches
+SEARCH_ROWS = 3  # sets of a block searched at once: 3 x 10 000 floats, 240 KB an array
 
 
 @functools.cache
@@ -80,7 +87,7 @@ def _trapezoid(t0: float, t1: float, y0: float, y1: float) -> float:
 
     Below the band the flat segment can come out an ulp negative.
     """
-    return (t1 - t0) * (y1 + y0) / 2.0 if t1 > t0 else 0.0
+    return select(t1 > t0, (t1 - t0) * (y1 + y0) / 2.0, 0.0)
 
 
 def static_bottleneck_costs(
@@ -95,40 +102,36 @@ def static_bottleneck_costs(
     symmetrically for the late one).  Revenue and the four cost components
     come from the trapezoid rule on each of the profile's three linear
     segments, exact from the segment's two ends; mode counts are read off
-    the service interval.
+    the service interval.  ``params`` may be a block and ``toll`` an array:
+    every branch is then taken elementwise through ``select`` and ``clamp``.
     """
-    if params.cost_gap < 0:
+    if anywhere(params.cost_gap < 0):
         raise DomainError("simulation requires transit_cost >= car_freeflow_cost")
-    if toll < 0:
+    if anywhere(toll < 0):
         raise DomainError("toll must be nonnegative")
 
     demand, lam = params.total_demand, params.arrival_rate
-    mu = min(params.capacity, lam)
+    mu = clamp(params.capacity, hi=lam)
     e, late = params.early_penalty, params.late_penalty
     gap = params.cost_gap
     regime = classify_regime(params)
-
-    if toll > gap:
-        # Strictly dominated car: nothing flows, everything is transit.
-        outcome = EquilibriumOutcome(0, 0, 0, demand, 0, 0, 0, 0, 0, regime)
-        return outcome, CostBreakdown(params.transit_cost * demand, 0.0, 0.0, 0.0, 0.0)
+    # Strictly dominated car: nothing flows, everything is transit.
+    priced_out = toll > gap
+    no_queue = params.capacity >= lam
 
     # Car-only peak wait, rebuilt from the slope geometry: serving all demand
     # at rate mu takes demand/mu hours split e:L across rise and fall.
-    if params.capacity >= lam:
-        peak_wait = 0.0
-    else:
-        rise_share = late / (e + late)
-        peak_wait = e * rise_share * demand / mu
-        peak_wait = min(max(gap - toll, 0.0), peak_wait)
+    rise_share = late / (e + late)
+    car_only_wait = e * rise_share * demand / mu
+    peak_wait = select(no_queue, 0.0, clamp(gap - toll, 0.0, car_only_wait))
 
     rise_len = peak_wait / e
     fall_len = peak_wait / late
     car_only_span = demand / mu
-    flat_len = (
-        params.rush_length
-        if params.capacity >= lam
-        else (1.0 - (rise_len + fall_len) / car_only_span) * params.rush_length
+    flat_len = select(
+        no_queue,
+        params.rush_length,
+        (1.0 - (rise_len + fall_len) / car_only_span) * params.rush_length,
     )
 
     peak_start = (mu / lam) * rise_len
@@ -152,15 +155,22 @@ def static_bottleneck_costs(
     n_late = mu * (end - peak_end)
     n_ontime = mu * (peak_end - peak_start)
     n_transit = demand - n_car
+
+    def flowing(value):
+        return select(priced_out, 0.0, value)
+
     cost = CostBreakdown(
-        transit=params.transit_cost * n_transit,
-        car_freeflow=params.car_freeflow_cost * n_car,
-        queuing=queuing,
-        schedule=schedule,
-        revenue=revenue,
+        transit=params.transit_cost * select(priced_out, demand, n_transit),
+        car_freeflow=flowing(params.car_freeflow_cost * n_car),
+        queuing=flowing(queuing),
+        schedule=flowing(schedule),
+        revenue=flowing(revenue),
     )
     outcome = EquilibriumOutcome(
-        n_early, n_late, n_ontime, n_transit, peak_wait, start, peak_start, peak_end, end, regime
+        *map(flowing, (n_early, n_late, n_ontime)),
+        select(priced_out, demand, n_transit),
+        *map(flowing, (peak_wait, start, peak_start, peak_end, end)),
+        regime,
     )
     return outcome, cost
 
@@ -212,7 +222,46 @@ def simulate_static_bottleneck(
     return trace, outcome, cost
 
 
-def _static_revenue_curve(params: BottleneckParams, tolls: np.ndarray) -> np.ndarray:
+def _column(values) -> np.ndarray:
+    """A set's value, or a block's values as a column, to broadcast against grid rows."""
+    return np.asarray(values, dtype=float)[..., np.newaxis]
+
+
+def _search(params: BottleneckParams, start, stop, curve) -> tuple:
+    """Each set's first grid point of largest ``curve`` value, and that value.
+
+    A set's grid has ``SEARCH_POINTS`` uniform points from its ``start`` to
+    its ``stop``, in ``numpy.linspace``'s own arithmetic (the index times the
+    step, plus the start, with the last point set to the end), so it equals
+    the set's ``linspace`` bit for bit.  ``curve(sets, grid, out, scratch)``
+    writes the sets' values on their grid rows into ``out``.  One set gives
+    floats; a block gives arrays, and is searched ``SEARCH_ROWS`` sets at a
+    time with every chunk in the same three arrays: dense arrays allocated
+    afresh per chunk cost more to fault in than to fill.
+    """
+    block = np.ndim(params.total_demand) > 0
+    n = len(params.total_demand) if block else 1
+    start, stop = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (start, stop))
+    index = np.arange(SEARCH_POINTS, dtype=float)
+    work = [np.empty((min(n, SEARCH_ROWS), SEARCH_POINTS)) for _ in range(3)]
+    points, best = np.empty(n), np.empty(n)
+    for first in range(0, n, SEARCH_ROWS):
+        rows = slice(first, first + SEARCH_ROWS)
+        grid, values, scratch = (array[: len(points[rows])] for array in work)
+        step = (stop[rows] - start[rows]) / (SEARCH_POINTS - 1)
+        np.multiply(index, step[:, np.newaxis], out=grid)
+        grid += start[rows, np.newaxis]
+        grid[:, -1] = stop[rows]
+        curve(params[rows] if block else params, grid, values, scratch)
+        i = np.argmax(values, axis=1)
+        at = np.arange(len(i)), i
+        points[rows], best[rows] = grid[at], values[at]
+    return (points, best) if block else (float(points[0]), float(best[0]))
+
+
+def _static_revenue_curve(
+    params: BottleneckParams, tolls: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Vectorized transcription of the flat-toll revenue curve.
 
     On the band a toll ``T`` earns ``mu*T*(demand/lam + (gap - T)/sf*(1 - mu/lam))``,
@@ -223,19 +272,16 @@ def _static_revenue_curve(params: BottleneckParams, tolls: np.ndarray) -> np.nda
     (``mu >= lam``) it is ``T*demand`` up to the gap: ``c1 = 0``, ``c0 = demand``.
     ``params`` is one parameter set and ``tolls`` a vector, or a block of
     sets, each reading its own row of ``tolls``.  The curve is built in
-    place, since a dense grid's temporaries would dominate its cost.
+    place (in ``out`` if given), since a dense grid's temporaries would
+    dominate its cost.
     """
-
-    def column(values) -> np.ndarray:
-        return np.asarray(values, dtype=float)[..., np.newaxis]
-
-    demand, lam, mu = (column(v) for v in (params.total_demand, params.arrival_rate, params.capacity))
-    gap, factor = column(params.cost_gap), column(params.schedule_factor)
+    demand, lam, mu = (_column(v) for v in (params.total_demand, params.arrival_rate, params.capacity))
+    gap, factor = _column(params.cost_gap), _column(params.schedule_factor)
     queued = mu < lam
     c1 = np.where(queued, mu * (1 - mu / lam) / factor, 0.0)
     c0 = np.where(queued, mu * demand / lam + c1 * gap, demand)
     lo = np.where(queued, np.maximum(0.0, gap - demand * factor / mu), 0.0)
-    revenue = np.maximum(tolls, lo)
+    revenue = np.maximum(tolls, lo, out=out)
     revenue *= c1
     np.subtract(c0, revenue, out=revenue)
     revenue *= tolls
@@ -243,27 +289,51 @@ def _static_revenue_curve(params: BottleneckParams, tolls: np.ndarray) -> np.nda
     return revenue
 
 
+def _fraction_revenue_curve(
+    params: BottleneckParams, fracs: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """``R(f) = gap*(f*N*mu/lam + (1-f)*N) - N*N/(2*mu)*sf*(1-f)**2`` on ``fracs``, into ``out``.
+
+    Built in place, as :func:`_static_revenue_curve` is; ``1 - f`` is taken
+    twice so that one scratch array serves.
+    """
+    demand, lam, mu = (_column(v) for v in (params.total_demand, params.arrival_rate, params.capacity))
+    gap, factor = _column(params.cost_gap), _column(params.schedule_factor)
+    np.multiply(fracs, demand, out=out)
+    out *= mu
+    out /= lam
+    np.subtract(1.0, fracs, out=scratch)
+    scratch *= demand
+    out += scratch
+    out *= gap
+    np.subtract(1.0, fracs, out=scratch)
+    scratch *= scratch
+    scratch *= demand * demand / (2.0 * mu) * factor
+    out -= scratch
+
+
 def grid_search_static(params: BottleneckParams) -> tuple[float, float]:
-    """Exhaustive flat-toll revenue argmax over [0, gap]."""
-    gap = max(params.cost_gap, 0.0)
-    tolls = np.linspace(0.0, gap, SEARCH_POINTS)
-    values = _static_revenue_curve(params, tolls)
-    i = int(np.argmax(values))
-    return float(tolls[i]), float(values[i])
+    """Exhaustive flat-toll revenue argmax over [0, gap].
+
+    For a block, each set's argmax toll and revenue, as arrays.
+    """
+    return _search(
+        params,
+        0.0,
+        clamp(params.cost_gap, 0.0),
+        lambda sets, tolls, out, _: _static_revenue_curve(sets, tolls, out),
+    )
 
 
 def grid_search_dynamic_fraction(params: BottleneckParams) -> tuple[float, float]:
-    """Exhaustive flat-fraction revenue argmax over the feasible band."""
-    demand, lam, mu = params.total_demand, params.arrival_rate, params.capacity
-    gap = params.cost_gap
-    car_only_wait = demand * params.schedule_factor / mu
-    f_lo = 1.0 - min(gap / car_only_wait, 1.0) if car_only_wait > 0 else 1.0
-    fracs = np.linspace(f_lo, 1.0, SEARCH_POINTS)
-    values = gap * (fracs * demand * mu / lam + (1.0 - fracs) * demand) - (
-        demand * demand / (2.0 * mu) * params.schedule_factor * (1.0 - fracs) ** 2
-    )
-    i = int(np.argmax(values))
-    return float(fracs[i]), float(values[i])
+    """Exhaustive flat-fraction revenue argmax over the feasible band.
+
+    For a block, each set's argmax fraction and revenue, as arrays.
+    """
+    car_only_wait = params.total_demand * params.schedule_factor / params.capacity
+    waits = car_only_wait > 0
+    f_lo = select(waits, 1.0 - clamp(params.cost_gap / select(waits, car_only_wait, 1.0), hi=1.0), 1.0)
+    return _search(params, f_lo, 1.0, _fraction_revenue_curve)
 
 
 def _shoulder(

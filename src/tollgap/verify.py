@@ -7,13 +7,19 @@ shoulders, exhaustive search), and reports the worst discrepancy seen.
 A suite's report depends only on its arguments; the CLI ``verify`` command
 and the acceptance tests both run them.
 
-Each check is written once and returns ``(worst gap, failure messages)``
-with the messages tagged ``case 7`` or ``eta=2.5``; the random and the
-scenario suites share the checks, and every guarantee is checked under
-exactly the precondition ``performance_bounds`` or ``mfd.guarantees`` states.
-The guarantee check takes a block of parameter sets at once (``BLOCK`` random
-draws, or a scenario's whole sweep) and builds messages only for the sets
-that fail, set by set in the order of its checks.
+Each check is written once, and the random and the scenario suites share
+the checks; every guarantee is checked under exactly the precondition
+``performance_bounds`` or ``mfd.guarantees`` states.  Every check but the
+urban one takes a block of parameter sets: oracle agreement a row per
+``(set, toll)``, optimum recovery and the guarantees a row per set, from
+``BLOCK`` random cases at a time or from a scenario's whole sweep.  The
+random draws come in blocks too (:func:`sample_block`): one loop reads the
+stream in the one-at-a-time order, and the arithmetic runs once on the block.
+A check returns ``(worst gap, failures)``, and builds a failure only for a
+set that fails: its index in the block and its message, tagged ``case 7``
+or ``eta=2.5``, set by set in the order of the check's tests.  So every
+draw, message and printed figure is the one a set-by-set run gives, and the
+scenario suite can merge its checks' failures sweep point by sweep point.
 A suite is a stream of these outcomes, and one fold turns every stream into
 its :class:`CheckResult`.  Each failure test reads ``not value <= bound`` (or
 ``>=``), so a NaN fails it, and every fold of gaps keeps a NaN, so it shows as
@@ -31,11 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bottleneck, mfd, oracle
-from .core import BottleneckParams, ParameterError, ParamsBlock, clamp, regime_thresholds
+from .core import BottleneckParams, ParameterError, ParamsBlock, clamp, regime_thresholds, select
 
 __all__ = [
     "CheckResult",
     "sample_params",
+    "sample_block",
     "sample_mfd",
     "oracle_agreement_suite",
     "optimizer_recovery_suite",
@@ -62,7 +69,8 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-_Outcome = tuple[float, list[str]]
+_Failures = list[tuple[int, str]]  # (the failing set's index in its block, its message), set by set
+_Outcome = tuple[float, _Failures]
 _Check = tuple[np.ndarray, Callable[[int], str]]  # which sets of a block fail, and set i's message
 
 REL_TOL = 1e-6  # bottleneck closed forms vs trapezoid quadrature, relative
@@ -73,24 +81,65 @@ QUAD_TOL = 1e-8  # urban revenue and the four cost pieces vs Gauss–Legendre qu
 ORACLE_FLOOR = 1e-4
 ARGMAX_GRID = 2000  # dense revenue grid that certifies the closed-form flat optimum
 GRID_ROWS = 16  # parameter sets whose dense revenue grids are evaluated at once (16 x 2000 floats)
-BLOCK = 512  # random draws stacked into one block of the guarantee check
+BLOCK = 512  # random draws (cases, for the oracle suite) checked as one block
 LIMIT_JAM = 1e15  # jam accumulation of the urban suite's fixed-capacity limit draws
 LIMIT_TOL = 1e-9  # urban revenue, queuing and schedule vs the bottleneck at LIMIT_JAM, relative
 _PIECES = ("revenue", "transit", "car_freeflow", "queuing", "schedule")  # of a CostBreakdown
 
 
-def _rel_gap(got: float, want: float, floor: float = 1e-12) -> float:
-    return abs(got - want) / clamp(abs(want), floor)
+def _rel_gap(got: np.ndarray, want: np.ndarray, floor=1e-12) -> np.ndarray:
+    return np.abs(got - want) / np.maximum(np.abs(want), floor)
 
 
 def _oracle_floor(params: BottleneckParams) -> float:
     """Floor of a cost piece's relative gap: ``ORACLE_FLOOR * lam * max(z_T, 1)``."""
-    return ORACLE_FLOOR * params.arrival_rate * max(params.transit_cost, 1.0)
+    return ORACLE_FLOOR * params.arrival_rate * clamp(params.transit_cost, 1.0)
 
 
 def _pieces(got, want, floors: dict[str, float]) -> list[tuple]:
     """``(label, got.label, want.label, floor)`` for each ``label: floor`` of ``floors``."""
     return [(key, getattr(got, key), getattr(want, key), floor) for key, floor in floors.items()]
+
+
+_BANDS = ("low", "mid", "high")  # the congested bands of ``sample_params``' regime
+
+
+def _uniform(lo, hi, u):
+    """``random.Random.uniform``'s arithmetic on a raw draw ``u`` (floats or arrays)."""
+    return lo + (hi - lo) * u
+
+
+def _draw_numbers(rng: random.Random, regime: str | None) -> list[float]:
+    """One set's random numbers, in stream order.
+
+    The arrival rate, five raw uniforms, the band's index and the gap's raw
+    uniform.  The arrival rate ``10 ** u`` is raised here, on a float:
+    numpy's power rounds about one in twenty of them differently.
+    """
+    u = rng.random
+    arrival = 10 ** _uniform(2.0, 4.5, u())
+    shares = [u(), u(), u(), u(), u()]
+    band = _BANDS.index(regime or rng.choice(_BANDS))
+    return [arrival, *shares, band, u()]
+
+
+def _params_from(numbers, build):
+    """The parameter set, or block, that :func:`_draw_numbers`' values make (floats or arrays).
+
+    ``build`` is :class:`BottleneckParams` or :class:`ParamsBlock`; the same
+    arithmetic serves both, so a block row equals the one-set draw bit for bit.
+    """
+    arrival, capacity_u, demand_u, early_u, late_u, car_u, band, gap_u = numbers
+    capacity = arrival * _uniform(0.15, 0.92, capacity_u)
+    demand = arrival * _uniform(0.5, 5.0, demand_u)
+    early = _uniform(0.2, 0.9, early_u)
+    late = _uniform(0.3, 3.5, late_u)
+    car_cost = _uniform(0.0, 3.0, car_u)
+    low, high = regime_thresholds(build(demand, arrival, capacity, early, late, car_cost, car_cost))
+    gap_lo = select(band == 0, 0.0, select(band == 1, low, high))
+    gap_hi = select(band == 0, low, select(band == 1, high, 2.5 * high))
+    gap = _uniform(gap_lo, gap_hi, gap_u)
+    return build(demand, arrival, capacity, early, late, car_cost, car_cost + gap)
 
 
 def sample_params(rng: random.Random, regime: str | None = None) -> BottleneckParams:
@@ -101,22 +150,22 @@ def sample_params(rng: random.Random, regime: str | None = None) -> BottleneckPa
     keep the car-only peak wait within a few hours, as in the calibrated
     corridors.
     """
-    arrival = 10 ** rng.uniform(2.0, 4.5)
-    capacity = arrival * rng.uniform(0.15, 0.92)
-    demand = arrival * rng.uniform(0.5, 5.0)
-    early = rng.uniform(0.2, 0.9)
-    late = rng.uniform(0.3, 3.5)
-    car_cost = rng.uniform(0.0, 3.0)
-    probe = BottleneckParams(demand, arrival, capacity, early, late, car_cost, car_cost)
-    low, high = regime_thresholds(probe)
-    choice = regime or rng.choice(["low", "mid", "high"])
-    if choice == "low":
-        gap = rng.uniform(0.0, low)
-    elif choice == "mid":
-        gap = rng.uniform(low, high)
-    else:
-        gap = rng.uniform(high, 2.5 * high)
-    return BottleneckParams(demand, arrival, capacity, early, late, car_cost, car_cost + gap)
+    return _params_from(_draw_numbers(rng, regime), BottleneckParams)
+
+
+def _draw_rows(rng: random.Random, n: int, regime: str | None, extra: int = 0) -> np.ndarray:
+    """``n`` sets' :func:`_draw_numbers`, each followed by ``extra`` raw uniforms, one column a set."""
+    rows = [_draw_numbers(rng, regime) + [rng.random() for _ in range(extra)] for _ in range(n)]
+    return np.array(rows, dtype=float).reshape(n, 8 + extra).T
+
+
+def sample_block(rng: random.Random, n: int, regime: str | None = None) -> ParamsBlock:
+    """``n`` draws of :func:`sample_params` from the same stream, as one block.
+
+    One loop reads the stream in the same order; the arithmetic then runs
+    once on the block, and its sets skip validation.
+    """
+    return _params_from(_draw_rows(rng, n, regime), ParamsBlock)
 
 
 def sample_mfd(rng: random.Random, params: BottleneckParams) -> mfd.TriangularMfd:
@@ -149,65 +198,78 @@ def _fold(
     failures: list[str] = []
     for gap, found in outcomes:
         worst = _worse(pick, worst, gap)
-        failures += found
+        failures += (message for _, message in found)
     return CheckResult(name, not failures, worst, detail.format(worst=worst), failures)
 
 
-def _compare(tag: str, toll: float, pairs: Iterable[tuple], tol: float) -> _Outcome:
-    """The one comparison of ``(label, got, want, floor)`` pieces at one toll, in either model.
+def _compare(tags: Sequence[str], tolls, pairs: Sequence[tuple], tol: float) -> _Outcome:
+    """The one comparison of ``(label, got, want, floor)`` pieces, in either model.
 
-    ``got`` is the oracle's piece (at the urban limit, the urban model's) and
-    ``want`` the closed form's; gaps are relative to ``max(|want|, floor)``.
+    Row ``i`` is tagged ``tags[i]`` at toll ``tolls[i]``; a value is a float
+    or an array with one entry a row.  ``got`` is the oracle's piece (at the
+    urban limit, the urban model's) and ``want`` the closed form's; gaps are
+    relative to ``max(|want|, floor)``.  Failures come row by row, each
+    row's in the order of ``pairs``.
     """
-    worst = 0.0
-    failures: list[str] = []
-    for label, got, want, floor in pairs:
-        gap_ = _rel_gap(got, want, floor)
-        worst = _worse(max, worst, gap_)
-        if not gap_ <= tol:
-            failures.append(
-                f"{tag} toll={toll:.6g} {label}: {got:.10g} vs {want:.10g}, rel gap {gap_:.3e}"
-            )
-    return worst, failures
+    shape = (len(pairs), len(tags))
+    got, want, floor = np.empty(shape), np.empty(shape), np.empty(shape)
+    for k, (_, got_k, want_k, floor_k) in enumerate(pairs):
+        got[k], want[k], floor[k] = got_k, want_k, floor_k
+    row_tolls = np.empty(len(tags))
+    row_tolls[:] = tolls
+    gaps = _rel_gap(got, want, floor)
+    fails = ~(gaps <= tol)
+    failures = [
+        (i, f"{tags[i]} toll={row_tolls[i]:.6g} {pairs[k][0]}: {got[k, i]:.10g} vs {want[k, i]:.10g}, "
+         f"rel gap {gaps[k, i]:.3e}")
+        for i in np.flatnonzero(fails.any(axis=0))
+        for k in np.flatnonzero(fails[:, i])
+    ]
+    return float(gaps.max()), failures  # a NaN wins
 
 
-def _check_oracle(params: BottleneckParams, toll: float, tag: str) -> _Outcome:
-    """Revenue, the four cost components and ``n_transit`` at one toll vs quadrature."""
-    outcome, sim_cost = oracle.static_bottleneck_costs(params, toll)
-    closed_cost = bottleneck.static_system_cost(params, toll)
-    closed_eq = bottleneck.static_equilibrium(params, toll)
+def _check_oracle(params: ParamsBlock, tolls: np.ndarray, tags: Sequence[str]) -> _Outcome:
+    """Revenue, the four cost components and ``n_transit`` vs quadrature, on a block with one toll a set."""
+    outcome, sim_cost = oracle.static_bottleneck_costs(params, tolls)
+    closed_cost = bottleneck.static_system_cost(params, tolls)
+    closed_eq = bottleneck.static_equilibrium(params, tolls)
     floor = _oracle_floor(params)
     pairs = _pieces(sim_cost, closed_cost, dict.fromkeys(_PIECES, floor))
     pairs.append(("n_transit", outcome.n_transit, closed_eq.n_transit, floor))
-    return _compare(tag, toll, pairs, REL_TOL)
+    return _compare(tags, tolls, pairs, REL_TOL)
 
 
-def _check_recovery(params: BottleneckParams, tag: str) -> _Outcome:
-    """Grid search finds the flat-toll and trapezoid-fraction optima within one step.
+def _check_recovery(params: ParamsBlock, tags: Sequence[str]) -> _Outcome:
+    """Grid search finds each set's flat-toll and trapezoid-fraction optima within one step.
 
-    The worst gap is the flat argmax error minus the step (nonpositive on a pass).
+    The searches and the closed forms each run once on the block.  The worst
+    gap is the flat argmax error minus the step (nonpositive on a pass).
     """
-    failures: list[str] = []
+    toll_hat, rev_hat = oracle.grid_search_static(params)
+    frac_hat, _ = oracle.grid_search_dynamic_fraction(params)
     gap = params.cost_gap
     toll_star, flat = bottleneck.static_revenue_optimal_toll(params)
-    toll_hat, rev_hat = oracle.grid_search_static(params)
-    step = gap / (oracle.SEARCH_POINTS - 1) if gap > 0 else 0.0
-    err = abs(toll_hat - toll_star)
-    if not err <= step * 1.0000001:
-        failures.append(f"{tag}: flat argmax {toll_hat:.8g} vs closed {toll_star:.8g}")
-    # Grid revenue can never beat the closed-form optimum.
-    if not rev_hat <= flat.revenue * (1 + 1e-9):
-        failures.append(f"{tag}: grid revenue {rev_hat} exceeds optimum {flat.revenue}")
-
-    design = bottleneck.dynamic_revenue_optimal(params)
-    frac_hat, _ = oracle.grid_search_dynamic_fraction(params)
-    f_lo = 1.0 - min(gap / bottleneck.max_wait_car_only(params), 1.0)
+    f_star = bottleneck._flat_fractions(params)[0]
+    step = select(gap > 0, gap / (oracle.SEARCH_POINTS - 1), 0.0)
+    err = np.abs(toll_hat - toll_star)
+    f_lo = 1.0 - clamp(gap / bottleneck.max_wait_car_only(params), hi=1.0)
     f_step = (1.0 - f_lo) / (oracle.SEARCH_POINTS - 1)
-    if not abs(frac_hat - design.flat_fraction) <= f_step * 1.0000001:
-        failures.append(
-            f"{tag}: fraction argmax {frac_hat:.8g} vs closed {design.flat_fraction:.8g}"
-        )
-    return err - step, failures
+    checks = [
+        (
+            ~(err <= step * 1.0000001),
+            lambda i: f"flat argmax {toll_hat[i]:.8g} vs closed {toll_star[i]:.8g}",
+        ),
+        # Grid revenue can never beat the closed-form optimum.
+        (
+            ~(rev_hat <= flat.revenue * (1 + 1e-9)),
+            lambda i: f"grid revenue {float(rev_hat[i])} exceeds optimum {float(flat.revenue[i])}",
+        ),
+        (
+            ~(np.abs(frac_hat - f_star) <= f_step * 1.0000001),
+            lambda i: f"fraction argmax {frac_hat[i]:.8g} vs closed {f_star[i]:.8g}",
+        ),
+    ]
+    return float((err - step).max()), _messages(tags, checks)
 
 
 def _column(values, n: int) -> np.ndarray:
@@ -215,10 +277,10 @@ def _column(values, n: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=float), (n,))
 
 
-def _messages(tags: Sequence[str], checks: list[_Check]) -> list[str]:
-    """The failure messages of a block, set by set, each set's in the order of ``checks``."""
+def _messages(tags: Sequence[str], checks: list[_Check]) -> _Failures:
+    """The failures of a block, set by set, each set's in the order of ``checks``."""
     failing = np.flatnonzero(np.logical_or.reduce([fails for fails, _ in checks]))
-    return [f"{tags[i]}: {text(i)}" for i in failing for fails, text in checks if fails[i]]
+    return [(i, f"{tags[i]}: {text(i)}") for i in failing for fails, text in checks if fails[i]]
 
 
 def _check_bounds(
@@ -293,8 +355,8 @@ def _grid_maxima(params: ParamsBlock) -> np.ndarray:
 
 
 def _check_guarantees(
-    sets: Sequence[BottleneckParams], tags: Sequence[str], corner: bool = False
-) -> tuple[np.ndarray, list[str]]:
+    params: ParamsBlock, tags: Sequence[str], corner: bool = False
+) -> tuple[np.ndarray, _Failures]:
     """Every performance guarantee that ``performance_bounds`` reports, on a block of parameter sets.
 
     Also certifies the closed-form flat optimum against a dense revenue grid
@@ -303,7 +365,6 @@ def _check_guarantees(
     report the exact cost ratio.  Returns each set's revenue margin (see
     :func:`_check_bounds`) and the failures, tagged by ``tags``.
     """
-    params = ParamsBlock.stack(sets)
     n = len(tags)
     _, flat = bottleneck.static_revenue_optimal_toll(params)
     ro, so = (bottleneck._trapezoid_cost(params, f) for f in bottleneck._flat_fractions(params))
@@ -350,7 +411,7 @@ def _check_urban(params: BottleneckParams, net: mfd.TriangularMfd, toll: float, 
     want = mfd.static_system_cost(params, net, toll)
     floors = {"revenue": 1e-9 * params.total_demand, "queuing": 1e-9, "schedule": 1e-9}
     floors |= dict.fromkeys(("transit", "car_freeflow"), _oracle_floor(params))
-    worst, failures = _compare(tag, toll, _pieces(got, want, floors), QUAD_TOL)
+    worst, failures = _compare([tag], toll, _pieces(got, want, floors), QUAD_TOL)
     bench = mfd.dynamic_benchmarks(params, net)
     at_gap = mfd.static_system_cost(params, net, params.cost_gap)
     report = mfd.guarantees(params, net)
@@ -361,19 +422,33 @@ def _check_urban(params: BottleneckParams, net: mfd.TriangularMfd, toll: float, 
     return worst, failures + _messages([tag], checks)
 
 
+def _blocks(n: int) -> Iterator[range]:
+    """Case numbers ``0..n-1``, ``BLOCK`` at a time."""
+    return (range(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
+
+
 def oracle_agreement_suite(seed: int, n_cases: int) -> CheckResult:
-    """Closed-form revenue and every cost component vs trapezoid quadrature, two tolls a case."""
+    """Closed-form revenue and every cost component vs trapezoid quadrature, two tolls a case.
+
+    Each case is drawn on its own, since its tolls depend on its band; the
+    comparison runs on ``BLOCK`` cases' rows at a time.
+    """
     rng = random.Random(seed)
 
     def outcomes() -> Iterator[_Outcome]:
-        for case in range(n_cases):
-            params = sample_params(rng)
-            lo, hi = bottleneck.feasible_toll_band(params)
-            tolls = [rng.uniform(0.0, hi), rng.uniform(0.0, hi)]
-            if hi > 0:
-                tolls[0] = rng.uniform(lo, hi)  # keep at least one toll in the mixed band
-            for toll in tolls:
-                yield _check_oracle(params, toll, f"case {case}")
+        for cases in _blocks(n_cases):
+            sets: list[BottleneckParams] = []
+            tolls: list[float] = []
+            for _ in cases:
+                params = sample_params(rng)
+                lo, hi = bottleneck.feasible_toll_band(params)
+                pair = [rng.uniform(0.0, hi), rng.uniform(0.0, hi)]
+                if hi > 0:
+                    pair[0] = rng.uniform(lo, hi)  # keep at least one toll in the mixed band
+                sets += [params, params]
+                tolls += pair
+            tags = [f"case {case}" for case in cases for _ in range(2)]
+            yield _check_oracle(ParamsBlock.stack(sets), np.array(tolls), tags)
 
     return _fold(
         "oracle agreement (trapezoid quadrature vs closed forms)",
@@ -388,7 +463,10 @@ def optimizer_recovery_suite(seed: int, n_cases: int) -> CheckResult:
     return _fold(
         "optimizer recovery (exhaustive search vs closed-form optima)",
         f"{n_cases} parameter sets, {oracle.SEARCH_POINTS}-point grids",
-        (_check_recovery(sample_params(rng), f"case {case}") for case in range(n_cases)),
+        (
+            _check_recovery(sample_block(rng, len(cases)), [f"case {case}" for case in cases])
+            for cases in _blocks(n_cases)
+        ),
     )
 
 
@@ -400,26 +478,27 @@ def bound_property_suite(seed: int, n_cases: int) -> CheckResult:
     """
     rng = random.Random(seed)
 
-    def corner_draw() -> BottleneckParams:
-        zero_car = dataclasses.replace(sample_params(rng), car_freeflow_cost=0.0, transit_cost=0.0)
+    def corner_block(n: int) -> ParamsBlock:
+        # Each draw is followed by the uniform that scales its gap past the threshold.
+        *numbers, scale = _draw_rows(rng, n, None, extra=1)
+        zeros = np.zeros(n)
+        zero_car = dataclasses.replace(
+            _params_from(numbers, ParamsBlock), car_freeflow_cost=zeros, transit_cost=zeros
+        )
         low, _ = regime_thresholds(zero_car)
         threshold = low * (2 * zero_car.arrival_rate - zero_car.capacity) / zero_car.capacity
-        return dataclasses.replace(zero_car, transit_cost=threshold * rng.uniform(1.01, 3.0))
-
-    def blocks(n: int) -> Iterator[range]:
-        return (range(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
+        return dataclasses.replace(zero_car, transit_cost=threshold * _uniform(1.01, 3.0, scale))
 
     def outcomes() -> Iterator[_Outcome]:
-        for cases in blocks(n_cases):
-            draws = [sample_params(rng) for _ in cases]
-            margins, failures = _check_guarantees(draws, [f"case {case}" for case in cases])
+        for cases in _blocks(n_cases):
+            tags = [f"case {case}" for case in cases]
+            margins, failures = _check_guarantees(sample_block(rng, len(cases)), tags)
             yield float(margins.min()), failures
         # Degenerate-corner draws: zero car free-flow cost, gap beyond the
         # saturation threshold.  They do not feed the printed margin.
-        for cases in blocks(max(n_cases // 10, 10)):
-            draws = [corner_draw() for _ in cases]
+        for cases in _blocks(max(n_cases // 10, 10)):
             tags = [f"exact-ratio case {case}" for case in cases]
-            yield math.inf, _check_guarantees(draws, tags, corner=True)[1]
+            yield math.inf, _check_guarantees(corner_block(len(cases)), tags, corner=True)[1]
 
     return _fold(
         "performance-bound properties (revenue floors, 2x cost bound, exact corner)",
@@ -459,7 +538,7 @@ def mfd_agreement_suite(seed: int, n_cases: int = 100) -> CheckResult:
                 got = mfd.static_system_cost(params, net, toll)
                 want = bottleneck.static_system_cost(params, toll)
                 pairs = _pieces(got, want, dict.fromkeys(("revenue", "queuing", "schedule"), 1e-9))
-                yield 0.0, _compare(f"limit case {case}", toll, pairs, LIMIT_TOL)[1]
+                yield 0.0, _compare([f"limit case {case}"], toll, pairs, LIMIT_TOL)[1]
 
     return _fold(
         "urban-network agreement (log forms vs quadrature, limits, guarantees)",
@@ -472,9 +551,11 @@ def scenario_suite(scenario) -> CheckResult:
     """Deterministic checks along a calibrated scenario's eta sweep.
 
     At every sweep point the random suites' checks run: oracle vs closed
-    forms at three tolls, optimum recovery by grid search, every performance
-    guarantee (on all the sweep points at once, after the rest), and (for
-    urban scenarios) the urban check mid-band.
+    forms at three tolls, optimum recovery by grid search, (for urban
+    scenarios) the urban check mid-band, and every performance guarantee.
+    Each check but the urban one runs once on all the sweep points; the
+    failures come sweep point by sweep point in that order, the guarantees'
+    after all the rest.
     """
 
     def outcomes() -> Iterator[_Outcome]:
@@ -482,23 +563,29 @@ def scenario_suite(scenario) -> CheckResult:
         tags: list[str] = []
         for eta in scenario.eta_sweep:
             params = scenario.params(eta)
-            gap = params.cost_gap
-            if gap < 0 or params.capacity >= params.arrival_rate:
+            if params.cost_gap < 0 or params.capacity >= params.arrival_rate:
                 continue
-            tag = f"eta={eta:g}"
-            for frac in (0.0, 0.5, 1.0):
-                yield _check_oracle(params, frac * gap, tag)
-            # Recovery and guarantee gaps are not relative gaps: only their failures count.
-            yield 0.0, _check_recovery(params, tag)[1]
             checked.append(params)
-            tags.append(tag)
-            if scenario.is_mfd:
-                net = scenario.mfd()
+            tags.append(f"eta={eta:g}")
+        if not checked:
+            return
+        block = ParamsBlock.stack(checked)
+        rows = np.repeat(np.arange(len(tags)), 3)
+        tolls = np.tile([0.0, 0.5, 1.0], len(tags)) * block.cost_gap[rows]
+        worst, found = _check_oracle(block[rows], tolls, [tags[i] for i in rows])
+        found = [(rows[i], message) for i, message in found]
+        # Recovery and guarantee gaps are not relative gaps: only their failures count.
+        found += _check_recovery(block, tags)[1]
+        if scenario.is_mfd:
+            net = scenario.mfd()
+            for i, params in enumerate(checked):
                 lo = mfd.static_lower_toll(params, net)
-                if gap > lo:
-                    yield _check_urban(params, net, lo + 0.5 * (gap - lo), tag)
-        if checked:
-            yield 0.0, _check_guarantees(checked, tags)[1]
+                if params.cost_gap > lo:
+                    gap, urban = _check_urban(params, net, lo + 0.5 * (params.cost_gap - lo), tags[i])
+                    worst = _worse(max, worst, gap)
+                    found += [(i, message) for _, message in urban]
+        yield worst, sorted(found, key=lambda failure: failure[0])
+        yield 0.0, _check_guarantees(block, tags)[1]
 
     return _fold(
         f"scenario suite ({scenario.name})",

@@ -454,6 +454,40 @@ class TestBlockKernels:
         for got, want in zip(block_fractions, zip(*map(bn._flat_fractions, open_sets))):
             _assert_bitwise(got, want)
 
+    def test_static_equilibrium(self):
+        rng = random.Random(11)
+        pairs = [(p, toll) for p in self.SETS for toll in _tolls(rng, p)]
+        block = ParamsBlock.stack([p for p, _ in pairs])
+        got = bn.static_equilibrium(block, np.array([toll for _, toll in pairs]))
+        want = [bn.static_equilibrium(p, toll) for p, toll in pairs]
+        for field in dataclasses.fields(got):
+            if field.name == "regime":
+                assert list(got.regime) == [w.regime for w in want]
+            else:
+                _assert_bitwise(getattr(got, field.name), [getattr(w, field.name) for w in want])
+
+    def test_oracle_costs(self):
+        # The oracle's equilibrium rebuild: every outcome and cost field, in every
+        # regime the oracle takes (a nonnegative gap), uncongested sets included.
+        rng = random.Random(12)
+        pairs = [(p, toll) for p in self.SETS if p.cost_gap >= 0 for toll in _tolls(rng, p)]
+        assert any(p.capacity >= p.arrival_rate for p, _ in pairs)
+        block = ParamsBlock.stack([p for p, _ in pairs])
+        outcome, cost = oracle.static_bottleneck_costs(block, np.array([toll for _, toll in pairs]))
+        want = [oracle.static_bottleneck_costs(p, toll) for p, toll in pairs]
+        for got, k in ((outcome, 0), (cost, 1)):
+            for field in dataclasses.fields(got):
+                values = [getattr(w[k], field.name) for w in want]
+                if field.name == "regime":
+                    assert list(got.regime) == values
+                else:
+                    _assert_bitwise(getattr(got, field.name), values)
+        # And it agrees with the closed forms, mu == lam included.
+        closed = bn._flat_toll(block, np.array([toll for _, toll in pairs]))
+        for field in dataclasses.fields(cost):
+            got, want = getattr(cost, field.name), getattr(closed, field.name)
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-6 * block.total_demand)
+
     def test_performance_bounds(self):
         congested = [p for p in self.SETS if p.cost_gap >= 0 and p.capacity < p.arrival_rate]
         got = bn.performance_bounds(ParamsBlock.stack(congested))
@@ -470,3 +504,7 @@ class TestBlockKernels:
             bn._flat_fractions(block)
         with pytest.raises(DomainError):
             bn._flat_toll(block, np.full(len(self.SETS), -1.0))
+        with pytest.raises(DomainError):
+            bn.static_equilibrium(block, np.full(len(self.SETS), -1.0))
+        with pytest.raises(DomainError):
+            oracle.static_bottleneck_costs(block, np.zeros(len(self.SETS)))

@@ -39,6 +39,9 @@ def test_default_sweep_csv_sha256(scenario, tmp_path, capsys):
         (["verify", "--scenario", "bay_bridge"], "verify_bay_bridge.txt"),
         (["verify", "--scenario", "nyc"], "verify_nyc.txt"),
         (["verify", "--seed", "42", "--cases", "1000"], "verify_seed42_cases1000.txt"),
+        # 513 and 256 recovery sets: case counts no block or chunk size divides.
+        (["verify", "--seed", "7", "--cases", "300"], "verify_seed7_cases300.txt"),
+        (["verify", "--seed", "1", "--cases", "513"], "verify_seed1_cases513.txt"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys):

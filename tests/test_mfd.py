@@ -300,6 +300,21 @@ class TestArrayPath:
         with pytest.raises(DomainError):
             mfd.static_revenue(params, net, tolls)
 
+    def test_toll_domain_keeps_its_slack_and_passes_nan(self):
+        # A float or an array toll past the band by twice the slack raises; within
+        # the slack, or NaN (the value, not an error, then shows it), it is evaluated.
+        params, net = nyc_setup(9.0)
+        lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
+        slack = 1e-9 * max(1.0, abs(hi))
+        for toll in (lo - 2 * slack, hi + 2 * slack, np.array([lo, hi + 2 * slack])):
+            with pytest.raises(DomainError, match="outside the mixed-mode band"):
+                mfd.static_system_cost(params, net, toll)
+        for toll in (lo - 0.5 * slack, hi + 0.5 * slack):
+            assert math.isfinite(mfd.static_system_cost(params, net, toll).total)
+        assert math.isnan(mfd.static_system_cost(params, net, math.nan).revenue)
+        both = mfd.static_system_cost(params, net, np.array([math.nan, hi]))
+        assert math.isnan(both.revenue[0]) and both.revenue[1] == mfd.static_revenue(params, net, hi)
+
 
 class TestDynamicBenchmarks:
     def test_delegation_values(self):

@@ -172,6 +172,41 @@ class TestGridSearches:
             assert values.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12 * max(want))
             assert (oracle._static_revenue_curve(p, row) == values).all()
 
+    def test_searches_equal_a_linspace_search_per_set(self):
+        # Alone or in a block whose size no chunk divides, each set's result is
+        # the argmax over its own numpy.linspace grid, bit for bit: the
+        # transcriptions as they were written one set at a time.
+        rng = random.Random(21)
+        sets = [verify.sample_params(rng, band) for band in ("low", "mid", "high") for _ in range(4)]
+        sets += [
+            dataclasses.replace(sets[0], transit_cost=sets[0].car_freeflow_cost),
+            dataclasses.replace(sets[1], capacity=1.5 * sets[1].arrival_rate),
+            dataclasses.replace(sets[2], capacity=sets[2].arrival_rate),
+            dataclasses.replace(sets[3], car_freeflow_cost=sets[3].transit_cost + 0.5),
+            car_saturated_params(),
+        ]
+        assert len(sets) % oracle.SEARCH_ROWS != 0
+        block = ParamsBlock.stack(sets)
+        block_static = oracle.grid_search_static(block)
+        block_fraction = oracle.grid_search_dynamic_fraction(block)
+        for k, p in enumerate(sets):
+            demand, lam, mu, gap = p.total_demand, p.arrival_rate, p.capacity, p.cost_gap
+            tolls = np.linspace(0.0, max(gap, 0.0), oracle.SEARCH_POINTS)
+            values = oracle._static_revenue_curve(p, tolls)
+            i = int(np.argmax(values))
+            want = (float(tolls[i]), float(values[i]))
+            assert oracle.grid_search_static(p) == want
+            assert (block_static[0][k], block_static[1][k]) == want
+            f_lo = 1.0 - min(gap / (demand * p.schedule_factor / mu), 1.0)
+            fracs = np.linspace(f_lo, 1.0, oracle.SEARCH_POINTS)
+            values = gap * (fracs * demand * mu / lam + (1.0 - fracs) * demand) - (
+                demand * demand / (2.0 * mu) * p.schedule_factor * (1.0 - fracs) ** 2
+            )
+            i = int(np.argmax(values))
+            want = (float(fracs[i]), float(values[i]))
+            assert oracle.grid_search_dynamic_fraction(p) == want
+            assert (block_fraction[0][k], block_fraction[1][k]) == want
+
     def test_fraction_argmax_nyc(self):
         params = NYC.params(18.0)
         frac_hat, _ = oracle.grid_search_dynamic_fraction(params)

@@ -7,9 +7,11 @@ import random
 import numpy as np
 import pytest
 
+from tollgap import BottleneckParams, oracle
 from tollgap import bottleneck as bn
 from tollgap import mfd, verify
 from tollgap.calibration import builtin_scenario
+from tollgap.core import ParamsBlock
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -188,7 +190,8 @@ def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
     # No grid point can beat a true maximum, so a toll a quarter grid step below
     # the band-top optimum fails, although a step's Lipschitz slack would cover it.
     params = builtin_scenario("bay_bridge").params(1.5)
-    assert verify._check_guarantees([params], ["eta=1.5"])[1] == []
+    block = ParamsBlock.stack([params])
+    assert verify._check_guarantees(block, ["eta=1.5"])[1] == []
     real = bn.static_revenue_optimal_toll
     step = params.cost_gap / (verify.ARGMAX_GRID - 1)
 
@@ -197,9 +200,9 @@ def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
         return toll, bn.static_system_cost(p, toll)
 
     monkeypatch.setattr(bn, "static_revenue_optimal_toll", shifted)
-    _, failures = verify._check_guarantees([params], ["eta=1.5"])
+    _, failures = verify._check_guarantees(block, ["eta=1.5"])
     assert len(failures) == 1
-    assert failures[0].startswith("eta=1.5: grid revenue 5541.8182 beats closed optimum 5541.")
+    assert failures[0][1].startswith("eta=1.5: grid revenue 5541.8182 beats closed optimum 5541.")
 
 
 BOUND_LINE = (
@@ -264,3 +267,174 @@ def test_corner_fault_past_the_first_block_keeps_its_global_tag(monkeypatch):
     result = verify.bound_property_suite(5, 6000)
     assert result.line() == BOUND_LINE.format("FAIL", 6000, "5.475e-05")
     assert result.failures == ["exact-ratio case 530: exact corner ratio not reported"]
+
+
+def _bits(values) -> list[int]:
+    return np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("regime", [None, "low", "mid", "high"])
+@pytest.mark.parametrize("n", [1, 511, 513])
+@pytest.mark.parametrize("seed", [1, 7, 44])
+def test_block_draws_equal_one_set_draws(seed, n, regime):
+    # The same stream, read in the same order, gives the same sets bit for bit
+    # and leaves the stream at the same place.
+    one_by_one, blocked = random.Random(seed), random.Random(seed)
+    want = [verify.sample_params(one_by_one, regime) for _ in range(n)]
+    got = verify.sample_block(blocked, n, regime)
+    for field in dataclasses.fields(BottleneckParams):
+        assert _bits(getattr(got, field.name)) == _bits([getattr(p, field.name) for p in want])
+    assert blocked.random() == one_by_one.random()
+
+
+def test_every_block_draw_is_a_valid_congested_set():
+    block = verify.sample_block(random.Random(9), 3000)
+    names = [field.name for field in dataclasses.fields(BottleneckParams)]
+    for row in zip(*(getattr(block, name).tolist() for name in names)):
+        params = BottleneckParams(*row)  # validates every field
+        assert params.capacity < params.arrival_rate
+        assert params.cost_gap >= 0
+
+
+def _targets(draws, cases):
+    return [draws[case].total_demand for case in cases]
+
+
+def _two_steps(params, span):
+    return 2 * (span / (oracle.SEARCH_POINTS - 1))
+
+
+@pytest.mark.parametrize(
+    "optimum, messages",
+    [
+        (
+            "toll",
+            [
+                "case 5: flat argmax 6.7097179 vs closed 6.7120125",
+                "case 517: flat argmax 2.8096474 vs closed 2.8102094",
+            ],
+        ),
+        (
+            "fraction",
+            [
+                "case 5: fraction argmax 0 vs closed 0.00020002",
+                "case 517: fraction argmax 0.38513851 vs closed 0.38536536",
+            ],
+        ),
+    ],
+)
+def test_recovery_catches_an_optimum_two_steps_off(optimum, messages, monkeypatch):
+    # Case 5 lies past the first search chunk, case 517 past the first block;
+    # the messages are those the one-set-at-a-time check gave for the same fault.
+    assert oracle.SEARCH_ROWS <= 5 and verify.BLOCK <= 517
+    rng = random.Random(3)
+    targets = _targets([verify.sample_params(rng) for _ in range(518)], (5, 517))
+    if optimum == "toll":
+        real_toll = bn.static_revenue_optimal_toll
+
+        def planted(params):
+            toll, flat = real_toll(params)
+            shifted = toll + _two_steps(params, params.cost_gap)
+            return np.where(np.isin(params.total_demand, targets), shifted, toll), flat
+
+        monkeypatch.setattr(bn, "static_revenue_optimal_toll", planted)
+    else:
+        real_fractions = bn._flat_fractions
+
+        def planted(params):
+            f_star, f_so = real_fractions(params)
+            f_lo = 1.0 - np.minimum(params.cost_gap / bn.max_wait_car_only(params), 1.0)
+            shifted = f_star + _two_steps(params, 1.0 - f_lo)
+            return np.where(np.isin(params.total_demand, targets), shifted, f_star), f_so
+
+        monkeypatch.setattr(bn, "_flat_fractions", planted)
+    result = verify.optimizer_recovery_suite(3, 520)
+    assert not result.ok
+    assert result.failures == messages
+
+
+def test_oracle_fault_past_the_first_block_keeps_its_global_tag(monkeypatch):
+    # Cases 3 and 555 of seed 4 get a schedule cost 1e-5 too high; the messages
+    # are those the one-toll-at-a-time check gave for the same fault.
+    rng = random.Random(4)
+    draws = []
+    for _ in range(556):
+        draws.append(verify.sample_params(rng))
+        lo, hi = bn.feasible_toll_band(draws[-1])
+        for _ in range(3 if hi > 0 else 2):
+            rng.random()
+    targets = _targets(draws, (3, 555))
+    real = bn.static_system_cost
+
+    def skewed(params, toll):
+        cost = real(params, toll)
+        hit = np.isin(params.total_demand, targets)
+        return dataclasses.replace(cost, schedule=np.where(hit, cost.schedule * (1 + 1e-5), cost.schedule))
+
+    monkeypatch.setattr(bn, "static_system_cost", skewed)
+    result = verify.oracle_agreement_suite(4, 600)
+    assert result.line().endswith("600 parameter sets, worst rel gap 1.000e-05")
+    assert result.failures == [
+        "case 3 toll=7.16142 schedule: 408.777002 vs 408.7810897, rel gap 1.000e-05",
+        "case 3 toll=3.10723 schedule: 2541.020328 vs 2541.045738, rel gap 1.000e-05",
+        "case 555 toll=0.852348 schedule: 710.2628049 vs 710.2699075, rel gap 1.000e-05",
+    ]
+
+
+# The first draws of seed 44, one per regime argument, as sample_params gave
+# them when it drew one set at a time (float.hex of the seven fields).
+SEED_44_DRAWS = {
+    None: ["0x1.1f7b734c8fcebp+12", "0x1.0697469d3da91p+10", "0x1.29f202475c9f7p+9",
+           "0x1.4b6f164868cc8p-2", "0x1.05402c840d410p+0", "0x1.658c0b591e4e0p-4",
+           "0x1.806b6c476b08dp+0"],
+    "low": ["0x1.4064fdf82d951p+9", "0x1.640659be304f9p+7", "0x1.09b5cbf8285ccp+7",
+            "0x1.a5fa567e2375fp-2", "0x1.2a178ce02ce9ap+1", "0x1.c5e2c5e6e2740p+0",
+            "0x1.6512f0e69c042p+2"],
+    "mid": ["0x1.2b6dd62f07a7ap+13", "0x1.27c6eebacb2e4p+12", "0x1.f7dc668fe164dp+10",
+            "0x1.9775e91db3f1cp-2", "0x1.9e2f567d56f0cp-1", "0x1.88757426b9f56p+0",
+            "0x1.fbb307640ffbap+1"],
+    "high": ["0x1.18953f8c30652p+11", "0x1.d927ccbb8ec1ep+8", "0x1.73c95c3ea60bbp+7",
+             "0x1.8cf156183c934p-1", "0x1.3a20c736c8ca8p+0", "0x1.089d7ea50b5bcp+0",
+             "0x1.26700bbbda399p+4"],
+}
+
+
+def test_one_set_draws_keep_their_stream():
+    rng = random.Random(44)
+    for regime, want in SEED_44_DRAWS.items():
+        params = verify.sample_params(rng, regime)
+        assert [getattr(params, f.name).hex() for f in dataclasses.fields(params)] == want
+
+
+def test_scenario_failures_come_sweep_point_by_sweep_point(monkeypatch):
+    # Oracle, recovery and urban faults at every sweep point: the scenario's
+    # block checks give the failures in the order the per-point checks gave.
+    real_cost, real_toll, real_urban = bn.static_system_cost, bn.static_revenue_optimal_toll, mfd.static_system_cost
+
+    def skewed_schedule(params, toll):
+        cost = real_cost(params, toll)
+        return dataclasses.replace(cost, schedule=cost.schedule * (1 + 1e-5))
+
+    def shifted_toll(params):
+        toll, flat = real_toll(params)
+        return toll + _two_steps(params, params.cost_gap), flat
+
+    def skewed_queue(params, net, toll):
+        cost = real_urban(params, net, toll)
+        return dataclasses.replace(cost, queuing=cost.queuing * (1 + 1e-6))
+
+    monkeypatch.setattr(bn, "static_system_cost", skewed_schedule)
+    monkeypatch.setattr(bn, "static_revenue_optimal_toll", shifted_toll)
+    monkeypatch.setattr(mfd, "static_system_cost", skewed_queue)
+    result = verify.scenario_suite(builtin_scenario("nyc", eta_sweep=(4.0, 9.0)))
+    assert result.line() == "[FAIL] scenario suite (nyc): 2 sweep points, worst rel gap 1.000e-05"
+    assert result.failures == [
+        "eta=4 toll=0 schedule: 75483.71062 vs 75484.46545, rel gap 1.000e-05",
+        "eta=4 toll=0.7375 schedule: 18870.92765 vs 18871.11636, rel gap 1.000e-05",
+        "eta=4: flat argmax 1.475 vs closed 1.475295",
+        "eta=4 toll=0.7375 queuing: 146792.6552 vs 146792.802, rel gap 1.000e-06",
+        "eta=9 toll=0 schedule: 656519.6273 vs 656526.1925, rel gap 1.000e-05",
+        "eta=9 toll=2.175 schedule: 164129.9068 vs 164131.5481, rel gap 1.000e-05",
+        "eta=9: flat argmax 3.7961896 vs closed 3.7971325",
+        "eta=9 toll=2.175 queuing: 390532.7853 vs 390533.1758, rel gap 1.000e-06",
+    ]
