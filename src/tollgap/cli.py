@@ -1,6 +1,7 @@
 """Command-line front end: analyze, sweep, verify, crossover.
 
-Exit codes: 0 success, 1 input/validation error, 2 verification failure.
+Exit codes: 0 success (``--help`` too), 1 input/validation error (a usage
+error included), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import math
 import sys
 import warnings
+from typing import NoReturn
 
 from . import bottleneck, sweep
 from .calibration import (
@@ -228,8 +230,19 @@ def cmd_crossover(scenario: Scenario) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with a usage error exiting 1 as every other input error does.
+
+    Subparsers are built from the same class, so their errors exit 1 too.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tollgap",
         description="Flat vs trapezoid congestion-toll analysis for calibrated corridors",
     )

@@ -66,7 +66,7 @@ class EquilibriumTrace:
 
 GAUSS_LEGENDRE_NODES = 128  # shoulder rule; 256 nodes move no piece by 1e-12 relative
 SEARCH_POINTS = 10_000  # uniform grid of both exhaustive revenue searches
-SEARCH_ROWS = 3  # sets of a block searched at once: 3 x 10 000 floats, 240 KB an array
+CHUNK_FLOATS = 30_000  # floats of one work array of a block search: 240 KB, 3 sets of 10 000 points
 
 
 @functools.cache
@@ -227,40 +227,44 @@ def _column(values) -> np.ndarray:
     return np.asarray(values, dtype=float)[..., np.newaxis]
 
 
-def _search(params: BottleneckParams, start, stop, curve) -> tuple:
+def _search(params: BottleneckParams, start, stop, curve, points: int = SEARCH_POINTS) -> tuple:
     """Each set's first grid point of largest ``curve`` value, and that value.
 
-    A set's grid has ``SEARCH_POINTS`` uniform points from its ``start`` to
-    its ``stop``, in ``numpy.linspace``'s own arithmetic (the index times the
+    A set's grid has ``points`` uniform points from its ``start`` to its
+    ``stop``, in ``numpy.linspace``'s own arithmetic (the index times the
     step, plus the start, with the last point set to the end), so it equals
     the set's ``linspace`` bit for bit.  ``curve(sets, grid, out, scratch)``
     writes the sets' values on their grid rows into ``out``.  One set gives
-    floats; a block gives arrays, and is searched ``SEARCH_ROWS`` sets at a
-    time with every chunk in the same three arrays: dense arrays allocated
-    afresh per chunk cost more to fault in than to fill.
+    floats; a block gives arrays, and is searched ``CHUNK_FLOATS // points``
+    sets at a time with every chunk in the same three arrays: dense arrays
+    allocated afresh per chunk cost more to fault in than to fill.
     """
     block = np.ndim(params.total_demand) > 0
     n = len(params.total_demand) if block else 1
+    height = max(CHUNK_FLOATS // points, 1)
     start, stop = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (start, stop))
-    index = np.arange(SEARCH_POINTS, dtype=float)
-    work = [np.empty((min(n, SEARCH_ROWS), SEARCH_POINTS)) for _ in range(3)]
-    points, best = np.empty(n), np.empty(n)
-    for first in range(0, n, SEARCH_ROWS):
-        rows = slice(first, first + SEARCH_ROWS)
-        grid, values, scratch = (array[: len(points[rows])] for array in work)
-        step = (stop[rows] - start[rows]) / (SEARCH_POINTS - 1)
+    index = np.arange(points, dtype=float)
+    work = [np.empty((min(n, height), points)) for _ in range(3)]
+    argmax, best = np.empty(n), np.empty(n)
+    for first in range(0, n, height):
+        rows = slice(first, first + height)
+        grid, values, scratch = (array[: len(best[rows])] for array in work)
+        step = (stop[rows] - start[rows]) / (points - 1)
         np.multiply(index, step[:, np.newaxis], out=grid)
         grid += start[rows, np.newaxis]
         grid[:, -1] = stop[rows]
         curve(params[rows] if block else params, grid, values, scratch)
         i = np.argmax(values, axis=1)
         at = np.arange(len(i)), i
-        points[rows], best[rows] = grid[at], values[at]
-    return (points, best) if block else (float(points[0]), float(best[0]))
+        argmax[rows], best[rows] = grid[at], values[at]
+    return (argmax, best) if block else (float(argmax[0]), float(best[0]))
 
 
 def _static_revenue_curve(
-    params: BottleneckParams, tolls: np.ndarray, out: np.ndarray | None = None
+    params: BottleneckParams,
+    tolls: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized transcription of the flat-toll revenue curve.
 
@@ -273,7 +277,8 @@ def _static_revenue_curve(
     ``params`` is one parameter set and ``tolls`` a vector, or a block of
     sets, each reading its own row of ``tolls``.  The curve is built in
     place (in ``out`` if given), since a dense grid's temporaries would
-    dominate its cost.
+    dominate its cost.  ``scratch`` is unused: it gives the curve the
+    signature :func:`_search` calls.
     """
     demand, lam, mu = (_column(v) for v in (params.total_demand, params.arrival_rate, params.capacity))
     gap, factor = _column(params.cost_gap), _column(params.schedule_factor)
@@ -312,17 +317,12 @@ def _fraction_revenue_curve(
     out -= scratch
 
 
-def grid_search_static(params: BottleneckParams) -> tuple[float, float]:
-    """Exhaustive flat-toll revenue argmax over [0, gap].
+def grid_search_static(params: BottleneckParams, points: int = SEARCH_POINTS) -> tuple[float, float]:
+    """Exhaustive flat-toll revenue argmax over ``points`` uniform tolls on [0, gap].
 
     For a block, each set's argmax toll and revenue, as arrays.
     """
-    return _search(
-        params,
-        0.0,
-        clamp(params.cost_gap, 0.0),
-        lambda sets, tolls, out, _: _static_revenue_curve(sets, tolls, out),
-    )
+    return _search(params, 0.0, clamp(params.cost_gap, 0.0), _static_revenue_curve, points)
 
 
 def grid_search_dynamic_fraction(params: BottleneckParams) -> tuple[float, float]:

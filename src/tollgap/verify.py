@@ -80,7 +80,6 @@ QUAD_TOL = 1e-8  # urban revenue and the four cost pieces vs Gauss–Legendre qu
 # keeps rounding residue up to ~4e-10 user-hours; a 1e-9 h floor fails.
 ORACLE_FLOOR = 1e-4
 ARGMAX_GRID = 2000  # dense revenue grid that certifies the closed-form flat optimum
-GRID_ROWS = 16  # parameter sets whose dense revenue grids are evaluated at once (16 x 2000 floats)
 BLOCK = 512  # random draws (cases, for the oracle suite) checked as one block
 LIMIT_JAM = 1e15  # jam accumulation of the urban suite's fixed-capacity limit draws
 LIMIT_TOL = 1e-9  # urban revenue, queuing and schedule vs the bottleneck at LIMIT_JAM, relative
@@ -128,6 +127,8 @@ def _params_from(numbers, build):
 
     ``build`` is :class:`BottleneckParams` or :class:`ParamsBlock`; the same
     arithmetic serves both, so a block row equals the one-set draw bit for bit.
+    The band's thresholds come from an unvalidated :class:`ParamsBlock` probe,
+    floats or arrays, so only the returned set is validated.
     """
     arrival, capacity_u, demand_u, early_u, late_u, car_u, band, gap_u = numbers
     capacity = arrival * _uniform(0.15, 0.92, capacity_u)
@@ -135,7 +136,7 @@ def _params_from(numbers, build):
     early = _uniform(0.2, 0.9, early_u)
     late = _uniform(0.3, 3.5, late_u)
     car_cost = _uniform(0.0, 3.0, car_u)
-    low, high = regime_thresholds(build(demand, arrival, capacity, early, late, car_cost, car_cost))
+    low, high = regime_thresholds(ParamsBlock(demand, arrival, capacity, early, late, car_cost, car_cost))
     gap_lo = select(band == 0, 0.0, select(band == 1, low, high))
     gap_hi = select(band == 0, low, select(band == 1, high, 2.5 * high))
     gap = _uniform(gap_lo, gap_hi, gap_u)
@@ -338,22 +339,6 @@ def _check_bounds(
     return margin, checks
 
 
-def _grid_maxima(params: ParamsBlock) -> np.ndarray:
-    """Each set's largest revenue on ``ARGMAX_GRID`` uniform tolls over ``[0, gap]``.
-
-    A set's grid is its gap times one shared grid on ``[0, 1]``, cheaper than
-    a ``linspace`` per set.  The grids are evaluated ``GRID_ROWS`` sets at a
-    time, so memory stays flat in the block size.
-    """
-    unit = np.linspace(0.0, 1.0, ARGMAX_GRID)
-    maxima = []
-    for start in range(0, len(params.total_demand), GRID_ROWS):
-        chunk = params[start:start + GRID_ROWS]
-        tolls = chunk.cost_gap[:, np.newaxis] * unit
-        maxima.append(oracle._static_revenue_curve(chunk, tolls).max(axis=1))
-    return np.concatenate(maxima)
-
-
 def _check_guarantees(
     params: ParamsBlock, tags: Sequence[str], corner: bool = False
 ) -> tuple[np.ndarray, _Failures]:
@@ -370,7 +355,7 @@ def _check_guarantees(
     ro, so = (bottleneck._trapezoid_cost(params, f) for f in bottleneck._flat_fractions(params))
     report = bottleneck.performance_bounds(params)
     flat_revenue, ro_revenue = _column(flat.revenue, n), _column(ro.revenue, n)
-    curve_max = _grid_maxima(params)
+    curve_max = oracle.grid_search_static(params, ARGMAX_GRID)[1]
     paid = ~(ro_revenue <= 0)
     ratio = flat_revenue / np.where(paid, ro_revenue, 1.0)
     margin, bound_checks = _check_bounds(
@@ -533,12 +518,11 @@ def mfd_agreement_suite(seed: int, n_cases: int = 100) -> CheckResult:
             hi = params.cost_gap
             if hi <= lo:
                 continue
-            for frac in (0.25, 0.6, 1.0):
-                toll = lo + frac * (hi - lo)
-                got = mfd.static_system_cost(params, net, toll)
-                want = bottleneck.static_system_cost(params, toll)
-                pairs = _pieces(got, want, dict.fromkeys(("revenue", "queuing", "schedule"), 1e-9))
-                yield 0.0, _compare([f"limit case {case}"], toll, pairs, LIMIT_TOL)[1]
+            tolls = lo + np.array([0.25, 0.6, 1.0]) * (hi - lo)
+            got = mfd.static_system_cost(params, net, tolls)
+            want = bottleneck.static_system_cost(params, tolls)
+            pairs = _pieces(got, want, dict.fromkeys(("revenue", "queuing", "schedule"), 1e-9))
+            yield 0.0, _compare([f"limit case {case}"] * 3, tolls, pairs, LIMIT_TOL)[1]
 
     return _fold(
         "urban-network agreement (log forms vs quadrature, limits, guarantees)",

@@ -1,8 +1,8 @@
 """Property test over the argparse surface: every invocation ends in an exit code.
 
 Finite, nonfinite, zero and negative values for the numeric flags, and for
-any one number in a scenario file, must give exit 0, 1 or 2 (or argparse's
-own ``SystemExit(2)``), never an uncaught exception.  Draws stay cheap: at
+any one number in a scenario file, must give exit 0, 1 or 2 (or a usage
+error's ``SystemExit(1)``), never an uncaught exception.  Draws stay cheap: at
 most 2 random cases, at most 4 eta-range points, and no scenario file for
 ``verify``.
 """
@@ -60,8 +60,8 @@ def test_every_invocation_exits_with_a_code(out_path):
     def run(argv):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage error
-            assert exc.code == 2, argv
+        except SystemExit as exc:  # a usage error is an input error
+            assert exc.code == 1, argv
         else:
             assert code in (0, 1, 2), argv
 

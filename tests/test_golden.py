@@ -42,6 +42,8 @@ def test_default_sweep_csv_sha256(scenario, tmp_path, capsys):
         # 513 and 256 recovery sets: case counts no block or chunk size divides.
         (["verify", "--seed", "7", "--cases", "300"], "verify_seed7_cases300.txt"),
         (["verify", "--seed", "1", "--cases", "513"], "verify_seed1_cases513.txt"),
+        # The second seed of the committed verify bench records.
+        (["verify", "--seed", "9173", "--cases", "1000"], "verify_seed9173_cases1000.txt"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys):

@@ -185,18 +185,21 @@ class TestGridSearches:
             dataclasses.replace(sets[3], car_freeflow_cost=sets[3].transit_cost + 0.5),
             car_saturated_params(),
         ]
-        assert len(sets) % oracle.SEARCH_ROWS != 0
+        # The recovery grid and the certificate's: 3 and 15 sets a chunk.
+        points = (oracle.SEARCH_POINTS, verify.ARGMAX_GRID)
+        assert all(len(sets) % (oracle.CHUNK_FLOATS // n) != 0 for n in points)
         block = ParamsBlock.stack(sets)
-        block_static = oracle.grid_search_static(block)
+        block_static = {n: oracle.grid_search_static(block, n) for n in points}
         block_fraction = oracle.grid_search_dynamic_fraction(block)
         for k, p in enumerate(sets):
             demand, lam, mu, gap = p.total_demand, p.arrival_rate, p.capacity, p.cost_gap
-            tolls = np.linspace(0.0, max(gap, 0.0), oracle.SEARCH_POINTS)
-            values = oracle._static_revenue_curve(p, tolls)
-            i = int(np.argmax(values))
-            want = (float(tolls[i]), float(values[i]))
-            assert oracle.grid_search_static(p) == want
-            assert (block_static[0][k], block_static[1][k]) == want
+            for n in points:
+                tolls = np.linspace(0.0, max(gap, 0.0), n)
+                values = oracle._static_revenue_curve(p, tolls)
+                i = int(np.argmax(values))
+                want = (float(tolls[i]), float(values[i]))
+                assert oracle.grid_search_static(p, n) == want
+                assert (block_static[n][0][k], block_static[n][1][k]) == want
             f_lo = 1.0 - min(gap / (demand * p.schedule_factor / mu), 1.0)
             fracs = np.linspace(f_lo, 1.0, oracle.SEARCH_POINTS)
             values = gap * (fracs * demand * mu / lam + (1.0 - fracs) * demand) - (

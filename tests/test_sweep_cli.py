@@ -317,9 +317,34 @@ class TestCli:
             argv = [*argv, "--out", str(out)]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, usage, message",
+        [
+            (["verify", "--cases", "abc"], "usage: tollgap verify", "invalid int value: 'abc'"),
+            (["analyze", "--scenario", "nyc"], "usage: tollgap analyze", "required: --eta"),
+            (["bogus"], "usage: tollgap ", "invalid choice: 'bogus'"),
+            ([], "usage: tollgap ", "required: command"),
+        ],
+    )
+    def test_usage_errors_exit_1(self, argv, usage, message, capsys):
+        # A usage error is an input error: exit 1, as the module docstring says,
+        # with argparse's usage line; 2 stays a verification failure.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(usage) and message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tollgap")
 
     def test_option_strings_are_pinned(self):
         # A new flag is a new configuration to test: adding one changes this table.

@@ -205,6 +205,26 @@ def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
     assert failures[0][1].startswith("eta=1.5: grid revenue 5541.8182 beats closed optimum 5541.")
 
 
+def test_dense_grid_fault_past_the_first_chunk_keeps_its_tag(monkeypatch):
+    # Set 17 of a 20-set block lies past the certificate's first search chunk
+    # (15 sets of 2000 points); its low-band optimum moves a quarter step below g.
+    assert 17 >= oracle.CHUNK_FLOATS // verify.ARGMAX_GRID
+    rng = random.Random(3)
+    sets = [verify.sample_params(rng, "low") for _ in range(20)]
+    target = sets[17].total_demand
+    real = bn.static_revenue_optimal_toll
+
+    def shifted(p):
+        toll = real(p)[0]
+        quarter_step = 0.25 * p.cost_gap / (verify.ARGMAX_GRID - 1)
+        toll = np.where(p.total_demand == target, toll - quarter_step, toll)
+        return toll, bn.static_system_cost(p, toll)
+
+    monkeypatch.setattr(bn, "static_revenue_optimal_toll", shifted)
+    _, failures = verify._check_guarantees(ParamsBlock.stack(sets), [f"case {i}" for i in range(20)])
+    assert failures == [(17, "case 17: grid revenue 557.01695 beats closed optimum 556.99869")]
+
+
 BOUND_LINE = (
     "[{}] performance-bound properties (revenue floors, 2x cost bound, exact corner): "
     "{} draws; smallest revenue-bound margin {}"
@@ -326,7 +346,7 @@ def _two_steps(params, span):
 def test_recovery_catches_an_optimum_two_steps_off(optimum, messages, monkeypatch):
     # Case 5 lies past the first search chunk, case 517 past the first block;
     # the messages are those the one-set-at-a-time check gave for the same fault.
-    assert oracle.SEARCH_ROWS <= 5 and verify.BLOCK <= 517
+    assert oracle.CHUNK_FLOATS // oracle.SEARCH_POINTS <= 5 and verify.BLOCK <= 517
     rng = random.Random(3)
     targets = _targets([verify.sample_params(rng) for _ in range(518)], (5, 517))
     if optimum == "toll":
