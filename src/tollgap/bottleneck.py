@@ -14,13 +14,16 @@ mixed-mode equilibrium only on the band
 above it everyone rides transit (ties at the top break toward the car, i.e.
 toward higher revenue).
 
-The kernels (``max_wait_car_only``, ``_flat_toll``, ``static_equilibrium``,
-``_flat_fractions``, ``_trapezoid_cost``, ``static_revenue_optimal_toll`` and
-``performance_bounds``) take one parameter set or a
-:class:`~tollgap.core.ParamsBlock` of them.  Each branch is computed in full
-and chosen by :func:`~tollgap.core.select`, with a stand-in denominator
-wherever a branch not taken would divide by zero; on floats that is the
-scalar formula, on a block it is the same formula elementwise.
+The kernels (``max_wait_car_only``, ``_flat_split``, ``_flat_toll``,
+``static_equilibrium``, ``_window``, ``_flat_fractions``, ``_trapezoid_cost``,
+``static_revenue_optimal_toll`` and ``performance_bounds``) take one
+parameter set or a :class:`~tollgap.core.ParamsBlock` of them.  Each branch
+is computed in full and chosen by :func:`~tollgap.core.select`, with a
+stand-in denominator wherever a branch not taken would divide by zero; on
+floats that is the scalar formula, on a block it is the same formula
+elementwise.  The flat toll's branch, wait and on-time share come from one
+derivation (``_flat_split``), and the untolled equilibrium and the trapezoid
+schedule take their window from one helper (``_window``).
 """
 
 from __future__ import annotations
@@ -114,43 +117,58 @@ def _require_outside_option_regime(params: BottleneckParams) -> None:
         raise DomainError("transit strictly dominates: no congested analysis applies")
 
 
-def _branch_picker(params: BottleneckParams, toll: float):
-    """``pick(out, mixed, no_queue)``: a flat toll's value on its branch, elementwise on a block.
+def _flat_split(params: BottleneckParams, toll: float):
+    """``(pick, wait, ontime_share)`` of a flat toll, elementwise on a block.
 
-    ``out`` where every car is priced out (a negative gap, or a toll above
-    it), else ``mixed`` where a queue forms (``mu < lam``) and ``no_queue``
-    where none does.
+    The one derivation of the flat toll's branch and split.  ``pick(out,
+    mixed, no_queue)`` gives a value on the toll's branch: ``out`` where
+    every car is priced out (a negative gap, or a toll above it), else
+    ``mixed`` where a queue forms (``mu < lam``) and ``no_queue`` where none
+    does.  The peak wait is ``gap - toll`` clamped to ``[0, max_wait]``: the
+    clamp's top is the car-only equilibrium below the band, its bottom the
+    zero-queue split at the gap.  ``ontime_share`` is ``1 - wait/max_wait``.
     """
+    if anywhere(toll < 0):
+        raise DomainError("toll must be nonnegative")
     gap = params.cost_gap
     priced_out = (gap < 0) | (toll > gap)
     congested = params.capacity < params.arrival_rate
+    max_wait = max_wait_car_only(params)
+    wait = clamp(gap - toll, 0.0, max_wait)
+    ontime_share = 1.0 - wait / select(congested, max_wait, 1.0)
 
     def pick(out: float, mixed: float, no_queue: float) -> float:
         return select(priced_out, out, select(congested, mixed, no_queue))
 
-    return pick
+    return pick, wait, ontime_share
+
+
+def _window(params: BottleneckParams, rise: float, flat: float, fall: float):
+    """``(start, peak_start, peak_end, end)`` of a profile that rises, holds and falls.
+
+    Service-rate accounting anchors the window: ``lam*(peak_start - 0) =
+    mu*(peak_start - start)``, so the peak starts ``mu/lam`` of the rise
+    after the desired window opens at 0.  The untolled equilibrium's wait
+    profile and the trapezoid schedule share it.
+    """
+    peak_start = (params.capacity / params.arrival_rate) * rise
+    peak_end = peak_start + flat
+    return peak_start - rise, peak_start, peak_end, peak_end + fall
 
 
 def _flat_toll(params: BottleneckParams, toll: float) -> CostBreakdown:
     """Cost pieces and revenue of a flat toll, for any toll and any gap.
 
-    The one implementation of the flat-toll formulas.  The peak wait is
-    ``gap - toll`` clamped to ``[0, max_wait]``: the clamp's top is the
-    car-only equilibrium below the band, its bottom the zero-queue split at
-    the gap.  A toll above the gap (or a negative gap) prices every car out;
-    with no queue (``mu >= lam``) everyone crosses on time by car and pays.
+    The one implementation of the flat-toll cost formulas, on the wait and
+    on-time share of :func:`_flat_split`.  A toll above the gap (or a
+    negative gap) prices every car out; with no queue (``mu >= lam``)
+    everyone crosses on time by car and pays.
     """
-    if anywhere(toll < 0):
-        raise DomainError("toll must be nonnegative")
-    demand, gap = params.total_demand, params.cost_gap
+    pick, wait, ontime_share = _flat_split(params, toll)
+    demand = params.total_demand
     mu, lam = params.capacity, params.arrival_rate
     z_t, z_c = params.transit_cost, params.car_freeflow_cost
-    pick = _branch_picker(params, toll)
-    congested = mu < lam
-    max_wait = max_wait_car_only(params)
-    wait = clamp(gap - toll, 0.0, max_wait)
     away = 1.0 - mu / lam
-    ontime_share = 1.0 - wait / select(congested, max_wait, 1.0)
     inv_factor = 1.0 / params.schedule_factor  # (e+L)/(eL)
     car_users = mu * wait * inv_factor + ontime_share * demand * mu / lam
     shoulders = (mu * wait * wait / 2.0) * inv_factor
@@ -169,40 +187,23 @@ def static_equilibrium(params: BottleneckParams, toll: float) -> EquilibriumOutc
 
     In the mixed band the peak wait is ``gap - toll`` and the early/late/
     on-time/transit counts follow from the linear wait profile (slopes
-    ``early_penalty`` up, ``late_penalty`` down) plus service-rate accounting.
-    Below the band the outcome is the car-only equilibrium; above it all
-    users ride transit, except at ``toll == gap`` where indifferent users
-    break toward the car.  With no queue (``mu >= lam``) everyone crosses on
-    time by car (at ``toll == gap`` the tie also resolves toward the car).
+    ``early_penalty`` up, ``late_penalty`` down) plus service-rate accounting
+    (:func:`_window`).  Below the band the outcome is the car-only
+    equilibrium; above it all users ride transit, except at ``toll == gap``
+    where indifferent users break toward the car.  With no queue
+    (``mu >= lam``) everyone crosses on time by car (at ``toll == gap`` the
+    tie also resolves toward the car).
     """
-    if anywhere(toll < 0):
-        raise DomainError("toll must be nonnegative")
-    pick = _branch_picker(params, toll)
-    demand = params.total_demand
-    rush = params.rush_length
+    pick, wait, ontime_share = _flat_split(params, toll)
+    demand, rush = params.total_demand, params.rush_length
     mu, lam = params.capacity, params.arrival_rate
     e, late = params.early_penalty, params.late_penalty
-
-    max_wait = max_wait_car_only(params)
-    wait = clamp(params.cost_gap - toll, 0.0, max_wait)
-    n_early = mu * wait / e
-    n_late = mu * wait / late
-    ontime_share = 1.0 - wait / select(mu < lam, max_wait, 1.0)
-    n_ontime = ontime_share * demand * mu / lam
-    n_transit = ontime_share * demand * (1.0 - mu / lam)
-
-    rise = wait / e
-    fall = wait / late
-    flat = ontime_share * rush
-    peak_start = (mu / lam) * rise  # service-rate accounting anchors the window
-    start = peak_start - rise
-    peak_end = peak_start + flat
-    end = peak_end + fall
+    start, peak_start, peak_end, end = _window(params, wait / e, ontime_share * rush, wait / late)
     return EquilibriumOutcome(
-        pick(0.0, n_early, 0.0),
-        pick(0.0, n_late, 0.0),
-        pick(0.0, n_ontime, demand),
-        pick(demand, n_transit, 0.0),
+        pick(0.0, mu * wait / e, 0.0),
+        pick(0.0, mu * wait / late, 0.0),
+        pick(0.0, ontime_share * demand * mu / lam, demand),
+        pick(demand, ontime_share * demand * (1.0 - mu / lam), 0.0),
         pick(0.0, wait, 0.0),
         pick(0.0, start, 0.0),
         pick(0.0, peak_start, 0.0),
@@ -244,29 +245,16 @@ def static_revenue_optimal_toll(params: BottleneckParams) -> tuple[float, CostBr
 def dynamic_revenue_at_fraction(params: BottleneckParams, flat_fraction: float) -> float:
     """Revenue of the zero-wait trapezoid toll with the given flat fraction.
 
-    ``gap * (f*demand*mu/lam + (1-f)*demand) - demand^2/(2 mu) * eL/(e+L) * (1-f)^2``.
-    Evaluates the formula anywhere on [0, 1]; fractions below the feasible
-    band produce negative values rather than being clamped, so infeasibility
-    is visible to callers.
+    ``gap * (f*demand*mu/lam + (1-f)*demand) - demand^2/(2 mu) * eL/(e+L) * (1-f)^2``,
+    read from :func:`_trapezoid_cost`; with no queue (``mu >= lam``) every
+    user drives and pays the gap, ``gap * demand``.  Evaluates the formula
+    anywhere on [0, 1]; fractions below the feasible band produce negative
+    values rather than being clamped, so infeasibility is visible to callers.
     """
     if not 0.0 <= flat_fraction <= 1.0:
         raise DomainError("flat_fraction must lie in [0, 1]")
     _require_outside_option_regime(params)
-    return _trapezoid_revenue(params, flat_fraction)
-
-
-def _trapezoid_revenue(params: BottleneckParams, flat_fraction: float) -> float:
-    """:func:`dynamic_revenue_at_fraction`'s formula, unchecked.
-
-    The square is a product: numpy squares an array by multiplication, while
-    Python's ``** 2`` calls C ``pow``, which rounds about one square in a
-    thousand the other way.
-    """
-    gap = params.cost_gap
-    demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
-    served_share = flat_fraction * demand * mu / lam + (1.0 - flat_fraction) * demand
-    shoulder_loss = demand * demand / (2.0 * mu) * params.schedule_factor
-    return gap * served_share - shoulder_loss * ((1.0 - flat_fraction) * (1.0 - flat_fraction))
+    return _trapezoid_cost(params, flat_fraction).revenue
 
 
 def _flat_fractions(params: BottleneckParams) -> tuple[float, float]:
@@ -286,29 +274,29 @@ def _flat_fractions(params: BottleneckParams) -> tuple[float, float]:
 def _trapezoid_cost(params: BottleneckParams, flat_fraction: float) -> CostBreakdown:
     """Cost pieces and revenue of the zero-wait trapezoid with the given flat share.
 
-    The one implementation of the trapezoid cost, as a component sum: queuing
-    is zero by construction; transit, car and schedule costs follow from the
-    flat fraction, and revenue from :func:`dynamic_revenue_at_fraction`'s
-    formula.  With no queue to price (``mu >= lam``, flat fraction 1)
-    everyone drives and pays the gap.  A collapsed one-line form must carry
-    ``(1-mu/lam)^2 (1+mu/lam)``; the ``(1-mu/lam)^3`` variant seen in
-    derivations fails the calibrated benchmarks (see docs/formulas.md).
+    The one implementation of the trapezoid cost, as a component sum, and of
+    its revenue ``R(f)``: queuing is zero by construction; transit, car and
+    schedule costs follow from the flat fraction, and car cost and revenue
+    from the one count of users served by car.  With no queue to price
+    (``mu >= lam``, flat fraction 1) everyone drives and pays the gap.  A
+    collapsed one-line form must carry ``(1-mu/lam)^2 (1+mu/lam)``; the
+    ``(1-mu/lam)^3`` variant seen in derivations fails the calibrated
+    benchmarks (see docs/formulas.md).  The square ``(1-f)^2`` is a product:
+    numpy squares an array by multiplication, while Python's ``** 2`` calls
+    C ``pow``, which rounds about one square in a thousand the other way.
     """
     demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
+    z_c = params.car_freeflow_cost
     congested = mu < lam
+    served = flat_fraction * demand * mu / lam + (1.0 - flat_fraction) * demand
+    spread = (1.0 - flat_fraction) * (1.0 - flat_fraction)
     transit = params.transit_cost * flat_fraction * demand * (1.0 - mu / lam)
-    car = params.car_freeflow_cost * (
-        flat_fraction * demand * mu / lam + (1.0 - flat_fraction) * demand
-    )
-    schedule = (
-        demand * demand * params.schedule_factor / (2.0 * mu)
-        * ((1.0 - flat_fraction) * (1.0 - flat_fraction))
-        * (1.0 - mu / lam)
-    )
-    revenue = _trapezoid_revenue(params, flat_fraction)
+    schedule = demand * demand * params.schedule_factor / (2.0 * mu) * spread * (1.0 - mu / lam)
+    shoulder_loss = demand * demand / (2.0 * mu) * params.schedule_factor
+    revenue = params.cost_gap * served - shoulder_loss * spread
     return CostBreakdown(
         transit=select(congested, transit, 0.0),
-        car_freeflow=select(congested, car, params.car_freeflow_cost * demand),
+        car_freeflow=select(congested, z_c * served, z_c * demand),
         queuing=0.0,
         schedule=select(congested, schedule, 0.0),
         revenue=select(congested, revenue, params.cost_gap * demand),
@@ -317,23 +305,12 @@ def _trapezoid_cost(params: BottleneckParams, flat_fraction: float) -> CostBreak
 
 def _trapezoid_for_fraction(params: BottleneckParams, flat_fraction: float) -> TrapezoidToll:
     """Zero-wait trapezoid with peak at the cost gap and the given flat share."""
-    gap = params.cost_gap
-    demand, mu, lam = params.total_demand, params.capacity, params.arrival_rate
     e, late = params.early_penalty, params.late_penalty
-    shoulder_users = (1.0 - flat_fraction) * demand
-    rise = late / (e + late) * shoulder_users / mu
-    fall = e / (e + late) * shoulder_users / mu
-    flat = flat_fraction * params.rush_length
-    peak_start = (mu / lam) * rise
-    return TrapezoidToll(
-        peak=gap,
-        start=peak_start - rise,
-        peak_start=peak_start,
-        peak_end=peak_start + flat,
-        end=peak_start + flat + fall,
-        rise_slope=e,
-        fall_slope=late,
-    )
+    shoulder_users = (1.0 - flat_fraction) * params.total_demand
+    rise = late / (e + late) * shoulder_users / params.capacity
+    fall = e / (e + late) * shoulder_users / params.capacity
+    window = _window(params, rise, flat_fraction * params.rush_length, fall)
+    return TrapezoidToll(params.cost_gap, *window, rise_slope=e, fall_slope=late)
 
 
 def _design(params: BottleneckParams, flat_fraction: float) -> DynamicTollDesign:

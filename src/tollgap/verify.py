@@ -250,10 +250,9 @@ def _check_recovery(params: ParamsBlock, tags: Sequence[str]) -> _Outcome:
     frac_hat, _ = oracle.grid_search_dynamic_fraction(params)
     gap = params.cost_gap
     toll_star, flat = bottleneck.static_revenue_optimal_toll(params)
-    f_star = bottleneck._flat_fractions(params)[0]
+    f_star, f_lo = bottleneck._flat_fractions(params)
     step = select(gap > 0, gap / (oracle.SEARCH_POINTS - 1), 0.0)
     err = np.abs(toll_hat - toll_star)
-    f_lo = 1.0 - clamp(gap / bottleneck.max_wait_car_only(params), hi=1.0)
     f_step = (1.0 - f_lo) / (oracle.SEARCH_POINTS - 1)
     checks = [
         (
@@ -534,23 +533,36 @@ def mfd_agreement_suite(seed: int, n_cases: int = 100) -> CheckResult:
 def scenario_suite(scenario) -> CheckResult:
     """Deterministic checks along a calibrated scenario's eta sweep.
 
-    At every sweep point the random suites' checks run: oracle vs closed
-    forms at three tolls, optimum recovery by grid search, (for urban
-    scenarios) the urban check mid-band, and every performance guarantee.
-    Each check but the urban one runs once on all the sweep points; the
-    failures come sweep point by sweep point in that order, the guarantees'
-    after all the rest.
+    At every congested sweep point with a nonnegative gap the random suites'
+    checks run: oracle vs closed forms at three tolls, optimum recovery by
+    grid search, (for urban scenarios) the urban check mid-band, and every
+    performance guarantee.  Each check but the urban one runs once on all
+    the checked points; the failures come sweep point by sweep point in that
+    order, the guarantees' after all the rest.  The result names each point
+    left unchecked (all transit, or uncongested), and with none checked it
+    is a vacuous pass with a warning.
     """
-
-    def outcomes() -> Iterator[_Outcome]:
-        checked: list[BottleneckParams] = []
-        tags: list[str] = []
-        for eta in scenario.eta_sweep:
-            params = scenario.params(eta)
-            if params.cost_gap < 0 or params.capacity >= params.arrival_rate:
-                continue
+    checked: list[BottleneckParams] = []
+    tags: list[str] = []
+    unchecked: list[str] = []
+    for eta in scenario.eta_sweep:
+        params = scenario.params(eta)
+        if params.cost_gap < 0:
+            unchecked.append(f"eta={eta:g} (all transit)")
+        elif params.capacity >= params.arrival_rate:
+            unchecked.append(f"eta={eta:g} (uncongested)")
+        else:
             checked.append(params)
             tags.append(f"eta={eta:g}")
+    detail = f"{len(scenario.eta_sweep)} sweep points, "
+    if not checked:
+        detail += "none congested with a nonnegative gap: vacuous pass (warning: nothing was checked)"
+    else:
+        detail += "worst rel gap {worst:.3e}"
+        if unchecked:
+            detail += f"; not checked: {', '.join(unchecked)}"
+
+    def outcomes() -> Iterator[_Outcome]:
         if not checked:
             return
         block = ParamsBlock.stack(checked)
@@ -571,11 +583,7 @@ def scenario_suite(scenario) -> CheckResult:
         yield worst, sorted(found, key=lambda failure: failure[0])
         yield 0.0, _check_guarantees(block, tags)[1]
 
-    return _fold(
-        f"scenario suite ({scenario.name})",
-        f"{len(scenario.eta_sweep)} sweep points, worst rel gap {{worst:.3e}}",
-        outcomes(),
-    )
+    return _fold(f"scenario suite ({scenario.name})", detail, outcomes())
 
 
 def check_case_count(n_cases: int) -> None:

@@ -159,6 +159,14 @@ class TestDynamicRevenue:
         with pytest.raises(DomainError):
             bn.dynamic_revenue_at_fraction(BAY.params(1.5), 1.2)
 
+    @pytest.mark.parametrize("capacity", [2.0, 1.0])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_no_queue_revenue_is_the_designs(self, capacity, fraction):
+        # With mu >= lam every user drives and pays the gap, at any fraction.
+        p = BottleneckParams(10, 1, capacity, 0.5, 2.0, 0.5, 1.0)
+        revenue = bn.dynamic_revenue_at_fraction(p, fraction)
+        assert revenue == bn.dynamic_revenue_optimal(p).revenue == p.cost_gap * p.total_demand == 5.0
+
     def test_optimal_nyc_18(self):
         design = bn.dynamic_revenue_optimal(NYC.params(18.0))
         assert design.flat_fraction == pytest.approx(0.26561859631147566)
@@ -221,6 +229,20 @@ class TestDynamicSoDesign:
     def test_zero_gap(self):
         p = with_gap(BAY.params(1.5), 0.0)
         assert bn.dynamic_so_design(p).revenue == 0.0
+
+    def test_schedule_mirrors_the_untolled_wait_profile(self):
+        # Wherever g <= W_max, the breakpoints are the untolled equilibrium's window.
+        rng = random.Random(11)
+        drawn = [verify.sample_params(rng) for _ in range(300)]
+        presets = [s.params(eta) for s in (BAY, NYC) for eta in s.eta_sweep]
+        uncongested = BottleneckParams(10, 1, 2, 0.5, 2.0, 0.5, 1.0)  # both [0, 0, N/lam, N/lam]
+        sets = [p for p in drawn + presets if 0 <= p.cost_gap <= bn.max_wait_car_only(p)]
+        assert len(sets) > 100
+        for p in sets + [uncongested]:
+            policy = bn.dynamic_so_design(p).policy
+            untolled = bn.static_equilibrium(p, 0.0)
+            for name in ("start", "peak_start", "peak_end", "end"):
+                assert getattr(policy, name) == pytest.approx(getattr(untolled, name), rel=1e-12)
 
     def test_negative_gap_is_domain_error(self):
         p = BAY.params(1.0)

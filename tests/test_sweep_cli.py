@@ -184,6 +184,16 @@ class TestCli:
         assert cli.main(["verify", "--cases", "0"]) == 0
         assert "vacuous" in capsys.readouterr().out
 
+    def test_verify_scenario_file_with_nothing_congested_is_vacuous(self, tmp_path, capsys):
+        path = tmp_path / "wide.scenario"
+        path.write_text(serialize_scenario(dataclasses.replace(BAY, capacity=20_000.0)))
+        assert cli.main(["verify", "--scenario", str(path)]) == 0
+        # The leading count stays the sweep's full length.
+        assert capsys.readouterr().out == (
+            "[PASS] scenario suite (bay_bridge): 100 sweep points, none congested with a "
+            "nonnegative gap: vacuous pass (warning: nothing was checked)\n"
+        )
+
     def test_verify_negative_cases_is_validation_error(self, capsys):
         assert cli.main(["verify", "--cases", "-3"]) == 1
         captured = capsys.readouterr()

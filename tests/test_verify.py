@@ -363,8 +363,7 @@ def test_recovery_catches_an_optimum_two_steps_off(optimum, messages, monkeypatc
 
         def planted(params):
             f_star, f_so = real_fractions(params)
-            f_lo = 1.0 - np.minimum(params.cost_gap / bn.max_wait_car_only(params), 1.0)
-            shifted = f_star + _two_steps(params, 1.0 - f_lo)
+            shifted = f_star + _two_steps(params, 1.0 - f_so)
             return np.where(np.isin(params.total_demand, targets), shifted, f_star), f_so
 
         monkeypatch.setattr(bn, "_flat_fractions", planted)
@@ -458,3 +457,31 @@ def test_scenario_failures_come_sweep_point_by_sweep_point(monkeypatch):
         "eta=9: flat argmax 3.7961896 vs closed 3.7971325",
         "eta=9 toll=2.175 queuing: 390532.7853 vs 390533.1758, rel gap 1.000e-06",
     ]
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        dataclasses.replace(builtin_scenario("bay_bridge"), capacity=20_000.0),
+        builtin_scenario("bay_bridge", eta_sweep=(0.5, 0.6)),
+    ],
+    ids=["uncongested", "all-transit"],
+)
+def test_a_scenario_with_no_point_checked_is_a_vacuous_pass(scenario):
+    # Every point is skipped: capacity above the arrival rate, or a negative gap.
+    result = verify.scenario_suite(scenario)
+    assert result.ok and result.failures == []
+    assert result.line() == (
+        f"[PASS] scenario suite (bay_bridge): {len(scenario.eta_sweep)} sweep points, none "
+        "congested with a nonnegative gap: vacuous pass (warning: nothing was checked)"
+    )
+
+
+def test_a_scenario_names_the_points_it_leaves_unchecked():
+    checked = verify.scenario_suite(builtin_scenario("bay_bridge", eta_sweep=(1.5, 2.0)))
+    result = verify.scenario_suite(builtin_scenario("bay_bridge", eta_sweep=(0.5, 1.5, 0.6, 2.0)))
+    assert result.ok and result.worst == checked.worst
+    assert result.detail == (
+        f"4 sweep points, worst rel gap {checked.worst:.3e}; "
+        "not checked: eta=0.5 (all transit), eta=0.6 (all transit)"
+    )
