@@ -14,16 +14,17 @@ mixed-mode equilibrium only on the band
 above it everyone rides transit (ties at the top break toward the car, i.e.
 toward higher revenue).
 
-The kernels (``max_wait_car_only``, ``_flat_split``, ``_flat_toll``,
-``static_equilibrium``, ``_window``, ``_flat_fractions``, ``_trapezoid_cost``,
-``static_revenue_optimal_toll`` and ``performance_bounds``) take one
-parameter set or a :class:`~tollgap.core.ParamsBlock` of them.  Each branch
-is computed in full and chosen by :func:`~tollgap.core.select`, with a
-stand-in denominator wherever a branch not taken would divide by zero; on
-floats that is the scalar formula, on a block it is the same formula
-elementwise.  The flat toll's branch, wait and on-time share come from one
-derivation (``_flat_split``), and the untolled equilibrium and the trapezoid
-schedule take their window from one helper (``_window``).
+The kernels (``max_wait_car_only``, ``feasible_toll_band``, ``_flat_split``,
+``_flat_toll``, ``static_equilibrium``, ``_window``, ``_flat_fractions``,
+``_trapezoid_cost``, ``static_revenue_optimal_toll`` and
+``performance_bounds``) take one parameter set or a
+:class:`~tollgap.core.ParamsBlock` of them.  Each branch is computed in full
+and chosen by :func:`~tollgap.core.select`, with a stand-in denominator
+wherever a branch not taken would divide by zero; on floats that is the scalar
+formula, on a block it is the same formula elementwise.  The flat toll's
+branch, wait and on-time share come from one derivation (``_flat_split``), and
+the untolled equilibrium and the trapezoid schedule take their window from one
+helper (``_window``).
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def max_wait_car_only(params: BottleneckParams) -> float:
 def feasible_toll_band(params: BottleneckParams) -> tuple[float, float]:
     """Flat-toll band [max(0, gap - max_wait), gap] supporting mixed mode."""
     gap = params.cost_gap
-    return max(0.0, gap - max_wait_car_only(params)), gap
+    lo = gap - max_wait_car_only(params)
+    return select(lo > 0.0, lo, 0.0), gap  # max(0.0, lo), elementwise
 
 
 def _require_outside_option_regime(params: BottleneckParams) -> None:

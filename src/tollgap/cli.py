@@ -184,14 +184,23 @@ def cmd_sweep(scenario: Scenario, etas: list[float], out_path: str) -> int:
     return 0
 
 
-def cmd_verify(scenario_spec: str, seed: int, cases: int) -> int:
+def cmd_verify(scenario_spec: str, seed: int | None, cases: int | None) -> int:
+    """Run the random suites (``seed`` and ``cases`` as given, else their defaults) or a scenario's."""
     from . import verify  # deferred: see the note above main
 
-    if scenario_spec != "random":
-        verify.check_case_count(cases)  # unused by the scenario suite, but still validated
-        results = [verify.scenario_suite(_load(scenario_spec))]
+    if scenario_spec == "random":
+        given = {name: value for name, value in (("seed", seed), ("n_cases", cases)) if value is not None}
+        results = verify.run_all_suites(**given)
     else:
-        results = verify.run_all_suites(seed=seed, n_cases=cases)
+        if cases is not None:
+            verify.check_case_count(cases)  # a negative count gets the random suites' message
+        for flag, value in (("--seed", seed), ("--cases", cases)):
+            if value is not None:
+                raise ParameterError(
+                    f"{flag} applies to the random suites only; the {scenario_spec!r} scenario"
+                    f" suite checks a fixed sweep, got {value}"
+                )
+        results = [verify.scenario_suite(_load(scenario_spec))]
     failed = False
     for result in results:
         print(result.line())
@@ -271,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="random",
         help="'random' (default) for seeded random suites, or a builtin/file scenario",
     )
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--cases", type=int, default=1000)
+    p_verify.add_argument("--seed", type=int, help="seed of the random suites (default 42)")
+    p_verify.add_argument("--cases", type=int, help="cases of the random suites (default 1000)")
 
     p_cross = sub.add_parser("crossover", help="eta at which the flat optimum matches the live toll")
     add_common(p_cross)

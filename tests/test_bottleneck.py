@@ -458,6 +458,8 @@ class TestBlockKernels:
         for field in dataclasses.fields(cost):
             _assert_bitwise(getattr(cost, field.name), [getattr(c, field.name) for _, c in want])
         _assert_bitwise(bn.max_wait_car_only(block), [bn.max_wait_car_only(p) for p in self.SETS])
+        for got, want in zip(bn.feasible_toll_band(block), zip(*map(bn.feasible_toll_band, self.SETS))):
+            _assert_bitwise(got, want)
         assert list(classify_regime(block)) == [classify_regime(p) for p in self.SETS]
         queued = [p for p in self.SETS if p.capacity < p.arrival_rate]
         block_thresholds = regime_thresholds(ParamsBlock.stack(queued))

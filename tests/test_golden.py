@@ -44,6 +44,7 @@ def test_default_sweep_csv_sha256(scenario, tmp_path, capsys):
         (["verify", "--seed", "1", "--cases", "513"], "verify_seed1_cases513.txt"),
         # The second seed of the committed verify bench records.
         (["verify", "--seed", "9173", "--cases", "1000"], "verify_seed9173_cases1000.txt"),
+        (["verify"], "verify_seed42_cases1000.txt"),  # the random suites' defaults
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys):

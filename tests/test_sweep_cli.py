@@ -206,6 +206,24 @@ class TestCli:
         assert "error: the number of cases must be nonnegative, got -3" in captured.err
         assert "[PASS]" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["--scenario", "nyc", "--seed", "3"], "--seed", "3"),
+            (["--scenario", "bay_bridge", "--cases", "0"], "--cases", "0"),
+            (["--scenario", "nyc", "--seed", "42", "--cases", "1000"], "--seed", "42"),
+        ],
+    )
+    def test_verify_scenario_rejects_the_random_suites_flags(self, argv, flag, value, capsys):
+        # The scenario suite checks a fixed sweep: a seed or a case count would be ignored.
+        assert cli.main(["verify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {flag} applies to the random suites only; the {argv[1]!r} scenario suite"
+            f" checks a fixed sweep, got {value}\n"
+        )
+        assert captured.out == ""
+
     def test_verify_small_run_passes(self, capsys):
         assert cli.main(["verify", "--cases", "5", "--seed", "7"]) == 0
         out = capsys.readouterr().out

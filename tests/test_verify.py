@@ -16,7 +16,7 @@ from tollgap.core import ParamsBlock
 
 @pytest.mark.parametrize("seed", range(5))
 def test_suites_pass_for_any_seed(seed):
-    # Default tolerances, case counts well above the CLI's per-suite shares.
+    # verify.REL_TOL, at case counts well above the CLI's per-suite shares.
     for result in (
         verify.mfd_agreement_suite(seed, 300),
         verify.optimizer_recovery_suite(seed, 300),
@@ -80,20 +80,47 @@ def test_nyc_scenario_checks_the_urban_queuing_cost(monkeypatch):
     assert any(" queuing: " in f and ", rel gap 1.000e-06" in f for f in result.failures)
 
 
-@pytest.mark.parametrize("piece", ["transit", "car_freeflow"])
-def test_urban_mode_split_pieces_are_compared(piece, monkeypatch):
+@pytest.mark.parametrize(
+    "piece, skew, seed, n_cases",
+    [
+        pytest.param("transit", 1e-6, 0, 15, id="transit"),
+        pytest.param("car_freeflow", 1e-6, 0, 15, id="car_freeflow"),
+        pytest.param("transit", 3e-9, 45, 100, id="transit-3e-9"),
+    ],
+)
+def test_urban_mode_split_pieces_are_compared(piece, skew, seed, n_cases, monkeypatch):
     # Every urban cost ratio sums the transit and car pieces, so both suites
-    # compare them with the oracle too.
+    # compare them with the oracle too; a 3e-9 skew is 100x the worst transit
+    # gap measured.
     real = mfd.static_system_cost
 
     def skewed(params, net, toll):
         cost = real(params, net, toll)
-        return dataclasses.replace(cost, **{piece: getattr(cost, piece) * (1 + 1e-6)})
+        return dataclasses.replace(cost, **{piece: getattr(cost, piece) * (1 + skew)})
 
     monkeypatch.setattr(mfd, "static_system_cost", skewed)
-    for result in (verify.mfd_agreement_suite(0, 15), verify.scenario_suite(builtin_scenario("nyc"))):
+    for result in (verify.mfd_agreement_suite(seed, n_cases), verify.scenario_suite(builtin_scenario("nyc"))):
         assert not result.ok
         assert any(f" {piece}: " in f for f in result.failures)
+
+
+def test_a_1e7_bottleneck_queuing_fault_fails_every_oracle_comparison(monkeypatch):
+    # 1e-7 is 5000x the worst bottleneck oracle gap measured.
+    real = bn.static_system_cost
+
+    def skewed(params, toll):
+        cost = real(params, toll)
+        return dataclasses.replace(cost, queuing=cost.queuing * (1 + 1e-7))
+
+    monkeypatch.setattr(bn, "static_system_cost", skewed)
+    for result in (
+        verify.oracle_agreement_suite(42, 1000),
+        verify.scenario_suite(builtin_scenario("bay_bridge")),
+        verify.scenario_suite(builtin_scenario("nyc")),
+    ):
+        assert not result.ok
+        assert all(" queuing: " in f for f in result.failures)
+        assert any(f.endswith(", rel gap 1.000e-07") for f in result.failures)
 
 
 def test_reported_exact_corner_ratio_is_checked(monkeypatch):
@@ -374,7 +401,9 @@ def test_recovery_catches_an_optimum_two_steps_off(optimum, messages, monkeypatc
 
 def test_oracle_fault_past_the_first_block_keeps_its_global_tag(monkeypatch):
     # Cases 3 and 555 of seed 4 get a schedule cost 1e-5 too high; the messages
-    # are those the one-toll-at-a-time check gave for the same fault.
+    # are those the one-toll-at-a-time check gave for the same fault.  At case
+    # 555's first toll the schedule cost lies below the oracle floor, so its
+    # gap reads 4.4e-8.
     rng = random.Random(4)
     draws = []
     for _ in range(556):
@@ -396,6 +425,7 @@ def test_oracle_fault_past_the_first_block_keeps_its_global_tag(monkeypatch):
     assert result.failures == [
         "case 3 toll=7.16142 schedule: 408.777002 vs 408.7810897, rel gap 1.000e-05",
         "case 3 toll=3.10723 schedule: 2541.020328 vs 2541.045738, rel gap 1.000e-05",
+        "case 555 toll=1.81351 schedule: 0.01795090434 vs 0.01795108385, rel gap 4.395e-08",
         "case 555 toll=0.852348 schedule: 710.2628049 vs 710.2699075, rel gap 1.000e-05",
     ]
 
