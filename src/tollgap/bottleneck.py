@@ -293,8 +293,8 @@ def _trapezoid_cost(params: BottleneckParams, flat_fraction: float) -> CostBreak
     served = flat_fraction * demand * mu / lam + (1.0 - flat_fraction) * demand
     spread = (1.0 - flat_fraction) * (1.0 - flat_fraction)
     transit = params.transit_cost * flat_fraction * demand * (1.0 - mu / lam)
-    schedule = demand * demand * params.schedule_factor / (2.0 * mu) * spread * (1.0 - mu / lam)
     shoulder_loss = demand * demand / (2.0 * mu) * params.schedule_factor
+    schedule = shoulder_loss * spread * (1.0 - mu / lam)
     revenue = params.cost_gap * served - shoulder_loss * spread
     return CostBreakdown(
         transit=select(congested, transit, 0.0),

@@ -227,33 +227,31 @@ def _column(values) -> np.ndarray:
     return np.asarray(values, dtype=float)[..., np.newaxis]
 
 
-def _search(params: BottleneckParams, start, stop, curve, points: int = SEARCH_POINTS) -> tuple:
+def _search(params: BottleneckParams, stop, curve, points: int = SEARCH_POINTS) -> tuple:
     """Each set's first grid point of largest ``curve`` value, and that value.
 
-    A set's grid has ``points`` uniform points from its ``start`` to its
-    ``stop``, in ``numpy.linspace``'s own arithmetic (the index times the
-    step, plus the start, with the last point set to the end), so it equals
-    the set's ``linspace`` bit for bit.  ``curve(sets, grid, out, scratch)``
-    writes the sets' values on their grid rows into ``out``.  One set gives
-    floats; a block gives arrays, and is searched ``CHUNK_FLOATS // points``
-    sets at a time with every chunk in the same three arrays: dense arrays
-    allocated afresh per chunk cost more to fault in than to fill.
+    A set's grid has ``points`` uniform points from 0 to its ``stop``, in
+    ``numpy.linspace``'s own arithmetic (the index times the step, with the
+    last point set to the end), so it equals the set's ``linspace`` bit for
+    bit.  ``curve(sets, grid, out)`` writes the sets' values on their grid
+    rows into ``out``.  One set gives floats; a block gives arrays, and is
+    searched ``CHUNK_FLOATS // points`` sets at a time with every chunk in
+    the same two arrays: dense arrays allocated afresh per chunk cost more
+    to fault in than to fill.
     """
     block = np.ndim(params.total_demand) > 0
     n = len(params.total_demand) if block else 1
     height = max(CHUNK_FLOATS // points, 1)
-    start, stop = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (start, stop))
+    stop = np.broadcast_to(np.asarray(stop, dtype=float), (n,))
     index = np.arange(points, dtype=float)
-    work = [np.empty((min(n, height), points)) for _ in range(3)]
+    work = [np.empty((min(n, height), points)) for _ in range(2)]
     argmax, best = np.empty(n), np.empty(n)
     for first in range(0, n, height):
         rows = slice(first, first + height)
-        grid, values, scratch = (array[: len(best[rows])] for array in work)
-        step = (stop[rows] - start[rows]) / (points - 1)
-        np.multiply(index, step[:, np.newaxis], out=grid)
-        grid += start[rows, np.newaxis]
+        grid, values = (array[: len(best[rows])] for array in work)
+        np.multiply(index, (stop[rows] / (points - 1))[:, np.newaxis], out=grid)
         grid[:, -1] = stop[rows]
-        curve(params[rows] if block else params, grid, values, scratch)
+        curve(params[rows] if block else params, grid, values)
         i = np.argmax(values, axis=1)
         at = np.arange(len(i)), i
         argmax[rows], best[rows] = grid[at], values[at]
@@ -261,10 +259,7 @@ def _search(params: BottleneckParams, start, stop, curve, points: int = SEARCH_P
 
 
 def _static_revenue_curve(
-    params: BottleneckParams,
-    tolls: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    params: BottleneckParams, tolls: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Vectorized transcription of the flat-toll revenue curve.
 
@@ -277,8 +272,7 @@ def _static_revenue_curve(
     ``params`` is one parameter set and ``tolls`` a vector, or a block of
     sets, each reading its own row of ``tolls``.  The curve is built in
     place (in ``out`` if given), since a dense grid's temporaries would
-    dominate its cost.  ``scratch`` is unused: it gives the curve the
-    signature :func:`_search` calls.
+    dominate its cost.
     """
     demand, lam, mu = (_column(v) for v in (params.total_demand, params.arrival_rate, params.capacity))
     gap, factor = _column(params.cost_gap), _column(params.schedule_factor)
@@ -294,27 +288,19 @@ def _static_revenue_curve(
     return revenue
 
 
-def _fraction_revenue_curve(
-    params: BottleneckParams, fracs: np.ndarray, out: np.ndarray, scratch: np.ndarray
-) -> None:
-    """``R(f) = gap*(f*N*mu/lam + (1-f)*N) - N*N/(2*mu)*sf*(1-f)**2`` on ``fracs``, into ``out``.
+def _fraction_revenue_curve(params: BottleneckParams, shares: np.ndarray, out: np.ndarray) -> None:
+    """``R(f)`` on the shoulder shares ``u = 1 - f``, into ``out``.
 
-    Built in place, as :func:`_static_revenue_curve` is; ``1 - f`` is taken
-    twice so that one scratch array serves.
+    ``R(f) = gap*(f*N*mu/lam + (1-f)*N) - N*N/(2*mu)*sf*(1-f)**2``, by
+    Horner's rule in ``u``: ``gap*N*mu/lam + (gap*N*(1 - mu/lam) - N*N/(2*mu)*sf*u)*u``.
+    Built in place, as :func:`_static_revenue_curve` is.
     """
     demand, lam, mu = (_column(v) for v in (params.total_demand, params.arrival_rate, params.capacity))
     gap, factor = _column(params.cost_gap), _column(params.schedule_factor)
-    np.multiply(fracs, demand, out=out)
-    out *= mu
-    out /= lam
-    np.subtract(1.0, fracs, out=scratch)
-    scratch *= demand
-    out += scratch
-    out *= gap
-    np.subtract(1.0, fracs, out=scratch)
-    scratch *= scratch
-    scratch *= demand * demand / (2.0 * mu) * factor
-    out -= scratch
+    np.multiply(shares, demand * demand / (2.0 * mu) * factor, out=out)
+    np.subtract(gap * demand * (1.0 - mu / lam), out, out=out)
+    out *= shares
+    out += gap * demand * mu / lam
 
 
 def grid_search_static(params: BottleneckParams, points: int = SEARCH_POINTS) -> tuple[float, float]:
@@ -322,18 +308,20 @@ def grid_search_static(params: BottleneckParams, points: int = SEARCH_POINTS) ->
 
     For a block, each set's argmax toll and revenue, as arrays.
     """
-    return _search(params, 0.0, clamp(params.cost_gap, 0.0), _static_revenue_curve, points)
+    return _search(params, clamp(params.cost_gap, 0.0), _static_revenue_curve, points)
 
 
 def grid_search_dynamic_fraction(params: BottleneckParams) -> tuple[float, float]:
     """Exhaustive flat-fraction revenue argmax over the feasible band.
 
-    For a block, each set's argmax fraction and revenue, as arrays.
+    The grid runs over the shoulder share ``u = 1 - f`` from 0 to
+    ``min(gap/car_only_wait, 1)``.  For a block, each set's argmax fraction
+    and revenue, as arrays.
     """
     car_only_wait = params.total_demand * params.schedule_factor / params.capacity
-    waits = car_only_wait > 0
-    f_lo = select(waits, 1.0 - clamp(params.cost_gap / select(waits, car_only_wait, 1.0), hi=1.0), 1.0)
-    return _search(params, f_lo, 1.0, _fraction_revenue_curve)
+    top = clamp(params.cost_gap / car_only_wait, hi=1.0)
+    shares, revenue = _search(params, top, _fraction_revenue_curve)
+    return 1.0 - shares, revenue
 
 
 def _shoulder(

@@ -78,9 +78,9 @@ _Check = tuple[np.ndarray, Callable[[int], str]]  # which sets of a block fail, 
 # 30x the worst oracle gap measured over 200-300 seeds (the urban transit piece's 3.3e-11), 50x
 # the bottleneck's (2.0e-11) and 4x the urban limit's (2.3e-10).
 REL_TOL = 1e-9
-# Floor (hours, times lam*max(z_T, 1)) of the bottleneck and urban transit/car relative gaps: where
-# a piece cancels to zero, such as transit N - n_car below the bottleneck band, the oracle
-# keeps rounding residue up to ~4e-10 user-hours; a 1e-9 h floor fails.
+# Floor (hours, times lam*max(z_T, 1)) of the bottleneck transit/n_transit and urban transit/car
+# relative gaps: where a piece cancels to zero, such as transit N - n_car below the bottleneck band,
+# the oracle keeps rounding residue up to ~4e-10 user-hours; a 1e-9 h floor fails.
 ORACLE_FLOOR = 1e-4
 ARGMAX_GRID = 2000  # dense revenue grid that certifies the closed-form flat optimum
 BLOCK = 512  # random draws (cases, for the oracle suite) checked as one block
@@ -237,7 +237,13 @@ def _check_oracle(params: ParamsBlock, tolls: np.ndarray, tags: Sequence[str]) -
     closed_cost = bottleneck.static_system_cost(params, tolls)
     closed_eq = bottleneck.static_equilibrium(params, tolls)
     floor = _oracle_floor(params)
-    pairs = _pieces(sim_cost, closed_cost, dict.fromkeys(_PIECES, floor))
+    # Each piece's floor covers its measured residue.  Revenue, car and queuing agree to 1e-15 of
+    # their own values.  The schedule's residue reaches 5e-16 * N*W (the oracle takes segment
+    # lengths as differences of clock times); 1.5e-5 * N*W puts it 30x under REL_TOL, and the
+    # minimum serves W = 0, where both sides are 0.
+    schedule_floor = clamp(1.5e-5 * params.total_demand * closed_eq.peak_wait, 1e-12)
+    floors = dict.fromkeys(_PIECES, 1e-12) | {"transit": floor, "schedule": schedule_floor}
+    pairs = _pieces(sim_cost, closed_cost, floors)
     pairs.append(("n_transit", outcome.n_transit, closed_eq.n_transit, floor))
     return _compare(tags, tolls, pairs)
 

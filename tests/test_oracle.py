@@ -200,15 +200,23 @@ class TestGridSearches:
                 want = (float(tolls[i]), float(values[i]))
                 assert oracle.grid_search_static(p, n) == want
                 assert (block_static[n][0][k], block_static[n][1][k]) == want
-            f_lo = 1.0 - min(gap / (demand * p.schedule_factor / mu), 1.0)
-            fracs = np.linspace(f_lo, 1.0, oracle.SEARCH_POINTS)
-            values = gap * (fracs * demand * mu / lam + (1.0 - fracs) * demand) - (
-                demand * demand / (2.0 * mu) * p.schedule_factor * (1.0 - fracs) ** 2
-            )
+            # The fraction search runs over the shoulder share u = 1 - f, R by Horner's rule.
+            top = min(gap / (demand * p.schedule_factor / mu), 1.0)
+            shares = np.linspace(0.0, top, oracle.SEARCH_POINTS)
+            k_u = demand * demand / (2.0 * mu) * p.schedule_factor * shares
+            values = gap * demand * mu / lam + (gap * demand * (1.0 - mu / lam) - k_u) * shares
             i = int(np.argmax(values))
-            want = (float(fracs[i]), float(values[i]))
+            want = (1.0 - float(shares[i]), float(values[i]))
             assert oracle.grid_search_dynamic_fraction(p) == want
             assert (block_fraction[0][k], block_fraction[1][k]) == want
+
+    def test_fraction_argmax_lies_within_half_a_step(self):
+        # The grid's nearest point to f* wins: 0.49993 of a step at worst here.
+        block = verify.sample_block(random.Random(0), 2048)
+        frac_hat, _ = oracle.grid_search_dynamic_fraction(block)
+        f_star, f_lo = bn._flat_fractions(block)
+        step = (1.0 - f_lo) / (oracle.SEARCH_POINTS - 1)
+        assert (np.abs(frac_hat - f_star) <= 0.5 * step).all()
 
     def test_fraction_argmax_nyc(self):
         params = NYC.params(18.0)

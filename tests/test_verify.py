@@ -123,6 +123,23 @@ def test_a_1e7_bottleneck_queuing_fault_fails_every_oracle_comparison(monkeypatc
         assert any(f.endswith(", rel gap 1.000e-07") for f in result.failures)
 
 
+def test_a_1e6_schedule_fault_fails_every_row_with_a_schedule(monkeypatch):
+    # The schedule's floor follows its own residue, not the transit floor, under
+    # which a schedule cost this small let such a fault pass.
+    real = bn.static_system_cost
+    scheduled = []
+
+    def skewed(params, toll):
+        cost = real(params, toll)
+        scheduled.append(int(np.count_nonzero(cost.schedule > 0)))
+        return dataclasses.replace(cost, schedule=cost.schedule * (1 + 1e-6))
+
+    monkeypatch.setattr(bn, "static_system_cost", skewed)
+    result = verify.oracle_agreement_suite(42, 1000)
+    assert len(result.failures) == sum(scheduled) > 0
+    assert all(" schedule: " in f and f.endswith(", rel gap 1.000e-06") for f in result.failures)
+
+
 def test_reported_exact_corner_ratio_is_checked(monkeypatch):
     real = bn.performance_bounds
 
@@ -402,8 +419,8 @@ def test_recovery_catches_an_optimum_two_steps_off(optimum, messages, monkeypatc
 def test_oracle_fault_past_the_first_block_keeps_its_global_tag(monkeypatch):
     # Cases 3 and 555 of seed 4 get a schedule cost 1e-5 too high; the messages
     # are those the one-toll-at-a-time check gave for the same fault.  At case
-    # 555's first toll the schedule cost lies below the oracle floor, so its
-    # gap reads 4.4e-8.
+    # 555's first toll the schedule cost (0.018 h) lies below the transit floor,
+    # and the schedule's own floor, 1.5e-5*N*W, keeps its gap at 1e-5.
     rng = random.Random(4)
     draws = []
     for _ in range(556):
@@ -425,7 +442,7 @@ def test_oracle_fault_past_the_first_block_keeps_its_global_tag(monkeypatch):
     assert result.failures == [
         "case 3 toll=7.16142 schedule: 408.777002 vs 408.7810897, rel gap 1.000e-05",
         "case 3 toll=3.10723 schedule: 2541.020328 vs 2541.045738, rel gap 1.000e-05",
-        "case 555 toll=1.81351 schedule: 0.01795090434 vs 0.01795108385, rel gap 4.395e-08",
+        "case 555 toll=1.81351 schedule: 0.01795090434 vs 0.01795108385, rel gap 1.000e-05",
         "case 555 toll=0.852348 schedule: 710.2628049 vs 710.2699075, rel gap 1.000e-05",
     ]
 
