@@ -211,7 +211,6 @@ def static_equilibrium(params: BottleneckParams, toll: float) -> EquilibriumOutc
         pick(0.0, peak_start, 0.0),
         pick(0.0, peak_end, rush),
         pick(0.0, end, rush),
-        classify_regime(params),
     )
 
 

@@ -257,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, scenario_required: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--scenario",
-            required=scenario_required,
+            required=True,
             help="builtin name (bay_bridge, nyc) or a scenario file path",
         )
         p.add_argument("--nj", type=float, default=None, help="jam-accumulation override, urban only")

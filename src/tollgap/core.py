@@ -302,7 +302,8 @@ class EquilibriumOutcome:
 
     Counts are in users, times on the rush clock.  ``start``/``end`` bound
     the car-service interval; the wait profile peaks (at ``peak_wait``)
-    between ``peak_start`` and ``peak_end``.
+    between ``peak_start`` and ``peak_end``.  The regime does not depend on
+    the toll: it is :func:`classify_regime` of the parameters.
     """
 
     n_early: float
@@ -314,7 +315,6 @@ class EquilibriumOutcome:
     peak_start: float
     peak_end: float
     end: float
-    regime: Regime
 
     @property
     def n_car(self) -> float:

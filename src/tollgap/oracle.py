@@ -32,7 +32,6 @@ from .core import (
     TriangularMfd,
     anywhere,
     clamp,
-    classify_regime,
     select,
 )
 
@@ -76,12 +75,6 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(n)
 
 
-def _gauss_legendre(f, span: float) -> float:
-    """Integral of the vectorized ``f`` over ``[0, span]``."""
-    nodes, weights = _legendre_rule(GAUSS_LEGENDRE_NODES)
-    return 0.5 * span * float(weights @ f(0.5 * span * (nodes + 1.0)))
-
-
 def _trapezoid(t0: float, t1: float, y0: float, y1: float) -> float:
     """Integral of the line through ``(t0, y0)`` and ``(t1, y1)``, and 0 unless ``t1 > t0``.
 
@@ -114,7 +107,6 @@ def static_bottleneck_costs(
     mu = clamp(params.capacity, hi=lam)
     e, late = params.early_penalty, params.late_penalty
     gap = params.cost_gap
-    regime = classify_regime(params)
     # Strictly dominated car: nothing flows, everything is transit.
     priced_out = toll > gap
     no_queue = params.capacity >= lam
@@ -170,7 +162,6 @@ def static_bottleneck_costs(
         *map(flowing, (n_early, n_late, n_ontime)),
         select(priced_out, demand, n_transit),
         *map(flowing, (peak_wait, start, peak_start, peak_end, end)),
-        regime,
     )
     return outcome, cost
 
@@ -316,8 +307,11 @@ def grid_search_dynamic_fraction(params: BottleneckParams) -> tuple[float, float
 
     The grid runs over the shoulder share ``u = 1 - f`` from 0 to
     ``min(gap/car_only_wait, 1)``.  For a block, each set's argmax fraction
-    and revenue, as arrays.
+    and revenue, as arrays.  A negative gap, where no fraction is feasible,
+    raises DomainError; a block is in the domain only as a whole.
     """
+    if anywhere(params.cost_gap < 0):
+        raise DomainError("the fraction search requires transit_cost >= car_freeflow_cost")
     car_only_wait = params.total_demand * params.schedule_factor / params.capacity
     top = clamp(params.cost_gap / car_only_wait, hi=1.0)
     shares, revenue = _search(params, top, _fraction_revenue_curve)
@@ -331,17 +325,23 @@ def _shoulder(
 
     The integrands are the outflow, alone or times the wait or the shrinking
     schedule offset; all three are 0 at zero wait, where the span vanishes.
+    One Gauss–Legendre rule on ``[0, span]`` takes all three from one
+    evaluation of the outflow at its nodes.
     """
     if wait == 0.0:
         return 0.0, 0.0, 0.0
     n_j, a = mfd.jam_accumulation, mfd.jam_accumulation / mfd.max_throughput
+    nodes, weights = _legendre_rule(GAUSS_LEGENDRE_NODES)
     span = wait / slope
-    served = _gauss_legendre(lambda x: n_j / (a + wait - slope * x), span)
-    queue = _gauss_legendre(lambda x: n_j * (wait - slope * x) / (a + wait - slope * x), span)
+    half = 0.5 * span
+    x = half * (nodes + 1.0)
+    fall = slope * x
+    lag = a + wait - fall  # hours: n_j over the outflow
+    outflow = n_j / lag
+    served = half * float(weights @ outflow)
+    queue = half * float(weights @ (n_j * (wait - fall) / lag))
     offset = span - served / params.arrival_rate  # shoulder duration minus desired-window share
-    sched = _gauss_legendre(
-        lambda x: (n_j / (a + wait - slope * x)) * offset * (span - x) / span, span
-    )
+    sched = half * float(weights @ (outflow * offset * (span - x) / span))
     return served, queue, slope * sched
 
 

@@ -8,7 +8,7 @@ from tollgap import BottleneckParams
 from tollgap import bottleneck as bn
 from tollgap import mfd, oracle, verify
 from tollgap.calibration import builtin_scenario
-from tollgap.core import ParamsBlock
+from tollgap.core import DomainError, ParamsBlock
 
 BAY = builtin_scenario("bay_bridge")
 NYC = builtin_scenario("nyc")
@@ -190,16 +190,24 @@ class TestGridSearches:
         assert all(len(sets) % (oracle.CHUNK_FLOATS // n) != 0 for n in points)
         block = ParamsBlock.stack(sets)
         block_static = {n: oracle.grid_search_static(block, n) for n in points}
-        block_fraction = oracle.grid_search_dynamic_fraction(block)
         for k, p in enumerate(sets):
-            demand, lam, mu, gap = p.total_demand, p.arrival_rate, p.capacity, p.cost_gap
             for n in points:
-                tolls = np.linspace(0.0, max(gap, 0.0), n)
+                tolls = np.linspace(0.0, max(p.cost_gap, 0.0), n)
                 values = oracle._static_revenue_curve(p, tolls)
                 i = int(np.argmax(values))
                 want = (float(tolls[i]), float(values[i]))
                 assert oracle.grid_search_static(p, n) == want
                 assert (block_static[n][0][k], block_static[n][1][k]) == want
+        # The fraction search takes no negative gap, alone or in a block.
+        [negative] = [p for p in sets if p.cost_gap < 0]
+        for params in (negative, block):
+            with pytest.raises(DomainError):
+                oracle.grid_search_dynamic_fraction(params)
+        open_sets = [p for p in sets if p.cost_gap >= 0]
+        assert len(open_sets) % (oracle.CHUNK_FLOATS // oracle.SEARCH_POINTS) != 0
+        block_fraction = oracle.grid_search_dynamic_fraction(ParamsBlock.stack(open_sets))
+        for k, p in enumerate(open_sets):
+            demand, lam, mu, gap = p.total_demand, p.arrival_rate, p.capacity, p.cost_gap
             # The fraction search runs over the shoulder share u = 1 - f, R by Horner's rule.
             top = min(gap / (demand * p.schedule_factor / mu), 1.0)
             shares = np.linspace(0.0, top, oracle.SEARCH_POINTS)
@@ -234,6 +242,17 @@ class TestGridSearches:
         )
         frac_hat, _ = oracle.grid_search_dynamic_fraction(params)
         assert frac_hat == 0.0
+
+    def test_fraction_search_takes_no_negative_gap(self):
+        # At a zero gap the only fraction is 1, earning nothing; below it no
+        # fraction is feasible.
+        base = BAY.params(1.5)
+        at_zero = dataclasses.replace(base, transit_cost=base.car_freeflow_cost)
+        assert oracle.grid_search_dynamic_fraction(at_zero) == (1.0, 0.0)
+        below = dataclasses.replace(base, transit_cost=base.car_freeflow_cost - 1e-9)
+        for params in (below, ParamsBlock.stack([base, at_zero, below])):
+            with pytest.raises(DomainError, match="transit_cost >= car_freeflow_cost"):
+                oracle.grid_search_dynamic_fraction(params)
 
 
 class TestMfdIntegration:

@@ -104,6 +104,37 @@ def test_urban_mode_split_pieces_are_compared(piece, skew, seed, n_cases, monkey
         assert any(f" {piece}: " in f for f in result.failures)
 
 
+@pytest.mark.parametrize(
+    "piece, skew, toll_at",
+    [
+        pytest.param("revenue", 1e-6, lambda gap: 1e-12, id="revenue-at-toll-1e-12"),
+        pytest.param("queuing", 1e-7, lambda gap: gap * (1 - 1e-13), id="queuing-at-the-band-top"),
+    ],
+)
+def test_urban_check_catches_a_fault_on_a_small_value(piece, skew, toll_at, monkeypatch):
+    # Revenue at a 1e-12 toll and queuing at a wait of 1e-13 of the gap are
+    # far below any hand-set floor, which would scale their gaps down by
+    # value/floor; at the default floor a fault shows at its own size.
+    rng = random.Random(7)
+    params = verify.sample_params(rng, "low")
+    net = verify.sample_mfd(rng, params)
+    assert mfd.static_lower_toll(params, net) == 0.0
+    toll = toll_at(params.cost_gap)
+    assert verify._check_urban(params, net, toll, "case 0")[1] == []
+    real = mfd.static_system_cost
+
+    def skewed(params, net, toll):
+        cost = real(params, net, toll)
+        return dataclasses.replace(cost, **{piece: getattr(cost, piece) * (1 + skew)})
+
+    monkeypatch.setattr(mfd, "static_system_cost", skewed)
+    worst, failures = verify._check_urban(params, net, toll, "case 0")
+    assert worst == pytest.approx(skew, rel=1e-5)
+    [(_, message)] = failures
+    assert message.startswith(f"case 0 toll={toll:.6g} {piece}: ")
+    assert message.endswith(f", rel gap {skew:.3e}")
+
+
 def test_a_1e7_bottleneck_queuing_fault_fails_every_oracle_comparison(monkeypatch):
     # 1e-7 is 5000x the worst bottleneck oracle gap measured.
     real = bn.static_system_cost
