@@ -229,17 +229,15 @@ def static_revenue(params: BottleneckParams, toll: float) -> float:
 def static_revenue_optimal_toll(params: BottleneckParams) -> tuple[float, CostBreakdown]:
     """Revenue-maximizing flat toll with its cost pieces and revenue.
 
-    The band-constrained quadratic program has three candidate solutions:
-    the band top (gap), the unconstrained vertex
-    ``gap/2 + low_threshold/2``, and the band bottom ``gap - max_wait``;
-    which one wins is exactly the regime classification.
+    The band-constrained quadratic program's optimum is its unconstrained
+    vertex ``gap/2 + low_threshold/2`` clamped to the band
+    ``[gap - max_wait, gap]``; a negative gap (all transit) takes no toll.
+    Without a queue the band is the single point ``gap``.
     """
-    regime = classify_regime(params)
     gap = params.cost_gap
     low, _ = regime_thresholds(params)
-    interior = clamp(gap / 2.0 + low / 2.0, gap - max_wait_car_only(params))
-    at_gap = (regime == Regime.UNCONGESTED) | (regime == Regime.MIXED_LOW)
-    toll = select(regime == Regime.ALL_TRANSIT, 0.0, select(at_gap, gap, interior))
+    vertex = gap / 2.0 + low / 2.0
+    toll = select(gap < 0, 0.0, clamp(vertex, gap - max_wait_car_only(params), gap))
     return toll, _flat_toll(params, toll)
 
 

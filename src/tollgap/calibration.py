@@ -11,25 +11,22 @@ line, ``#`` comments allowed.  Every quantity with a dimension needs a unit
 (money, money rate, time, count, rate, distance and speed alike, so
 ``demand.total = 70000`` is an error) so a bare number can never silently
 change meaning; dimensionless quantities take no unit.  Every number must be
-finite.  The key table ``_KEYS`` lists every key, the unit dimension it takes
-and whether it is required.
+finite.  A scenario is one flat record: the key table ``_KEYS`` maps each key
+to one :class:`Scenario` field and gives the unit dimension it takes, and a
+key is required exactly when its field has no default.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .core import BottleneckParams, ParameterError, TriangularMfd
 
 __all__ = [
     "ScenarioFormatError",
-    "TransitCostSpec",
-    "CarCostSpec",
     "Scenario",
-    "transit_cost",
-    "car_cost",
     "parse_scenario",
     "load_scenario",
     "serialize_scenario",
@@ -43,54 +40,6 @@ class ScenarioFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class TransitCostSpec:
-    """Components of the transit generalized cost.
-
-    Times are hours; :func:`transit_cost` scales every time component (not
-    the fare) by the discomfort multiplier, to reflect that transit minutes
-    are perceived as more onerous than driving minutes.
-    """
-
-    fare: float
-    walk_time: float
-    wait_time: float
-    in_vehicle_time: float
-
-    def __post_init__(self) -> None:
-        for name in ("fare", "walk_time", "wait_time", "in_vehicle_time"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"transit {name} must be nonnegative")
-
-
-@dataclass(frozen=True)
-class CarCostSpec:
-    """Components of the car free-flow generalized cost (fee in dollars, time in hours)."""
-
-    parking_fee: float
-    freeflow_time: float
-
-    def __post_init__(self) -> None:
-        if self.parking_fee < 0 or self.freeflow_time < 0:
-            raise ParameterError("car cost components must be nonnegative")
-
-
-def transit_cost(spec: TransitCostSpec, value_of_time: float, discomfort: float) -> float:
-    """Normalized transit cost: fare/value_of_time + eta * (walk + wait + ride)."""
-    if value_of_time <= 0:
-        raise ParameterError("value_of_time must be positive")
-    return spec.fare / value_of_time + discomfort * (
-        spec.walk_time + spec.wait_time + spec.in_vehicle_time
-    )
-
-
-def car_cost(spec: CarCostSpec, value_of_time: float) -> float:
-    """Normalized car free-flow cost: parking/value_of_time + free-flow time."""
-    if value_of_time <= 0:
-        raise ParameterError("value_of_time must be positive")
-    return spec.parking_fee / value_of_time + spec.freeflow_time
-
-
-@dataclass(frozen=True)
 class Scenario:
     """A calibrated case study: demand, supply, mode costs, and the eta sweep.
 
@@ -99,6 +48,9 @@ class Scenario:
     several candidate jam levels: :meth:`mfd`, and so every computed row,
     uses the largest, and a sweep reports any divergence across the set.
     The CLI's ``--nj`` replaces the list with its one level.
+
+    The six ``transit_*`` and ``car_*`` cost components hold fares and fees
+    in dollars and times in hours; :meth:`params` normalizes them.
     """
 
     name: str
@@ -107,8 +59,12 @@ class Scenario:
     arrival_rate: float
     early_penalty: float
     late_penalty: float
-    transit: TransitCostSpec
-    car: CarCostSpec
+    transit_fare: float
+    transit_walk_time: float
+    transit_wait_time: float
+    transit_in_vehicle_time: float
+    car_parking_fee: float
+    car_freeflow_time: float
     eta_sweep: tuple[float, ...]
     capacity: float | None = None
     max_throughput: float | None = None
@@ -121,6 +77,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.value_of_time <= 0:
             raise ParameterError("value_of_time must be positive")
+        for name in (f.name for f in fields(self) if f.name.startswith(("transit_", "car_"))):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be nonnegative")
         if self.implemented_toll is not None and self.implemented_toll < 0:
             raise ParameterError(
                 f"implemented_toll must be nonnegative, got {self.implemented_toll:g}"
@@ -170,17 +129,24 @@ class Scenario:
     def params(self, eta: float) -> BottleneckParams:
         """Model parameters at a given discomfort multiplier.
 
-        For urban scenarios the capacity slot carries the maximum throughput,
-        which is what the dynamic benchmarks and guarantee checks use.
+        Dollars are divided by the value of time, and every transit time (not
+        the fare) is scaled by the discomfort multiplier ``eta``, to reflect
+        that transit minutes are perceived as more onerous than driving
+        minutes: ``z_T = fare/vot + eta*(walk + wait + ride)`` and
+        ``z_C = parking/vot + t_free``, both in hours.  For urban scenarios
+        the capacity slot carries the maximum throughput, which is what the
+        dynamic benchmarks and guarantee checks use.
         """
+        vot = self.value_of_time
+        transit_time = self.transit_walk_time + self.transit_wait_time + self.transit_in_vehicle_time
         return BottleneckParams(
             total_demand=self.total_demand,
             arrival_rate=self.arrival_rate,
             capacity=self.capacity if self.capacity is not None else self.max_throughput,
             early_penalty=self.early_penalty,
             late_penalty=self.late_penalty,
-            car_freeflow_cost=car_cost(self.car, self.value_of_time),
-            transit_cost=transit_cost(self.transit, self.value_of_time, discomfort=eta),
+            car_freeflow_cost=self.car_parking_fee / vot + self.car_freeflow_time,
+            transit_cost=self.transit_fare / vot + eta * transit_time,
         )
 
 
@@ -201,34 +167,34 @@ _UNITS = {
 }
 
 # The whole file format, one row per key in the order serialize_scenario
-# writes them: the key; the Scenario field it fills (``transit.x`` and ``car.x``
-# name a cost-spec field); the canonical unit, which serialize_scenario writes
-# and whose dimension the key takes (None: a bare number); whether the key is
-# required; whether it takes a list.  scenario.name is text.
-_Key = namedtuple("_Key", "key field unit required is_list")
+# writes them: the key; the Scenario field it fills, which makes the key
+# required exactly when the field has no default; the canonical unit, which
+# serialize_scenario writes and whose dimension the key takes (None: a bare
+# number); whether it takes a list.  scenario.name is text.
+_Key = namedtuple("_Key", "key field unit is_list")
 _KEYS = {
     row[0]: _Key(*row)
     for row in (
-        ("scenario.name", "name", None, True, False),
-        ("scenario.value_of_time", "value_of_time", "dollars_per_hour", True, False),
-        ("demand.total", "total_demand", "users", True, False),
-        ("demand.arrival_rate", "arrival_rate", "users_per_hour", True, False),
-        ("schedule.early_penalty", "early_penalty", None, True, False),
-        ("schedule.late_penalty", "late_penalty", None, True, False),
-        ("supply.capacity", "capacity", "vehicles_per_hour", False, False),
-        ("supply.max_throughput", "max_throughput", "vehicles_per_hour", False, False),
-        ("supply.jam_accumulation", "jam_accumulations", "vehicles", False, True),
-        ("supply.freeflow_speed", "freeflow_speed", "km_per_hour", False, False),
-        ("supply.trip_distance", "trip_distance", "km", False, False),
-        ("transit.fare", "transit.fare", "dollars", True, False),
-        ("transit.walk_time", "transit.walk_time", "hours", True, False),
-        ("transit.wait_time", "transit.wait_time", "hours", True, False),
-        ("transit.in_vehicle_time", "transit.in_vehicle_time", "hours", True, False),
-        ("car.parking_fee", "car.parking_fee", "dollars", True, False),
-        ("car.freeflow_time", "car.freeflow_time", "hours", True, False),
-        ("sweep.eta", "eta_sweep", None, True, True),
-        ("policy.implemented_toll", "implemented_toll", "dollars", False, False),
-        ("policy.crossover_reference_eta", "crossover_reference_eta", None, False, False),
+        ("scenario.name", "name", None, False),
+        ("scenario.value_of_time", "value_of_time", "dollars_per_hour", False),
+        ("demand.total", "total_demand", "users", False),
+        ("demand.arrival_rate", "arrival_rate", "users_per_hour", False),
+        ("schedule.early_penalty", "early_penalty", None, False),
+        ("schedule.late_penalty", "late_penalty", None, False),
+        ("supply.capacity", "capacity", "vehicles_per_hour", False),
+        ("supply.max_throughput", "max_throughput", "vehicles_per_hour", False),
+        ("supply.jam_accumulation", "jam_accumulations", "vehicles", True),
+        ("supply.freeflow_speed", "freeflow_speed", "km_per_hour", False),
+        ("supply.trip_distance", "trip_distance", "km", False),
+        ("transit.fare", "transit_fare", "dollars", False),
+        ("transit.walk_time", "transit_walk_time", "hours", False),
+        ("transit.wait_time", "transit_wait_time", "hours", False),
+        ("transit.in_vehicle_time", "transit_in_vehicle_time", "hours", False),
+        ("car.parking_fee", "car_parking_fee", "dollars", False),
+        ("car.freeflow_time", "car_freeflow_time", "hours", False),
+        ("sweep.eta", "eta_sweep", None, True),
+        ("policy.implemented_toll", "implemented_toll", "dollars", False),
+        ("policy.crossover_reference_eta", "crossover_reference_eta", None, False),
     )
 }
 
@@ -286,16 +252,12 @@ def parse_scenario(text: str) -> Scenario:
         if key in values:
             raise ScenarioFormatError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(_KEYS[key], raw.strip())
-    missing = [row.key for row in _KEYS.values() if row.required and row.key not in values]
+    required = {f.name for f in fields(Scenario) if f.default is MISSING}
+    missing = [row.key for row in _KEYS.values() if row.key not in values and row.field in required]
     if missing:
         short = ", ".join(k.split(".", 1)[1] for k in missing)
         raise ScenarioFormatError(f"missing required keys: {short}")
-    fields: dict[str, dict[str, object]] = {"": {}, "transit": {}, "car": {}}
-    for key, value in values.items():
-        group, _, name = _KEYS[key].field.rpartition(".")
-        fields[group][name] = value
-    transit, car = TransitCostSpec(**fields["transit"]), CarCostSpec(**fields["car"])
-    return Scenario(transit=transit, car=car, **fields[""])
+    return Scenario(**{_KEYS[key].field: value for key, value in values.items()})
 
 
 def load_scenario(path: str) -> Scenario:
@@ -307,9 +269,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario back to the text format (parse round-trips exactly)."""
     lines = []
     for row in _KEYS.values():
-        value = scenario
-        for name in row.field.split("."):
-            value = getattr(value, name)
+        value = getattr(scenario, row.field)
         if value is None or (row.is_list and not value):
             continue
         if row.field != "name":
@@ -326,10 +286,12 @@ _BAY_BRIDGE = Scenario(
     arrival_rate=14_000.0,
     early_penalty=0.61,
     late_penalty=2.4,
-    transit=TransitCostSpec(
-        fare=6.14, walk_time=20.0 / 60.0, wait_time=10.0 / 60.0, in_vehicle_time=32.0 / 60.0
-    ),
-    car=CarCostSpec(parking_fee=30.0, freeflow_time=21.0 / 60.0),
+    transit_fare=6.14,
+    transit_walk_time=20.0 / 60.0,
+    transit_wait_time=10.0 / 60.0,
+    transit_in_vehicle_time=32.0 / 60.0,
+    car_parking_fee=30.0,
+    car_freeflow_time=21.0 / 60.0,
     eta_sweep=tuple(1.5 + 28.5 * i / 99 for i in range(100)),
     capacity=9_600.0,
     implemented_toll=8.50,
@@ -343,10 +305,12 @@ _NYC = Scenario(
     arrival_rate=180_000.0,
     early_penalty=0.61,
     late_penalty=2.4,
-    transit=TransitCostSpec(
-        fare=3.0, walk_time=20.0 / 60.0, wait_time=2.5 / 60.0, in_vehicle_time=12.0 / 60.0
-    ),
-    car=CarCostSpec(parking_fee=30.0, freeflow_time=0.15),
+    transit_fare=3.0,
+    transit_walk_time=20.0 / 60.0,
+    transit_wait_time=2.5 / 60.0,
+    transit_in_vehicle_time=12.0 / 60.0,
+    car_parking_fee=30.0,
+    car_freeflow_time=0.15,
     eta_sweep=tuple(1.5 + 16.5 * i / 17 for i in range(18)),
     max_throughput=45_000.0,
     jam_accumulations=(14_000.0, 42_000.0, 70_000.0, 140_000.0),

@@ -499,7 +499,7 @@ def bound_property_suite(seed: int, n_cases: int) -> CheckResult:
     )
 
 
-def mfd_agreement_suite(seed: int, n_cases: int = 100) -> CheckResult:
+def mfd_agreement_suite(seed: int, n_cases: int) -> CheckResult:
     """Urban-network checks: log forms vs quadrature, limits, and guarantees."""
     rng = random.Random(seed)
 

@@ -272,10 +272,13 @@ def test_criterion_10_nyc_crossover_gate(capsys):
     informational note, as the bay_bridge report does.  A 1.7 +/- 0.1 gate
     cannot hold: the nyc reference curves fix the gap as a function of eta.
     """
-    transit, car, vot = NYC.transit, NYC.car, NYC.value_of_time
-    transit_time = transit.walk_time + transit.wait_time + transit.in_vehicle_time
+    vot = NYC.value_of_time
+    transit_time = NYC.transit_walk_time + NYC.transit_wait_time + NYC.transit_in_vehicle_time
     gap_root = (
-        NYC.implemented_toll / vot + car.parking_fee / vot + car.freeflow_time - transit.fare / vot
+        NYC.implemented_toll / vot
+        + NYC.car_parking_fee / vot
+        + NYC.car_freeflow_time
+        - NYC.transit_fare / vot
     ) / transit_time
     nyc_eta = cli.crossover_eta(NYC)
     assert cli.main(["crossover", "--scenario", "nyc"]) == 0

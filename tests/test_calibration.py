@@ -8,51 +8,51 @@ from hypothesis import strategies as st
 from tollgap import ParameterError
 from tollgap import bottleneck as bn
 from tollgap.calibration import (
+    _KEYS,
     BUILTIN_SCENARIOS,
-    CarCostSpec,
     Scenario,
     ScenarioFormatError,
-    TransitCostSpec,
     builtin_scenario,
-    car_cost,
     load_scenario,
     parse_scenario,
     serialize_scenario,
-    transit_cost,
 )
+
+BAY = BUILTIN_SCENARIOS["bay_bridge"]
+NYC = BUILTIN_SCENARIOS["nyc"]
 
 
 class TestCostSpecs:
     def test_bay_bridge_transit_cost(self):
-        spec = BUILTIN_SCENARIOS["bay_bridge"].transit
-        got = transit_cost(spec, 22.0, discomfort=1.5)
+        got = BAY.params(1.5).transit_cost
         assert got == pytest.approx(6.14 / 22.0 + 1.55, rel=1e-12)
 
     def test_zero_discomfort_leaves_fare_only(self):
-        spec = BUILTIN_SCENARIOS["bay_bridge"].transit
-        assert transit_cost(spec, 22.0, discomfort=0.0) == pytest.approx(6.14 / 22.0)
+        assert BAY.params(0.0).transit_cost == pytest.approx(6.14 / 22.0)
 
     def test_nyc_transit_cost_at_18(self):
-        spec = BUILTIN_SCENARIOS["nyc"].transit
-        assert transit_cost(spec, 40.0, discomfort=18.0) == pytest.approx(10.425)
+        assert NYC.params(18.0).transit_cost == pytest.approx(10.425)
 
     def test_affine_in_discomfort(self):
-        spec = BUILTIN_SCENARIOS["nyc"].transit
-        slope = spec.walk_time + spec.wait_time + spec.in_vehicle_time
-        z0 = transit_cost(spec, 40.0, discomfort=2.0)
-        z1 = transit_cost(spec, 40.0, discomfort=3.0)
+        slope = NYC.transit_walk_time + NYC.transit_wait_time + NYC.transit_in_vehicle_time
+        z0 = NYC.params(2.0).transit_cost
+        z1 = NYC.params(3.0).transit_cost
         assert z1 - z0 == pytest.approx(slope, abs=1e-12)
 
     def test_car_costs(self):
-        assert car_cost(CarCostSpec(30.0, 0.35), 22.0) == pytest.approx(1.7136364, abs=1e-6)
-        assert car_cost(CarCostSpec(30.0, 0.15), 40.0) == pytest.approx(0.9)
-        assert car_cost(CarCostSpec(0.0, 0.0), 22.0) == 0.0
+        def car(scenario, parking_fee, freeflow_time):
+            changed = dataclasses.replace(
+                scenario, car_parking_fee=parking_fee, car_freeflow_time=freeflow_time
+            )
+            return changed.params(1.5).car_freeflow_cost
+
+        assert car(BAY, 30.0, 0.35) == pytest.approx(1.7136364, abs=1e-6)
+        assert car(NYC, 30.0, 0.15) == pytest.approx(0.9)
+        assert car(BAY, 0.0, 0.0) == 0.0
 
     def test_invalid_value_of_time(self):
-        from tollgap import ParameterError
-
         with pytest.raises(ParameterError):
-            transit_cost(BUILTIN_SCENARIOS["nyc"].transit, 0.0, discomfort=2.0)
+            dataclasses.replace(NYC, value_of_time=0.0)
 
 
 class TestBuiltins:
@@ -62,7 +62,7 @@ class TestBuiltins:
         assert sc.total_demand == 70000.0
         assert sc.arrival_rate == 14000.0
         assert sc.implemented_toll == 8.50
-        assert sc.car.freeflow_time == pytest.approx(21.0 / 60.0)
+        assert sc.car_freeflow_time == pytest.approx(21.0 / 60.0)
 
     def test_nyc_values(self):
         sc = builtin_scenario("nyc")
@@ -99,6 +99,26 @@ class TestParsing:
         with pytest.raises(ScenarioFormatError, match="arrival_rate"):
             load_scenario(str(path))
 
+    def test_each_scenario_field_has_exactly_one_key(self):
+        keyed = sorted(row.field for row in _KEYS.values())
+        assert keyed == sorted(f.name for f in dataclasses.fields(Scenario))
+
+    def test_dropping_each_preset_line(self):
+        lines = serialize_scenario(BAY).splitlines()
+        for i, line in enumerate(lines):
+            key = line.split(" = ")[0]
+            text = "\n".join(lines[:i] + lines[i + 1 :])
+            if key.startswith("policy."):
+                assert parse_scenario(text) == dataclasses.replace(BAY, **{_KEYS[key].field: None})
+                continue
+            message = (
+                "exactly one of supply.capacity"
+                if key == "supply.capacity"
+                else f"missing required keys: {key.split('.', 1)[1]}$"
+            )
+            with pytest.raises(ScenarioFormatError, match=message):
+                parse_scenario(text)
+
     def test_unknown_key_named(self):
         text = serialize_scenario(builtin_scenario("bay_bridge")) + "demand.banana = 3 users\n"
         with pytest.raises(ScenarioFormatError, match="banana"):
@@ -122,7 +142,7 @@ class TestParsing:
         text = serialize_scenario(builtin_scenario("bay_bridge"))
         walk_line = next(l for l in text.splitlines() if l.startswith("transit.walk_time"))
         sc = parse_scenario(text.replace(walk_line, "transit.walk_time = 20 minutes"))
-        assert sc.transit.walk_time == pytest.approx(1.0 / 3.0)
+        assert sc.transit_walk_time == pytest.approx(1.0 / 3.0)
 
     def test_supply_exclusivity(self):
         text = serialize_scenario(builtin_scenario("bay_bridge"))
@@ -229,8 +249,12 @@ def scenarios(draw) -> Scenario:
         arrival_rate=draw(FINITE),
         early_penalty=draw(FINITE),
         late_penalty=draw(FINITE),
-        transit=TransitCostSpec(draw(NONNEG), draw(NONNEG), draw(NONNEG), draw(NONNEG)),
-        car=CarCostSpec(draw(NONNEG), draw(NONNEG)),
+        transit_fare=draw(NONNEG),
+        transit_walk_time=draw(NONNEG),
+        transit_wait_time=draw(NONNEG),
+        transit_in_vehicle_time=draw(NONNEG),
+        car_parking_fee=draw(NONNEG),
+        car_freeflow_time=draw(NONNEG),
         eta_sweep=tuple(draw(st.lists(POSITIVE, min_size=1, max_size=40))),
         implemented_toll=draw(st.none() | NONNEG),
         crossover_reference_eta=draw(st.none() | POSITIVE),

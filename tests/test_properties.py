@@ -1,6 +1,6 @@
 """Property-based invariants of the closed-form model, via hypothesis."""
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tollgap import BottleneckParams, Regime, TriangularMfd, classify_regime, regime_thresholds
 from tollgap import bottleneck as bn
 from tollgap import mfd, oracle
-from tollgap.calibration import TransitCostSpec, transit_cost
+from tollgap.calibration import BUILTIN_SCENARIOS
 
 
 @st.composite
@@ -181,8 +181,15 @@ def test_network_revenue_never_exceeds_capacity_share(case, frac):
 )
 @settings(max_examples=200)
 def test_transit_cost_affine_in_discomfort(fare, walk, wait, ride, vot, eta_a, eta_b):
-    spec = TransitCostSpec(fare, walk, wait, ride)
-    za = transit_cost(spec, vot, discomfort=eta_a)
-    zb = transit_cost(spec, vot, discomfort=eta_b)
+    scenario = replace(
+        BUILTIN_SCENARIOS["nyc"],
+        value_of_time=vot,
+        transit_fare=fare,
+        transit_walk_time=walk,
+        transit_wait_time=wait,
+        transit_in_vehicle_time=ride,
+    )
+    za = scenario.params(eta_a).transit_cost
+    zb = scenario.params(eta_b).transit_cost
     slope = walk + wait + ride
     assert zb - za == pytest.approx((eta_b - eta_a) * slope, abs=1e-12 * max(1.0, slope * 30))

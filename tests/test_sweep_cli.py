@@ -174,6 +174,13 @@ class TestCli:
         assert cli.main(["analyze", "--scenario", "/nope/missing.scenario", "--eta", "2"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_cost_component_names_the_field(self, tmp_path, capsys):
+        path = tmp_path / "negative.scenario"
+        text = serialize_scenario(BAY).replace("car.parking_fee = 30.0", "car.parking_fee = -1")
+        path.write_text(text)
+        assert cli.main(["analyze", "--scenario", str(path), "--eta", "2"]) == 1
+        assert capsys.readouterr().err == "error: car_parking_fee must be nonnegative\n"
+
     def test_zero_jam_accumulation_is_validation_error(self, capsys):
         assert cli.main(["analyze", "--scenario", "nyc", "--eta", "3", "--nj", "0"]) == 1
         err = capsys.readouterr().err
