@@ -7,8 +7,8 @@ Subpackage map:
   for the fixed-capacity rush-hour model with a transit outside option.
 - ``mfd``: the urban extension with a triangular accumulation-outflow
   relation; dynamic benchmarks delegate to ``bottleneck``.
-- ``oracle``: independent numeric verification (quadrature and exhaustive
-  search) of every closed form.
+- ``oracle``: independent numeric verification (quadrature and shape
+  certificates of the revenue optima) of every closed form.
 - ``calibration``: scenario files and the ``bay_bridge`` / ``nyc`` presets.
 - ``verify``: randomized agreement suites used by tests and the CLI.
 - ``sweep`` / ``cli``: CSV sweep harness and the command-line front end.

@@ -6,15 +6,17 @@ principles (wait slopes, service-rate accounting, the indifference ceiling),
 the bottleneck's piecewise-linear integrands are integrated by the trapezoid
 rule on each linear segment's two ends (exact, since every kink is a segment
 end), the urban network's curved shoulder integrals by fixed Gauss–Legendre
-quadrature, and optima are recovered by exhaustive search.  One call answers
-a flat toll in each model, with its revenue and four cost pieces as a
-``CostBreakdown``: :func:`static_bottleneck_costs` and
-:func:`mfd_shoulder_quadrature`.  Where a search needs a revenue curve, the
-curve is an independent transcription evaluated point by point, so agreement
-is evidence rather than tautology.  The bottleneck rebuild and both searches
-take a :class:`~tollgap.core.ParamsBlock` of sets as well as one set: their
-branches go through ``core.select`` and ``core.clamp``, which choose values
-and hold no formula, so the oracle stays independent of the closed forms.
+quadrature, and the revenue optima are certified from the oracle's own
+piecewise-quadratic shape.  One call answers a flat toll in each model, with
+its revenue and four cost pieces as a ``CostBreakdown``:
+:func:`static_bottleneck_costs` and :func:`mfd_shoulder_quadrature`.  Where a
+certificate or a search needs a revenue curve, the curve is the oracle's own
+or an independent transcription evaluated point by point, so agreement is
+evidence rather than tautology.  The bottleneck rebuild, the certificates and
+the search take a :class:`~tollgap.core.ParamsBlock` of sets as well as one
+set: their branches go through ``core.select`` and ``core.clamp``, which
+choose values and hold no formula, so the oracle stays independent of the
+closed forms.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ __all__ = [
     "EquilibriumTrace",
     "static_bottleneck_costs",
     "simulate_static_bottleneck",
+    "flat_certificate",
+    "fraction_certificate",
     "grid_search_static",
-    "grid_search_dynamic_fraction",
     "integrate_mfd_revenue",
     "mfd_shoulder_quadrature",
 ]
@@ -64,7 +67,7 @@ class EquilibriumTrace:
 
 
 GAUSS_LEGENDRE_NODES = 128  # shoulder rule; 256 nodes move no piece by 1e-12 relative
-SEARCH_POINTS = 10_000  # uniform grid of both exhaustive revenue searches
+SEARCH_POINTS = 10_000  # uniform grid of the flat-toll revenue search, which only the benchmark times
 CHUNK_FLOATS = 30_000  # floats of one work array of a block search: 240 KB, 3 sets of 10 000 points
 
 
@@ -81,6 +84,17 @@ def _trapezoid(t0: float, t1: float, y0: float, y1: float) -> float:
     Below the band the flat segment can come out an ulp negative.
     """
     return select(t1 > t0, (t1 - t0) * (y1 + y0) / 2.0, 0.0)
+
+
+def _car_only_wait(params: BottleneckParams) -> float:
+    """Car-only peak wait, rebuilt from the slope geometry.
+
+    Serving all demand at rate ``mu = min(capacity, lam)`` takes ``demand/mu``
+    hours, split e:L across rise and fall.
+    """
+    e, late = params.early_penalty, params.late_penalty
+    mu = clamp(params.capacity, hi=params.arrival_rate)
+    return e * (late / (e + late)) * params.total_demand / mu
 
 
 def static_bottleneck_costs(
@@ -111,10 +125,7 @@ def static_bottleneck_costs(
     priced_out = toll > gap
     no_queue = params.capacity >= lam
 
-    # Car-only peak wait, rebuilt from the slope geometry: serving all demand
-    # at rate mu takes demand/mu hours split e:L across rise and fall.
-    rise_share = late / (e + late)
-    car_only_wait = e * rise_share * demand / mu
+    car_only_wait = _car_only_wait(params)
     peak_wait = select(no_queue, 0.0, clamp(gap - toll, 0.0, car_only_wait))
 
     rise_len = peak_wait / e
@@ -279,43 +290,105 @@ def _static_revenue_curve(
     return revenue
 
 
-def _fraction_revenue_curve(params: BottleneckParams, shares: np.ndarray, out: np.ndarray) -> None:
-    """``R(f)`` on the shoulder shares ``u = 1 - f``, into ``out``.
-
-    ``R(f) = gap*(f*N*mu/lam + (1-f)*N) - N*N/(2*mu)*sf*(1-f)**2``, by
-    Horner's rule in ``u``: ``gap*N*mu/lam + (gap*N*(1 - mu/lam) - N*N/(2*mu)*sf*u)*u``.
-    Built in place, as :func:`_static_revenue_curve` is.
-    """
-    demand, lam, mu = (_column(v) for v in (params.total_demand, params.arrival_rate, params.capacity))
-    gap, factor = _column(params.cost_gap), _column(params.schedule_factor)
-    np.multiply(shares, demand * demand / (2.0 * mu) * factor, out=out)
-    np.subtract(gap * demand * (1.0 - mu / lam), out, out=out)
-    out *= shares
-    out += gap * demand * mu / lam
-
-
 def grid_search_static(params: BottleneckParams, points: int = SEARCH_POINTS) -> tuple[float, float]:
     """Exhaustive flat-toll revenue argmax over ``points`` uniform tolls on [0, gap].
 
-    For a block, each set's argmax toll and revenue, as arrays.
+    For a block, each set's argmax toll and revenue, as arrays.  ``verify``
+    certifies the optimum by :func:`flat_certificate`; this search is kept
+    for the benchmark, which times it.
     """
     return _search(params, clamp(params.cost_gap, 0.0), _static_revenue_curve, points)
 
 
-def grid_search_dynamic_fraction(params: BottleneckParams) -> tuple[float, float]:
-    """Exhaustive flat-fraction revenue argmax over the feasible band.
+def _certify(params: BottleneckParams, curve, starts, stops) -> tuple:
+    """Each set's largest ``curve`` value over its quadratic pieces, its point, and the shape residual.
 
-    The grid runs over the shoulder share ``u = 1 - f`` from 0 to
-    ``min(gap/car_only_wait, 1)``.  For a block, each set's argmax fraction
-    and revenue, as arrays.  A negative gap, where no fraction is feasible,
-    raises DomainError; a block is in the domain only as a whole.
+    ``starts`` and ``stops`` hold the pieces' ends, a piece a column (a
+    block's sets a row each), and ``curve(sets, points)`` is evaluated
+    elementwise.  Each piece is fitted by the quadratic through the curve at
+    its two ends and its midpoint, and the fit is checked at its quarter
+    point, ``(3*y0 + 6*y_mid - y1)/8``: a set's residual is the largest miss,
+    relative to the largest of its piece's four values.  A quadratic's
+    maximum on an interval lies at an end or at its vertex, so the largest
+    curve value at the fit points and at each concave piece's vertex,
+    clipped to the piece, is the curve's maximum once the shape holds.  The
+    fit points take one curve call and the vertices a second.  One set gives
+    floats; a block gives arrays.
+    """
+    block = np.ndim(params.total_demand) > 0
+    rows = params[:, np.newaxis] if block else params
+    width = stops - starts
+    # The ends are the pieces' own: a toll rebuilt as start + width can round past the gap.
+    fit = np.stack([starts, starts + 0.5 * width, stops, starts + 0.25 * width], axis=-1)
+    fit_points = fit.reshape(*width.shape[:-1], -1)
+    fit_values = curve(rows, fit_points)
+    values = fit_values.reshape(fit.shape)
+    y0, y_mid, y1, y_quarter = np.moveaxis(values, -1, 0)
+    miss = np.abs((3.0 * y0 + 6.0 * y_mid - y1) / 8.0 - y_quarter)
+    scale = np.abs(values).max(axis=-1)
+    residual = (miss / np.where(scale > 0.0, scale, 1.0)).max(axis=-1)
+    # q(s) = y0 + slope*s + bend*s**2 on s in [0, 1]; a concave piece peaks at slope/(-2*bend).
+    slope = 4.0 * y_mid - 3.0 * y0 - y1
+    bend = 2.0 * (y0 - 2.0 * y_mid + y1)
+    concave = bend < 0.0
+    at = np.clip(np.where(concave, slope, 0.0) / np.where(concave, -2.0 * bend, 1.0), 0.0, 1.0)
+    vertex = np.minimum(starts + at * width, stops)
+    points = np.concatenate([fit_points, vertex], axis=-1)
+    found = np.concatenate([fit_values, curve(rows, vertex)], axis=-1)
+    i = np.argmax(found, axis=-1)[..., np.newaxis]  # a NaN wins
+    argmax, best = (np.take_along_axis(v, i, axis=-1)[..., 0] for v in (points, found))
+    return (argmax, best, residual) if block else (float(argmax), float(best), float(residual))
+
+
+def flat_certificate(params: BottleneckParams) -> tuple[float, float, float]:
+    """The oracle's flat-toll revenue maximum on [0, gap], certified from its shape.
+
+    On ``[0, g]`` the revenue of :func:`static_bottleneck_costs` is linear
+    below the kink ``k = clamp(g - W_max, 0, g)``, with ``W_max`` this
+    module's car-only wait (every user drives and waits ``W_max``), and
+    quadratic above it (the peak wait is ``g - toll``).  Returns the argmax
+    toll, the certified maximum and the shape residual (:func:`_certify`),
+    for a block as arrays.  A negative gap raises DomainError, as in
+    :func:`static_bottleneck_costs`.
+    """
+    gap = params.cost_gap
+    kink = clamp(gap - _car_only_wait(params), 0.0, gap)
+    starts = np.stack(np.broadcast_arrays(0.0, kink), axis=-1)
+    stops = np.stack(np.broadcast_arrays(kink, gap), axis=-1)
+    return _certify(
+        params, lambda sets, tolls: static_bottleneck_costs(sets, tolls)[1].revenue, starts, stops
+    )
+
+
+def _fraction_revenue_curve(params: BottleneckParams, shares):
+    """``R(f)`` on the shoulder shares ``u = 1 - f``, elementwise.
+
+    ``R(f) = gap*(f*N*mu/lam + (1-f)*N) - N*N/(2*mu)*sf*(1-f)**2``, by
+    Horner's rule in ``u``: ``gap*N*mu/lam + (gap*N*(1 - mu/lam) - N*N/(2*mu)*sf*u)*u``.
+    The service rate is this module's ``mu = min(capacity, lam)``, so with no
+    queue the maximum is ``gap*N``, at ``u = 0``.
+    """
+    demand, lam, gap = params.total_demand, params.arrival_rate, params.cost_gap
+    mu = clamp(params.capacity, hi=lam)
+    spread = shares * (demand * demand / (2.0 * mu) * params.schedule_factor)
+    return (gap * demand * (1.0 - mu / lam) - spread) * shares + gap * demand * mu / lam
+
+
+def fraction_certificate(params: BottleneckParams) -> tuple[float, float, float]:
+    """The trapezoid revenue ``R(f)``'s maximum over the feasible fractions, certified from its shape.
+
+    ``R`` is one quadratic in the shoulder share ``u = 1 - f`` on
+    ``[0, min(gap/W_max, 1)]``, with ``W_max`` this module's car-only wait.
+    Returns the argmax fraction ``1 - u``, the certified maximum and the
+    shape residual (:func:`_certify`), for a block as arrays.  A negative
+    gap, where no fraction is feasible, raises DomainError; a block is in the
+    domain only as a whole.
     """
     if anywhere(params.cost_gap < 0):
-        raise DomainError("the fraction search requires transit_cost >= car_freeflow_cost")
-    car_only_wait = params.total_demand * params.schedule_factor / params.capacity
-    top = clamp(params.cost_gap / car_only_wait, hi=1.0)
-    shares, revenue = _search(params, top, _fraction_revenue_curve)
-    return 1.0 - shares, revenue
+        raise DomainError("the fraction certificate requires transit_cost >= car_freeflow_cost")
+    top = np.asarray(clamp(params.cost_gap / _car_only_wait(params), hi=1.0), dtype=float)[..., np.newaxis]
+    shares, revenue, residual = _certify(params, _fraction_revenue_curve, np.zeros_like(top), top)
+    return 1.0 - shares, revenue, residual
 
 
 def _shoulder(

@@ -8,7 +8,7 @@ from tollgap import BottleneckParams
 from tollgap import bottleneck as bn
 from tollgap import mfd, oracle, verify
 from tollgap.calibration import builtin_scenario
-from tollgap.core import DomainError, ParamsBlock
+from tollgap.core import DomainError, ParamsBlock, regime_thresholds
 
 BAY = builtin_scenario("bay_bridge")
 NYC = builtin_scenario("nyc")
@@ -175,7 +175,8 @@ class TestGridSearches:
     def test_searches_equal_a_linspace_search_per_set(self):
         # Alone or in a block whose size no chunk divides, each set's result is
         # the argmax over its own numpy.linspace grid, bit for bit: the
-        # transcriptions as they were written one set at a time.
+        # transcription as it was written one set at a time.  The certificates
+        # give each block row the one-set result, bit for bit.
         rng = random.Random(21)
         sets = [verify.sample_params(rng, band) for band in ("low", "mid", "high") for _ in range(4)]
         sets += [
@@ -185,8 +186,8 @@ class TestGridSearches:
             dataclasses.replace(sets[3], car_freeflow_cost=sets[3].transit_cost + 0.5),
             car_saturated_params(),
         ]
-        # The recovery grid and the certificate's: 3 and 15 sets a chunk.
-        points = (oracle.SEARCH_POINTS, verify.ARGMAX_GRID)
+        # The default grid and a 2000-point one: 3 and 15 sets a chunk.
+        points = (oracle.SEARCH_POINTS, 2000)
         assert all(len(sets) % (oracle.CHUNK_FLOATS // n) != 0 for n in points)
         block = ParamsBlock.stack(sets)
         block_static = {n: oracle.grid_search_static(block, n) for n in points}
@@ -198,38 +199,31 @@ class TestGridSearches:
                 want = (float(tolls[i]), float(values[i]))
                 assert oracle.grid_search_static(p, n) == want
                 assert (block_static[n][0][k], block_static[n][1][k]) == want
-        # The fraction search takes no negative gap, alone or in a block.
+        # The certificates take no negative gap, alone or in a block.
         [negative] = [p for p in sets if p.cost_gap < 0]
-        for params in (negative, block):
-            with pytest.raises(DomainError):
-                oracle.grid_search_dynamic_fraction(params)
         open_sets = [p for p in sets if p.cost_gap >= 0]
-        assert len(open_sets) % (oracle.CHUNK_FLOATS // oracle.SEARCH_POINTS) != 0
-        block_fraction = oracle.grid_search_dynamic_fraction(ParamsBlock.stack(open_sets))
-        for k, p in enumerate(open_sets):
-            demand, lam, mu, gap = p.total_demand, p.arrival_rate, p.capacity, p.cost_gap
-            # The fraction search runs over the shoulder share u = 1 - f, R by Horner's rule.
-            top = min(gap / (demand * p.schedule_factor / mu), 1.0)
-            shares = np.linspace(0.0, top, oracle.SEARCH_POINTS)
-            k_u = demand * demand / (2.0 * mu) * p.schedule_factor * shares
-            values = gap * demand * mu / lam + (gap * demand * (1.0 - mu / lam) - k_u) * shares
-            i = int(np.argmax(values))
-            want = (1.0 - float(shares[i]), float(values[i]))
-            assert oracle.grid_search_dynamic_fraction(p) == want
-            assert (block_fraction[0][k], block_fraction[1][k]) == want
+        for certificate in (oracle.flat_certificate, oracle.fraction_certificate):
+            for params in (negative, block):
+                with pytest.raises(DomainError, match="transit_cost >= car_freeflow_cost"):
+                    certificate(params)
+            found = certificate(ParamsBlock.stack(open_sets))
+            for k, p in enumerate(open_sets):
+                assert tuple(float(v[k]) for v in found) == certificate(p)
 
     def test_fraction_argmax_lies_within_half_a_step(self):
-        # The grid's nearest point to f* wins: 0.49993 of a step at worst here.
+        # The certificate's argmax is the fitted vertex: 6.4e-15 from f* here,
+        # far inside half a step of the 10 000-point grid it replaced.
         block = verify.sample_block(random.Random(0), 2048)
-        frac_hat, _ = oracle.grid_search_dynamic_fraction(block)
+        frac_hat, _, _ = oracle.fraction_certificate(block)
         f_star, f_lo = bn._flat_fractions(block)
-        step = (1.0 - f_lo) / (oracle.SEARCH_POINTS - 1)
+        step = (1.0 - f_lo) / (10_000 - 1)
         assert (np.abs(frac_hat - f_star) <= 0.5 * step).all()
+        assert (np.abs(frac_hat - f_star) <= 1e-13).all()
 
     def test_fraction_argmax_nyc(self):
         params = NYC.params(18.0)
-        frac_hat, _ = oracle.grid_search_dynamic_fraction(params)
-        assert frac_hat == pytest.approx(0.26561859631147566, abs=1e-4)
+        frac_hat, _, _ = oracle.fraction_certificate(params)
+        assert frac_hat == pytest.approx(0.26561859631147566, abs=1e-13)
 
     def test_fraction_argmax_saturated(self):
         base = BAY.params(1.5)
@@ -240,7 +234,7 @@ class TestGridSearches:
             base.total_demand, lam, mu, base.early_penalty, base.late_penalty,
             base.car_freeflow_cost, base.car_freeflow_cost + gap,
         )
-        frac_hat, _ = oracle.grid_search_dynamic_fraction(params)
+        frac_hat, _, _ = oracle.fraction_certificate(params)
         assert frac_hat == 0.0
 
     def test_fraction_search_takes_no_negative_gap(self):
@@ -248,11 +242,68 @@ class TestGridSearches:
         # fraction is feasible.
         base = BAY.params(1.5)
         at_zero = dataclasses.replace(base, transit_cost=base.car_freeflow_cost)
-        assert oracle.grid_search_dynamic_fraction(at_zero) == (1.0, 0.0)
+        assert oracle.fraction_certificate(at_zero) == (1.0, 0.0, 0.0)
         below = dataclasses.replace(base, transit_cost=base.car_freeflow_cost - 1e-9)
         for params in (below, ParamsBlock.stack([base, at_zero, below])):
             with pytest.raises(DomainError, match="transit_cost >= car_freeflow_cost"):
-                oracle.grid_search_dynamic_fraction(params)
+                oracle.fraction_certificate(params)
+
+
+def edge_sets() -> list[BottleneckParams]:
+    """Sets at the certificates' edges: a zero gap, no queue, and the gap at low, at W_max and above it."""
+    base = verify.sample_params(random.Random(31), "mid")
+    low, _ = regime_thresholds(base)
+    at_gap = [
+        dataclasses.replace(base, transit_cost=base.car_freeflow_cost + gap)
+        for gap in (0.0, low, bn.max_wait_car_only(base), 1.7 * bn.max_wait_car_only(base))
+    ]
+    no_queue = [dataclasses.replace(base, capacity=factor * base.arrival_rate) for factor in (1.0, 1.5)]
+    return at_gap + no_queue + [car_saturated_params()]
+
+
+class TestShapeCertificates:
+    """The shape certificates against the closed-form optima and the grid search they replaced."""
+
+    def test_certified_maxima_equal_the_closed_optima_on_floats_and_blocks(self):
+        # 5.7e-16 and 5.6e-16 at worst over 20 480 draws; the shape residuals 6.9e-16 and 4.1e-16.
+        edges = edge_sets()
+        for params in [ParamsBlock.stack(edges), *edges, verify.sample_block(random.Random(17), 200)]:
+            _, flat_max, flat_shape = oracle.flat_certificate(params)
+            _, fraction_max, fraction_shape = oracle.fraction_certificate(params)
+            _, flat = bn.static_revenue_optimal_toll(params)
+            f_star, _ = bn._flat_fractions(params)
+            dynamic = bn._trapezoid_cost(params, f_star).revenue
+            assert np.all(verify._rel_gap(flat_max, flat.revenue) <= 1e-14)
+            assert np.all(verify._rel_gap(fraction_max, dynamic) <= 1e-14)
+            assert np.all(np.maximum(flat_shape, fraction_shape) <= 1e-14)
+
+    def test_no_grid_point_beats_the_flat_certificate(self):
+        # The grid search stays for the benchmark; none of its 2000 points on
+        # [0, g] beats the certified maximum by REL_TOL.
+        for params in [*edge_sets(), verify.sample_block(random.Random(17), 200)]:
+            _, grid_max = oracle.grid_search_static(params, 2000)
+            _, flat_max, _ = oracle.flat_certificate(params)
+            assert np.all(grid_max <= flat_max * (1 + verify.REL_TOL))
+
+    def test_flat_pieces_meet_at_the_kink(self, monkeypatch):
+        # Past W_max the revenue is linear below the kink g - W_max, where every
+        # user drives and pays, and quadratic above it.  Each piece holds its
+        # fit; a cubic term in the revenue fails it.
+        params = edge_sets()[3]
+        kink = params.cost_gap - bn.max_wait_car_only(params)
+        assert kink > 0
+        tolls = np.linspace(0.0, kink, 5)
+        revenue = oracle.static_bottleneck_costs(params, tolls)[1].revenue
+        assert revenue == pytest.approx(tolls * params.total_demand, rel=1e-14)
+        assert oracle.flat_certificate(params)[2] <= 1e-14
+        real = oracle.static_bottleneck_costs
+
+        def cubic(p, tolls):
+            outcome, cost = real(p, tolls)
+            return outcome, dataclasses.replace(cost, revenue=cost.revenue + 1e-6 * p.total_demand * tolls**3)
+
+        monkeypatch.setattr(oracle, "static_bottleneck_costs", cubic)
+        assert oracle.flat_certificate(params)[2] > verify.REL_TOL
 
 
 class TestMfdIntegration:

@@ -261,14 +261,55 @@ def test_nan_dynamic_revenue_shows_as_the_margin(monkeypatch):
     assert result.line().endswith("smallest revenue-bound margin nan")
 
 
+def test_a_1e9_trapezoid_revenue_fault_fails_recovery_and_both_scenarios(monkeypatch):
+    # R(f) 1e-9 too high at every fraction, REL_TOL itself: the trapezoid
+    # curve's certified maximum catches it (5e-10 passes).  With the grid
+    # searches, which compared argmax fractions only, 1e-6 passed every suite.
+    real = bn._trapezoid_cost
+
+    def skewed(params, fraction):
+        cost = real(params, fraction)
+        return dataclasses.replace(cost, revenue=cost.revenue * (1 + 1e-9))
+
+    monkeypatch.setattr(bn, "_trapezoid_cost", skewed)
+    for result in (
+        verify.optimizer_recovery_suite(43, 500),
+        verify.scenario_suite(builtin_scenario("bay_bridge")),
+        verify.scenario_suite(builtin_scenario("nyc")),
+    ):
+        assert not result.ok
+        assert all(": closed trapezoid revenue at fraction " in message for message in result.failures)
+
+
+def test_a_cubic_term_in_the_oracle_flat_revenue_fails_the_shape_check(monkeypatch):
+    # 1e-7 * g*N*(T/g)**3 on the oracle's revenue: off its quadratic pieces
+    # by up to about 5e-9 of their values, on every recovery set.
+    real = oracle.static_bottleneck_costs
+
+    def cubic(params, toll):
+        outcome, cost = real(params, toll)
+        gap = params.cost_gap
+        bent = cost.revenue + 1e-7 * gap * params.total_demand * (toll / np.where(gap > 0, gap, 1.0)) ** 3
+        return outcome, dataclasses.replace(cost, revenue=bent)
+
+    monkeypatch.setattr(oracle, "static_bottleneck_costs", cubic)
+    recovery = verify.optimizer_recovery_suite(43, 500)
+    shape = [message for message in recovery.failures if "off its quadratic pieces" in message]
+    assert len(shape) == 500
+    assert shape[0] == "case 0: oracle flat revenue off its quadratic pieces: residual 2.326e-09"
+    bounds = verify.bound_property_suite(44, 1000)
+    assert any("oracle flat revenue off its quadratic pieces" in message for message in bounds.failures)
+
+
 def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
-    # No grid point can beat a true maximum, so a toll a quarter grid step below
-    # the band-top optimum fails, although a step's Lipschitz slack would cover it.
+    # No certified candidate can beat a true maximum, so a toll a quarter step of
+    # a 2000-point grid below the band-top optimum fails, as it failed the dense
+    # grid that certified the optimum before the shape certificate.
     params = builtin_scenario("bay_bridge").params(1.5)
     block = ParamsBlock.stack([params])
     assert verify._check_guarantees(block, ["eta=1.5"])[1] == []
     real = bn.static_revenue_optimal_toll
-    step = params.cost_gap / (verify.ARGMAX_GRID - 1)
+    step = params.cost_gap / (2000 - 1)
 
     def shifted(p):
         toll = real(p)[0] - 0.25 * step
@@ -277,13 +318,13 @@ def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
     monkeypatch.setattr(bn, "static_revenue_optimal_toll", shifted)
     _, failures = verify._check_guarantees(block, ["eta=1.5"])
     assert len(failures) == 1
-    assert failures[0][1].startswith("eta=1.5: grid revenue 5541.8182 beats closed optimum 5541.")
+    assert failures[0][1].startswith("eta=1.5: certified revenue 5541.8182 beats closed optimum 5541.")
 
 
 def test_dense_grid_fault_past_the_first_chunk_keeps_its_tag(monkeypatch):
-    # Set 17 of a 20-set block lies past the certificate's first search chunk
-    # (15 sets of 2000 points); its low-band optimum moves a quarter step below g.
-    assert 17 >= oracle.CHUNK_FLOATS // verify.ARGMAX_GRID
+    # Set 17 of a 20-set block, past the first 15-set chunk of the dense grid
+    # that certified the optimum before the shape certificate: its low-band
+    # optimum moves a quarter step of a 2000-point grid below g.
     rng = random.Random(3)
     sets = [verify.sample_params(rng, "low") for _ in range(20)]
     target = sets[17].total_demand
@@ -291,13 +332,13 @@ def test_dense_grid_fault_past_the_first_chunk_keeps_its_tag(monkeypatch):
 
     def shifted(p):
         toll = real(p)[0]
-        quarter_step = 0.25 * p.cost_gap / (verify.ARGMAX_GRID - 1)
+        quarter_step = 0.25 * p.cost_gap / (2000 - 1)
         toll = np.where(p.total_demand == target, toll - quarter_step, toll)
         return toll, bn.static_system_cost(p, toll)
 
     monkeypatch.setattr(bn, "static_revenue_optimal_toll", shifted)
     _, failures = verify._check_guarantees(ParamsBlock.stack(sets), [f"case {i}" for i in range(20)])
-    assert failures == [(17, "case 17: grid revenue 557.01695 beats closed optimum 556.99869")]
+    assert failures == [(17, "case 17: certified revenue 557.01695 beats closed optimum 556.99869")]
 
 
 BOUND_LINE = (
@@ -396,7 +437,8 @@ def _targets(draws, cases):
 
 
 def _two_steps(params, span):
-    return 2 * (span / (oracle.SEARCH_POINTS - 1))
+    """Two steps of the 10 000-point grid that searched the optima before the shape certificates."""
+    return 2 * (span / (10_000 - 1))
 
 
 @pytest.mark.parametrize(
@@ -405,23 +447,31 @@ def _two_steps(params, span):
         (
             "toll",
             [
-                "case 5: flat argmax 6.7097179 vs closed 6.7120125",
-                "case 517: flat argmax 2.8096474 vs closed 2.8102094",
+                "case 5: oracle revenue at closed toll 6.7120125: 29501.81913 vs certified max "
+                "29501.82185, rel gap 9.213e-08",
+                "case 517: oracle revenue at closed toll 2.8102094: 0 vs certified max 9799.448324, "
+                "rel gap 1.000e+00",
             ],
         ),
         (
             "fraction",
             [
-                "case 5: fraction argmax 0 vs closed 0.00020002",
-                "case 517: fraction argmax 0.38513851 vs closed 0.38536536",
+                "case 5: trapezoid curve at closed fraction 0.00020002: 43554.77064 vs certified max "
+                "43555.48133, rel gap 1.632e-05",
+                "case 5: closed trapezoid revenue at fraction 0.00020002: 43554.77064 vs certified max "
+                "43555.48133, rel gap 1.632e-05",
+                "case 517: trapezoid curve at closed fraction 0.38536536: 11102.55861 vs certified max "
+                "11102.55875, rel gap 1.242e-08",
+                "case 517: closed trapezoid revenue at fraction 0.38536536: 11102.55861 vs certified max "
+                "11102.55875, rel gap 1.242e-08",
             ],
         ),
     ],
 )
 def test_recovery_catches_an_optimum_two_steps_off(optimum, messages, monkeypatch):
-    # Case 5 lies past the first search chunk, case 517 past the first block;
-    # the messages are those the one-set-at-a-time check gave for the same fault.
-    assert oracle.CHUNK_FLOATS // oracle.SEARCH_POINTS <= 5 and verify.BLOCK <= 517
+    # Case 517 lies past the first block; case 5's optimum lies at the top of
+    # its fraction band, case 517's inside it.
+    assert verify.BLOCK <= 517
     rng = random.Random(3)
     targets = _targets([verify.sample_params(rng) for _ in range(518)], (5, 517))
     if optimum == "toll":
@@ -528,11 +578,12 @@ def test_scenario_failures_come_sweep_point_by_sweep_point(monkeypatch):
     assert result.failures == [
         "eta=4 toll=0 schedule: 75483.71062 vs 75484.46545, rel gap 1.000e-05",
         "eta=4 toll=0.7375 schedule: 18870.92765 vs 18871.11636, rel gap 1.000e-05",
-        "eta=4: flat argmax 1.475 vs closed 1.475295",
+        "eta=4: oracle revenue at closed toll 1.475295: 0 vs certified max 331875, rel gap 1.000e+00",
         "eta=4 toll=0.7375 queuing: 146792.6552 vs 146792.802, rel gap 1.000e-06",
         "eta=9 toll=0 schedule: 656519.6273 vs 656526.1925, rel gap 1.000e-05",
         "eta=9 toll=2.175 schedule: 164129.9068 vs 164131.5481, rel gap 1.000e-05",
-        "eta=9: flat argmax 3.7961896 vs closed 3.7971325",
+        "eta=9: oracle revenue at closed toll 3.7971325: 1000026.788 vs certified max 1000026.84, "
+        "rel gap 5.253e-08",
         "eta=9 toll=2.175 queuing: 390532.7853 vs 390533.1758, rel gap 1.000e-06",
     ]
 
