@@ -16,20 +16,21 @@ toward higher revenue).
 
 The kernels (``max_wait_car_only``, ``feasible_toll_band``, ``_flat_split``,
 ``_flat_toll``, ``static_equilibrium``, ``_window``, ``_flat_fractions``,
-``_trapezoid_cost``, ``static_revenue_optimal_toll`` and
-``performance_bounds``) take one parameter set or a
-:class:`~tollgap.core.ParamsBlock` of them.  Each branch is computed in full
-and chosen by :func:`~tollgap.core.select`, with a stand-in denominator
+``_trapezoid_cost``, ``static_revenue_optimal_toll``,
+``static_sc_optimal_toll`` and ``performance_bounds``) take one parameter set
+or a :class:`~tollgap.core.ParamsBlock` of them.  Each branch is computed in
+full and chosen by :func:`~tollgap.core.select`, with a stand-in denominator
 wherever a branch not taken would divide by zero; on floats that is the scalar
-formula, on a block it is the same formula elementwise.  The flat toll's
-branch, wait and on-time share come from one derivation (``_flat_split``), and
-the untolled equilibrium and the trapezoid schedule take their window from one
-helper (``_window``).
+formula, on a block it is the same formula elementwise.  No kernel reads a
+:class:`~tollgap.core.Regime`: each band of the gap is picked by ``select`` on
+:func:`~tollgap.core.regime_thresholds`.  The flat toll's branch, wait and
+on-time share come from one derivation (``_flat_split``), and the untolled
+equilibrium and the trapezoid schedule take their window from one helper
+(``_window``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import (
@@ -37,11 +38,9 @@ from .core import (
     CostBreakdown,
     DomainError,
     EquilibriumOutcome,
-    Regime,
     TrapezoidToll,
     anywhere,
     clamp,
-    classify_regime,
     regime_thresholds,
     select,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "static_equilibrium",
     "static_revenue",
     "static_revenue_optimal_toll",
-    "dynamic_revenue_at_fraction",
     "dynamic_revenue_optimal",
     "dynamic_so_design",
     "static_system_cost",
@@ -89,13 +87,13 @@ class BoundReport:
     that both modes run at the untolled equilibrium.  ``exact_sc_ratio`` is the exact cost ratio in the
     zero-free-flow-cost, car-saturated corner where the guarantee provably
     degenerates; None when its preconditions fail.  A block's report holds
-    arrays, with NaN for None and an object array of regimes.
+    arrays, with NaN for None.  The band of the cost gap that picks the
+    floor is not stored: :func:`~tollgap.core.classify_regime` names it.
     """
 
     revenue_ratio_lower_bound: float | None
     sc_ratio_upper_bound: float | None
     exact_sc_ratio: float | None
-    regime: Regime
 
 
 def max_wait_car_only(params: BottleneckParams) -> float:
@@ -241,21 +239,6 @@ def static_revenue_optimal_toll(params: BottleneckParams) -> tuple[float, CostBr
     return toll, _flat_toll(params, toll)
 
 
-def dynamic_revenue_at_fraction(params: BottleneckParams, flat_fraction: float) -> float:
-    """Revenue of the zero-wait trapezoid toll with the given flat fraction.
-
-    ``gap * (f*demand*mu/lam + (1-f)*demand) - demand^2/(2 mu) * eL/(e+L) * (1-f)^2``,
-    read from :func:`_trapezoid_cost`; with no queue (``mu >= lam``) every
-    user drives and pays the gap, ``gap * demand``.  Evaluates the formula
-    anywhere on [0, 1]; fractions below the feasible band produce negative
-    values rather than being clamped, so infeasibility is visible to callers.
-    """
-    if not 0.0 <= flat_fraction <= 1.0:
-        raise DomainError("flat_fraction must lie in [0, 1]")
-    _require_outside_option_regime(params)
-    return _trapezoid_cost(params, flat_fraction).revenue
-
-
 def _flat_fractions(params: BottleneckParams) -> tuple[float, float]:
     """Flat fractions ``(f*, f_so)`` of the revenue- and cost-optimal trapezoids.
 
@@ -362,52 +345,58 @@ def static_system_cost(params: BottleneckParams, toll: float) -> CostBreakdown:
 def static_sc_optimal_toll(params: BottleneckParams) -> tuple[float, CostBreakdown]:
     """System-cost-minimizing flat toll with its cost pieces and revenue.
 
-    Evaluates candidates over the feasible band: both endpoints, plus the
-    interior stationary point of the quadratic cost (which exists only when
-    ``mu/lam < 2/3``, where the cost is convex in the toll).  Below the band
-    the cost is constant at the car-only value, so the lower endpoint stands
-    in for that whole segment.
+    Evaluates three candidates over the feasible band: both endpoints, and
+    the interior stationary point of the quadratic cost where it exists (only
+    when ``mu/lam < 2/3``, where the cost is convex in the toll, and strictly
+    inside the band), else the lower endpoint again.  The first cheapest
+    candidate wins, in that order.  Below the band the cost is constant at
+    the car-only value, so the lower endpoint stands in for that whole
+    segment.
     """
     _require_outside_option_regime(params)
     lo, hi = feasible_toll_band(params)
-    candidates = [lo, hi]
-    mu, lam = params.capacity, params.arrival_rate
-    ratio = mu / lam
-    if ratio < 2.0 / 3.0:
-        stationary = (
-            params.total_demand * params.schedule_factor / lam
-            + params.cost_gap * (1.0 - 2.0 * ratio)
-        ) / (2.0 - 3.0 * ratio)
-        if lo < stationary < hi:
-            candidates.append(stationary)
-    costs = [static_system_cost(params, t) for t in candidates]
-    best = min(range(len(candidates)), key=lambda i: costs[i].total)  # first minimum on ties
-    return candidates[best], costs[best]
+    lam = params.arrival_rate
+    ratio = params.capacity / lam
+    convex = ratio < 2.0 / 3.0
+    stationary = (
+        params.total_demand * params.schedule_factor / lam + params.cost_gap * (1.0 - 2.0 * ratio)
+    ) / select(convex, 2.0 - 3.0 * ratio, 1.0)
+    mid = select(convex & (lo < stationary) & (stationary < hi), stationary, lo)
+    at_lo, at_hi, at_mid = _flat_toll(params, lo), _flat_toll(params, hi), _flat_toll(params, mid)
+    take_hi = at_hi.total < at_lo.total  # strict, so the first minimum wins a tie
+    take_mid = at_mid.total < select(take_hi, at_hi.total, at_lo.total)
+
+    def pick(lo_value: float, hi_value: float, mid_value: float) -> float:
+        return select(take_mid, mid_value, select(take_hi, hi_value, lo_value))
+
+    # A frozen dataclass's vars are its fields, in order.
+    pieces = map(pick, vars(at_lo).values(), vars(at_hi).values(), vars(at_mid).values())
+    return pick(lo, hi, mid), CostBreakdown(*pieces)
 
 
 def performance_bounds(params: BottleneckParams) -> BoundReport:
     """Guarantees relating flat-optimal tolling to the dynamic benchmarks.
 
-    The revenue lower bound takes one of three regime-specific forms, never
-    below one half.  The factor-2 system-cost bound applies only while the
-    cost gap stays within the car-only peak wait.  In the opposite corner
-    (zero car free-flow cost, gap beyond ``low*(2*lam-mu)/mu``) the exact
-    cost ratio ``1 + 1/(1 - mu/lam)`` is reported, which grows without bound
-    as capacity approaches the arrival rate.  A block is in this domain
-    only if every one of its sets is.
+    The revenue lower bound takes one of three forms, never below one half,
+    by the band of the gap: ``gap <= low``, ``gap <= high`` or above, with
+    ``(low, high)`` from :func:`~tollgap.core.regime_thresholds` (ties go to
+    the lower band, as in :func:`~tollgap.core.classify_regime`).  The
+    factor-2 system-cost bound applies only while the cost gap stays within
+    the car-only peak wait.  In the opposite corner (zero car free-flow cost,
+    gap beyond ``low*(2*lam-mu)/mu``) the exact cost ratio
+    ``1 + 1/(1 - mu/lam)`` is reported, which grows without bound as
+    capacity approaches the arrival rate.  A block is in this domain only if
+    every one of its sets is.
     """
     _require_outside_option_regime(params)
     if anywhere(params.capacity >= params.arrival_rate):
         raise DomainError("bounds are stated for the congested case (capacity < arrival rate)")
-    regime = classify_regime(params)
     gap = params.cost_gap
     mu, lam = params.capacity, params.arrival_rate
-    low, _high = regime_thresholds(params)
-    scale = select(gap == 0, math.inf, low / select(gap == 0, 1.0, gap))
-
-    mid_bound = clamp((2.0 + scale) / 4.0, hi=1.0 / (2.0 * (1.0 - mu / lam)))
-    above_low = select(regime == Regime.MIXED_MID, mid_bound, 2.0 / 3.0)
-    revenue_bound = select(regime == Regime.MIXED_LOW, 2.0 / (3.0 - mu / lam), above_low)
+    low, high = regime_thresholds(params)
+    # The middle bound is taken only where g > low > 0; elsewhere 1 stands in for g.
+    mid_bound = clamp((2.0 + low / select(gap == 0, 1.0, gap)) / 4.0, hi=1.0 / (2.0 * (1.0 - mu / lam)))
+    revenue_bound = select(gap <= low, 2.0 / (3.0 - mu / lam), select(gap <= high, mid_bound, 2.0 / 3.0))
 
     max_wait = max_wait_car_only(params)
     sc_bound = select(gap <= max_wait, 2.0, None)
@@ -415,4 +404,4 @@ def performance_bounds(params: BottleneckParams) -> BoundReport:
     corner = (params.car_freeflow_cost == 0.0) & (gap > low * (2.0 * lam - mu) / mu)
     exact_ratio = select(corner, 1.0 + 1.0 / (1.0 - mu / lam), None)
 
-    return BoundReport(revenue_bound, sc_bound, exact_ratio, regime)
+    return BoundReport(revenue_bound, sc_bound, exact_ratio)

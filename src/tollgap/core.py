@@ -180,7 +180,7 @@ class ParamsBlock(BottleneckParams):
         return cls(*(np.array([getattr(p, name) for p in sets], dtype=float) for name in names))
 
     def __getitem__(self, rows) -> ParamsBlock:
-        """The sets at ``rows`` (an index array or a slice), as a block."""
+        """The sets at ``rows`` (an index, an index array or a slice), as a block."""
         return ParamsBlock(*(getattr(self, f.name)[rows] for f in dataclasses.fields(self)))
 
 
@@ -218,7 +218,12 @@ class TriangularMfd:
 
 
 class Regime(enum.Enum):
-    """Which closed-form branch governs equilibria and optimal tolls."""
+    """Report label for the band of the cost gap a parameter set falls in.
+
+    The kernels never read it: they pick each branch by :func:`select` on
+    the gap against :func:`regime_thresholds`.  The sweep row, ``analyze``
+    and ``verify``'s failure messages print it.
+    """
 
     ALL_TRANSIT = "all_transit"
     UNCONGESTED = "uncongested"
@@ -246,13 +251,14 @@ def regime_thresholds(params: BottleneckParams) -> tuple[float, float]:
 
 
 def classify_regime(params: BottleneckParams) -> Regime:
-    """Map a parameter set to the single regime that governs it.
+    """The report label of a parameter set's band: the regime that governs it.
 
-    Ties at a threshold resolve to the lower-indexed regime; both branch
-    formulas agree at the boundary, so the choice is cosmetic.  Transit
-    dominates exactly when ``cost_gap`` is negative, so a subnormal gap,
-    which reads as 0, is congested like a zero gap.  On a block the regimes
-    come as an object array of :class:`Regime` members.
+    Ties at a threshold resolve to the lower-indexed regime, as the kernels'
+    ``gap <= low`` and ``gap <= high`` picks do; both branch formulas agree
+    at the boundary, so the choice is cosmetic.  Transit dominates exactly
+    when ``cost_gap`` is negative, so a subnormal gap, which reads as 0, is
+    congested like a zero gap.  On a block the labels come as an object
+    array of :class:`Regime` members.
     """
     gap = params.cost_gap
     low, high = regime_thresholds(params)

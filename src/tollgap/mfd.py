@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bottleneck
-from .core import BottleneckParams, CostBreakdown, DomainError, Regime, TriangularMfd, anywhere
+from .core import (
+    BottleneckParams,
+    CostBreakdown,
+    DomainError,
+    TriangularMfd,
+    anywhere,
+    regime_thresholds,
+    select,
+)
 from .search import grid_refine_mins
 
 __all__ = [
@@ -226,9 +234,12 @@ def guarantees(params: BottleneckParams, mfd: TriangularMfd) -> bottleneck.Bound
     so :func:`bottleneck.performance_bounds` at ``mu_f`` gives them: the
     low-band revenue floor, and the factor 2 while ``g <= W_max``.  The other
     bounds are None, as the urban model has no revenue floor outside the low
-    band.  The floor carries over to the revenue-optimal toll, whose revenue
-    is at least that at ``g``; the cost bound does not.
+    band, ``g <= low`` with ``low`` from :func:`~tollgap.core.regime_thresholds`
+    at ``mu_f``.  The floor carries over to the revenue-optimal toll, whose
+    revenue is at least that at ``g``; the cost bound does not.
     """
-    report = bottleneck.performance_bounds(dataclasses.replace(params, capacity=mfd.max_throughput))
-    floor = report.revenue_ratio_lower_bound if report.regime is Regime.MIXED_LOW else None
-    return dataclasses.replace(report, revenue_ratio_lower_bound=floor, exact_sc_ratio=None)
+    at_mu_f = dataclasses.replace(params, capacity=mfd.max_throughput)
+    report = bottleneck.performance_bounds(at_mu_f)
+    low, _ = regime_thresholds(at_mu_f)
+    floor = select(at_mu_f.cost_gap <= low, report.revenue_ratio_lower_bound, None)
+    return bottleneck.BoundReport(floor, report.sc_ratio_upper_bound, None)

@@ -38,7 +38,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bottleneck, mfd, oracle
-from .core import BottleneckParams, ParameterError, ParamsBlock, clamp, regime_thresholds, select
+from .core import (
+    BottleneckParams,
+    ParameterError,
+    ParamsBlock,
+    clamp,
+    classify_regime,
+    regime_thresholds,
+    select,
+)
 
 __all__ = [
     "CheckResult",
@@ -256,20 +264,21 @@ def _shape_check(label: str, residual: np.ndarray) -> _Check:
     return ~(residual <= REL_TOL), lambda i: f"{label} off its quadratic pieces: residual {residual[i]:.3e}"
 
 
-def _check_recovery(params: ParamsBlock, tags: Sequence[str]) -> _Outcome:
+def _check_recovery(params: ParamsBlock, tags: Sequence[str], certificate: tuple) -> _Outcome:
     """The oracle's shape certificates recover each set's flat-toll and trapezoid-fraction optima.
 
     Each certificate's shape must hold to ``REL_TOL``.  The oracle's revenue
     at the closed-form toll, the trapezoid curve's at the closed-form
     fraction, and the closed forms' own optimal revenues must each lie
-    within ``REL_TOL`` of the certified maximum.  The certificates and the
-    closed forms each run once on the block; the worst gap is the largest
+    within ``REL_TOL`` of the certified maximum.  ``certificate`` is the
+    block's :func:`oracle.flat_certificate`; the fraction certificate and the
+    closed forms each run once on the block.  The worst gap is the largest
     relative gap or residual.
     """
     toll_star, flat = bottleneck.static_revenue_optimal_toll(params)
     f_star, _ = bottleneck._flat_fractions(params)
     dynamic = bottleneck._trapezoid_cost(params, f_star).revenue
-    _, flat_max, flat_shape = oracle.flat_certificate(params)
+    _, flat_max, flat_shape = certificate
     _, fraction_max, fraction_shape = oracle.fraction_certificate(params)
     at_toll = oracle.static_bottleneck_costs(params, toll_star)[1].revenue
     at_fraction = oracle._fraction_revenue_curve(params, 1.0 - f_star)
@@ -305,6 +314,7 @@ def _messages(tags: Sequence[str], checks: list[_Check]) -> _Failures:
 
 
 def _check_bounds(
+    params: ParamsBlock | list[BottleneckParams],
     report: bottleneck.BoundReport,
     flat_revenue,
     flat_cost,
@@ -315,17 +325,18 @@ def _check_bounds(
 ) -> tuple[np.ndarray, list[_Check]]:
     """Every guarantee ``report`` states for ``n`` parameter sets, in either model.
 
-    ``flat_*`` are the flat toll's revenue and system cost, ``ro_*`` the
-    dynamic revenue-optimal design's, and ``so_cost`` the least system cost;
-    each is a float or an array of ``n``.  Returns each set's revenue
-    ratio's margin over its floor (infinite without a floor or a positive
-    dynamic revenue, NaN when that is NaN), and the checks.
+    ``params[i]`` is set ``i`` of those ``report`` is for (a block, or a list
+    of one set), read only to name a failing set's band.  ``flat_*`` are the
+    flat toll's revenue and system cost, ``ro_*`` the dynamic revenue-optimal
+    design's, and ``so_cost`` the least system cost; each is a float or an
+    array of ``n``.  Returns each set's revenue ratio's margin over its floor
+    (infinite without a floor or a positive dynamic revenue, NaN when that
+    is NaN), and the checks.
     """
     bound, cap_factor, exact = (
         _column(v, n)
         for v in (report.revenue_ratio_lower_bound, report.sc_ratio_upper_bound, report.exact_sc_ratio)
     )
-    regime = np.broadcast_to(np.asarray(report.regime, dtype=object), (n,))
     flat_revenue, flat_cost, ro_revenue, ro_cost, so_cost = (
         _column(v, n) for v in (flat_revenue, flat_cost, ro_revenue, ro_cost, so_cost)
     )
@@ -346,7 +357,10 @@ def _check_bounds(
     checks = [
         (
             floored & ~(ratio >= bound * (1 - REL_TOL)),
-            lambda i: f"revenue ratio {ratio[i]:.6f} below bound {bound[i]:.6f} ({regime[i].value})",
+            lambda i: (
+                f"revenue ratio {ratio[i]:.6f} below bound {bound[i]:.6f} "
+                f"({classify_regime(params[i]).value})"
+            ),
         ),
         over_cap("flat-toll", flat_cost),
         over_cap("dynamic", ro_cost),
@@ -360,27 +374,27 @@ def _check_bounds(
 
 
 def _check_guarantees(
-    params: ParamsBlock, tags: Sequence[str], corner: bool = False
+    params: ParamsBlock, tags: Sequence[str], certificate: tuple, corner: bool = False
 ) -> tuple[np.ndarray, _Failures]:
     """Every performance guarantee that ``performance_bounds`` reports, on a block of parameter sets.
 
-    Also checks the closed-form flat optimum against the oracle's shape
-    certificate (no certified candidate may beat it, as no toll beats a true
-    maximum), the dynamic optimum against it, and the 1/2 revenue floor;
-    ``corner`` sets must report the exact cost ratio.  Returns each set's
-    revenue margin (see :func:`_check_bounds`) and the failures, tagged by
-    ``tags``.
+    Also checks the closed-form flat optimum against ``certificate``, the
+    block's :func:`oracle.flat_certificate` (no certified candidate may beat
+    it, as no toll beats a true maximum), the dynamic optimum against it, and
+    the 1/2 revenue floor; ``corner`` sets must report the exact cost ratio.
+    Returns each set's revenue margin (see :func:`_check_bounds`) and the
+    failures, tagged by ``tags``.
     """
     n = len(tags)
     _, flat = bottleneck.static_revenue_optimal_toll(params)
     ro, so = (bottleneck._trapezoid_cost(params, f) for f in bottleneck._flat_fractions(params))
     report = bottleneck.performance_bounds(params)
     flat_revenue, ro_revenue = _column(flat.revenue, n), _column(ro.revenue, n)
-    _, curve_max, shape = oracle.flat_certificate(params)
+    _, curve_max, shape = certificate
     paid = ~(ro_revenue <= 0)
     ratio = flat_revenue / np.where(paid, ro_revenue, 1.0)
     margin, bound_checks = _check_bounds(
-        report, flat_revenue, flat.total, ro_revenue, ro.total, so.total, n
+        params, report, flat_revenue, flat.total, ro_revenue, ro.total, so.total, n
     )
     checks = [
         (
@@ -423,8 +437,9 @@ def _check_urban(params: BottleneckParams, net: mfd.TriangularMfd, toll: float, 
     at_gap = mfd.static_system_cost(params, net, params.cost_gap)
     report = mfd.guarantees(params, net)
     ro, so = bench.ro, bench.so
+    at_mu_f = dataclasses.replace(params, capacity=net.max_throughput)
     _, checks = _check_bounds(
-        report, at_gap.revenue, at_gap.total, ro.revenue, ro.system_cost, so.system_cost, 1
+        [at_mu_f], report, at_gap.revenue, at_gap.total, ro.revenue, ro.system_cost, so.system_cost, 1
     )
     return worst, failures + _messages([tag], checks)
 
@@ -462,13 +477,16 @@ def oracle_agreement_suite(seed: int, n_cases: int) -> CheckResult:
 def optimizer_recovery_suite(seed: int, n_cases: int) -> CheckResult:
     """The oracle's shape certificates recover both closed-form revenue optima."""
     rng = random.Random(seed)
+
+    def outcomes() -> Iterator[_Outcome]:
+        for cases in _blocks(n_cases):
+            block = sample_block(rng, len(cases))
+            yield _check_recovery(block, [f"case {case}" for case in cases], oracle.flat_certificate(block))
+
     return _fold(
         "optimizer recovery (oracle shape certificates vs closed-form optima)",
         f"{n_cases} parameter sets, worst rel gap {{worst:.3e}}",
-        (
-            _check_recovery(sample_block(rng, len(cases)), [f"case {case}" for case in cases])
-            for cases in _blocks(n_cases)
-        ),
+        outcomes(),
     )
 
 
@@ -495,13 +513,15 @@ def bound_property_suite(seed: int, n_cases: int) -> CheckResult:
     def outcomes() -> Iterator[_Outcome]:
         for cases in _blocks(n_cases):
             tags = [f"case {case}" for case in cases]
-            margins, failures = _check_guarantees(sample_block(rng, len(cases)), tags)
+            block = sample_block(rng, len(cases))
+            margins, failures = _check_guarantees(block, tags, oracle.flat_certificate(block))
             yield float(margins.min()), failures
         # Degenerate-corner draws: zero car free-flow cost, gap beyond the
         # saturation threshold.  They do not feed the printed margin.
         for cases in _blocks(max(n_cases // 10, 10)):
             tags = [f"exact-ratio case {case}" for case in cases]
-            yield math.inf, _check_guarantees(corner_block(len(cases)), tags, corner=True)[1]
+            block = corner_block(len(cases))
+            yield math.inf, _check_guarantees(block, tags, oracle.flat_certificate(block), corner=True)[1]
 
     return _fold(
         "performance-bound properties (revenue floors, 2x cost bound, exact corner)",
@@ -590,7 +610,8 @@ def scenario_suite(scenario) -> CheckResult:
         worst, found = _check_oracle(block[rows], tolls, [tags[i] for i in rows])
         found = [(rows[i], message) for i, message in found]
         # Only the recovery failures count: the printed worst gap is the oracle's and the urban check's.
-        found += _check_recovery(block, tags)[1]
+        certificate = oracle.flat_certificate(block)
+        found += _check_recovery(block, tags, certificate)[1]
         if scenario.is_mfd:
             net = scenario.mfd()
             for i, params in enumerate(checked):
@@ -600,7 +621,7 @@ def scenario_suite(scenario) -> CheckResult:
                     worst = _worse(max, worst, gap)
                     found += [(i, message) for _, message in urban]
         yield worst, sorted(found, key=lambda failure: failure[0])
-        yield 0.0, _check_guarantees(block, tags)[1]
+        yield 0.0, _check_guarantees(block, tags, certificate)[1]
 
     return _fold(f"scenario suite ({scenario.name})", detail, outcomes())
 

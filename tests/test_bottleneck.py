@@ -79,7 +79,7 @@ class TestStaticEquilibrium:
         # transit_cost < car_freeflow_cost by a subnormal amount: the gap reads as 0.
         p = BottleneckParams(70000, 14000, 9600, 0.61, 2.4, 1e-320, 0.5e-320)
         assert p.cost_gap == 0.0
-        assert bn.classify_regime(p) is Regime.MIXED_LOW
+        assert classify_regime(p) is Regime.MIXED_LOW
         outcome, _ = oracle.static_bottleneck_costs(p, 0.0)
         assert bn.static_equilibrium(p, 0.0).n_transit == outcome.n_transit == 22000.0
 
@@ -144,27 +144,23 @@ class TestDynamicRevenue:
     def test_full_flat_fraction(self):
         p = BAY.params(2.0)
         want = p.cost_gap * p.total_demand * p.capacity / p.arrival_rate
-        assert bn.dynamic_revenue_at_fraction(p, 1.0) == pytest.approx(want, rel=1e-12)
+        assert bn._trapezoid_cost(p, 1.0).revenue == pytest.approx(want, rel=1e-12)
 
     def test_nyc_untolled_fraction_value(self):
         p = NYC.params(18.0)
-        assert bn.dynamic_revenue_at_fraction(p, 0.020834) == pytest.approx(4_241_658, rel=1e-4)
+        assert bn._trapezoid_cost(p, 0.020834).revenue == pytest.approx(4_241_658, rel=1e-4)
 
     def test_zero_fraction_zero_gap_is_negative(self):
         p = with_gap(NYC.params(1.5), 0.0)
         want = -(p.total_demand**2) / (2 * p.capacity) * p.schedule_factor
-        assert bn.dynamic_revenue_at_fraction(p, 0.0) == pytest.approx(want, rel=1e-12)
-
-    def test_fraction_domain(self):
-        with pytest.raises(DomainError):
-            bn.dynamic_revenue_at_fraction(BAY.params(1.5), 1.2)
+        assert bn._trapezoid_cost(p, 0.0).revenue == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("capacity", [2.0, 1.0])
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
     def test_no_queue_revenue_is_the_designs(self, capacity, fraction):
         # With mu >= lam every user drives and pays the gap, at any fraction.
         p = BottleneckParams(10, 1, capacity, 0.5, 2.0, 0.5, 1.0)
-        revenue = bn.dynamic_revenue_at_fraction(p, fraction)
+        revenue = bn._trapezoid_cost(p, fraction).revenue
         assert revenue == bn.dynamic_revenue_optimal(p).revenue == p.cost_gap * p.total_demand == 5.0
 
     def test_optimal_nyc_18(self):
@@ -172,7 +168,7 @@ class TestDynamicRevenue:
         assert design.flat_fraction == pytest.approx(0.26561859631147566)
         assert design.revenue == pytest.approx(4_503_995, rel=1e-4)
         # Closed-form optimum equals the curve evaluated at the optimal fraction.
-        curve = bn.dynamic_revenue_at_fraction(NYC.params(18.0), design.flat_fraction)
+        curve = bn._trapezoid_cost(NYC.params(18.0), design.flat_fraction).revenue
         assert design.revenue == pytest.approx(curve, rel=1e-12)
 
     def test_optimal_zero_gap(self):
@@ -344,13 +340,13 @@ class TestStaticScOptimal:
 class TestPerformanceBounds:
     def test_low_regime_bound(self):
         report = bn.performance_bounds(BAY.params(1.5))
-        assert report.regime is Regime.MIXED_LOW
+        assert classify_regime(BAY.params(1.5)) is Regime.MIXED_LOW
         assert report.revenue_ratio_lower_bound == pytest.approx(0.8641975308641976)
         assert report.sc_ratio_upper_bound == 2.0
 
     def test_high_regime_bound(self):
         report = bn.performance_bounds(BAY.params(20.0))
-        assert report.regime is Regime.MIXED_HIGH
+        assert classify_regime(BAY.params(20.0)) is Regime.MIXED_HIGH
         assert report.revenue_ratio_lower_bound == pytest.approx(2.0 / 3.0)
         assert report.sc_ratio_upper_bound is None
 
@@ -407,6 +403,17 @@ def _every_regime(seed: int) -> list[BottleneckParams]:
             dataclasses.replace(p, car_freeflow_cost=0.0, transit_cost=sys.float_info.min / 4),
         ]
     return sets
+
+
+def _band_edges(sets: list[BottleneckParams]) -> list[BottleneckParams]:
+    """Each congested set with its gap exactly at ``low`` and at ``high``, and with ``mu/lam = 2/3``."""
+    edges = []
+    for p in sets:
+        if p.cost_gap >= 0 and p.capacity < p.arrival_rate:
+            low, high = regime_thresholds(p)
+            edges += [dataclasses.replace(p, car_freeflow_cost=0.0, transit_cost=t) for t in (low, high)]
+            edges.append(dataclasses.replace(p, arrival_rate=3.0, capacity=2.0))
+    return edges
 
 
 def _tolls(rng: random.Random, p: BottleneckParams) -> list[float]:
@@ -507,11 +514,41 @@ class TestBlockKernels:
 
     def test_performance_bounds(self):
         congested = [p for p in self.SETS if p.cost_gap >= 0 and p.capacity < p.arrival_rate]
+        congested += _band_edges(congested)
         got = bn.performance_bounds(ParamsBlock.stack(congested))
         want = [bn.performance_bounds(p) for p in congested]
-        for name in ("revenue_ratio_lower_bound", "sc_ratio_upper_bound", "exact_sc_ratio"):
-            _assert_bitwise(getattr(got, name), [getattr(r, name) for r in want])
-        assert list(got.regime) == [r.regime for r in want]
+        assert [field.name for field in dataclasses.fields(got)] == [
+            "revenue_ratio_lower_bound",
+            "sc_ratio_upper_bound",
+            "exact_sc_ratio",
+        ]
+        for field in dataclasses.fields(got):
+            _assert_bitwise(getattr(got, field.name), [getattr(r, field.name) for r in want])
+        # The floor is the band's, and the band is classify_regime's, ties included.
+        for p, report in zip(congested, want):
+            ratio, (low, _) = p.capacity / p.arrival_rate, regime_thresholds(p)
+            band = classify_regime(p)
+            if band is Regime.MIXED_LOW:
+                floor = 2.0 / (3.0 - ratio)
+            elif band is Regime.MIXED_MID:
+                floor = min((2.0 + low / p.cost_gap) / 4.0, 1.0 / (2.0 * (1.0 - ratio)))
+            else:
+                floor = 2.0 / 3.0
+            assert report.revenue_ratio_lower_bound == floor
+
+    def test_sc_optimal_toll(self):
+        sets = self.SETS + _band_edges(self.SETS)
+        edges = {classify_regime(p) for p in sets if p.cost_gap in regime_thresholds(p)}
+        assert edges == {Regime.MIXED_LOW, Regime.MIXED_MID}  # ties go to the lower band
+        assert any(p.capacity / p.arrival_rate == 2.0 / 3.0 for p in sets)
+        open_sets = [p for p in sets if p.cost_gap >= 0]
+        toll, cost = bn.static_sc_optimal_toll(ParamsBlock.stack(open_sets))
+        want = [bn.static_sc_optimal_toll(p) for p in open_sets]
+        _assert_bitwise(toll, [t for t, _ in want])
+        for field in dataclasses.fields(cost):
+            _assert_bitwise(getattr(cost, field.name), [getattr(c, field.name) for _, c in want])
+        with pytest.raises(DomainError):
+            bn.static_sc_optimal_toll(ParamsBlock.stack(sets))
 
     def test_a_block_is_in_a_domain_only_whole(self):
         block = ParamsBlock.stack(self.SETS)

@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from tollgap import BottleneckParams, CostBreakdown, DomainError, ParameterError, TriangularMfd
+from tollgap import BottleneckParams, CostBreakdown, DomainError, ParameterError, Regime, TriangularMfd
 from tollgap import bottleneck as bn
 from tollgap import cli, mfd, verify
 from tollgap.calibration import builtin_scenario
+from tollgap.core import classify_regime, regime_thresholds
 from tollgap.search import grid_refine_max, grid_refine_min
 
 NYC = builtin_scenario("nyc")
@@ -210,6 +211,28 @@ class TestGuarantees:
         params, net = nyc_setup(3.0)
         other = dataclasses.replace(params, capacity=0.5 * params.capacity)
         assert mfd.guarantees(other, net) == mfd.guarantees(params, net)
+
+    def test_floor_exactly_where_mu_f_is_in_the_low_band(self):
+        # Every nyc sweep point, and 2000 draws with their own max throughput,
+        # every tenth with its gap exactly at low (at mu_f), where the tie keeps the floor.
+        rng = random.Random(8)
+        cases = [nyc_setup(eta) for eta in NYC.eta_sweep]
+        for i in range(2000):
+            params = verify.sample_params(rng)
+            at_mu_f = dataclasses.replace(params, capacity=rng.uniform(0.2, 0.99) * params.arrival_rate)
+            if i % 10 == 0:
+                low, _ = regime_thresholds(at_mu_f)
+                params = dataclasses.replace(params, car_freeflow_cost=0.0, transit_cost=low)
+            cases.append((params, verify.sample_mfd(rng, at_mu_f)))
+        floored = []
+        for params, net in cases:
+            at_mu_f = dataclasses.replace(params, capacity=net.max_throughput)
+            if at_mu_f.cost_gap < 0 or net.max_throughput >= params.arrival_rate:
+                continue
+            floor = mfd.guarantees(params, net).revenue_ratio_lower_bound
+            assert (floor is not None) == (classify_regime(at_mu_f) is Regime.MIXED_LOW)
+            floored.append(floor is not None)
+        assert len(floored) > 2000 and 0 < sum(floored) < len(floored)
 
 
 def test_crossover_searches_refine_one_objective_each(monkeypatch):

@@ -11,7 +11,7 @@ from tollgap import BottleneckParams, oracle
 from tollgap import bottleneck as bn
 from tollgap import mfd, verify
 from tollgap.calibration import builtin_scenario
-from tollgap.core import ParamsBlock
+from tollgap.core import ParamsBlock, Regime, classify_regime
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -133,6 +133,27 @@ def test_urban_check_catches_a_fault_on_a_small_value(piece, skew, toll_at, monk
     [(_, message)] = failures
     assert message.startswith(f"case 0 toll={toll:.6g} {piece}: ")
     assert message.endswith(f", rel gap {skew:.3e}")
+
+
+def test_urban_floor_failure_names_the_band_at_mu_f(monkeypatch):
+    # The urban floor is stated at mu_f, so a failing floor names the band of
+    # the set at mu_f: low here, while the set's own capacity puts it high.
+    params = verify.sample_params(random.Random(2), "high")
+    factor = params.total_demand * params.schedule_factor
+    mu_f = params.arrival_rate - 0.5 * factor / params.cost_gap
+    net = mfd.TriangularMfd(mu_f, 10 * mu_f * 5.0 / 30.0, freeflow_speed=30.0, trip_distance=5.0)
+    assert classify_regime(params) is Regime.MIXED_HIGH
+    assert verify._check_urban(params, net, params.cost_gap, "case 0")[1] == []
+    real = mfd.guarantees
+
+    def raised_floor(params, net):
+        return dataclasses.replace(real(params, net), revenue_ratio_lower_bound=2.0)
+
+    monkeypatch.setattr(mfd, "guarantees", raised_floor)
+    _, failures = verify._check_urban(params, net, params.cost_gap, "case 0")
+    [(_, message)] = failures
+    assert message.startswith("case 0: revenue ratio ")
+    assert message.endswith(" below bound 2.000000 (mixed_low)")
 
 
 def test_a_1e7_bottleneck_queuing_fault_fails_every_oracle_comparison(monkeypatch):
@@ -307,7 +328,7 @@ def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
     # grid that certified the optimum before the shape certificate.
     params = builtin_scenario("bay_bridge").params(1.5)
     block = ParamsBlock.stack([params])
-    assert verify._check_guarantees(block, ["eta=1.5"])[1] == []
+    assert verify._check_guarantees(block, ["eta=1.5"], oracle.flat_certificate(block))[1] == []
     real = bn.static_revenue_optimal_toll
     step = params.cost_gap / (2000 - 1)
 
@@ -316,7 +337,7 @@ def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
         return toll, bn.static_system_cost(p, toll)
 
     monkeypatch.setattr(bn, "static_revenue_optimal_toll", shifted)
-    _, failures = verify._check_guarantees(block, ["eta=1.5"])
+    _, failures = verify._check_guarantees(block, ["eta=1.5"], oracle.flat_certificate(block))
     assert len(failures) == 1
     assert failures[0][1].startswith("eta=1.5: certified revenue 5541.8182 beats closed optimum 5541.")
 
@@ -337,7 +358,8 @@ def test_dense_grid_fault_past_the_first_chunk_keeps_its_tag(monkeypatch):
         return toll, bn.static_system_cost(p, toll)
 
     monkeypatch.setattr(bn, "static_revenue_optimal_toll", shifted)
-    _, failures = verify._check_guarantees(ParamsBlock.stack(sets), [f"case {i}" for i in range(20)])
+    block = ParamsBlock.stack(sets)
+    _, failures = verify._check_guarantees(block, [f"case {i}" for i in range(20)], oracle.flat_certificate(block))
     assert failures == [(17, "case 17: certified revenue 557.01695 beats closed optimum 556.99869")]
 
 
