@@ -9,14 +9,16 @@ end), the urban network's curved shoulder integrals by fixed Gauss–Legendre
 quadrature, and the revenue optima are certified from the oracle's own
 piecewise-quadratic shape.  One call answers a flat toll in each model, with
 its revenue and four cost pieces as a ``CostBreakdown``:
-:func:`static_bottleneck_costs` and :func:`mfd_shoulder_quadrature`.  Where a
-certificate or a search needs a revenue curve, the curve is the oracle's own
-or an independent transcription evaluated point by point, so agreement is
-evidence rather than tautology.  The bottleneck rebuild, the certificates and
-the search take a :class:`~tollgap.core.ParamsBlock` of sets as well as one
-set: their branches go through ``core.select`` and ``core.clamp``, which
-choose values and hold no formula, so the oracle stays independent of the
-closed forms.
+:func:`static_bottleneck_costs` and :func:`mfd_shoulder_quadrature`.  A flat
+toll's service window is derived in one place (:func:`_service_window`), and
+every bottleneck entry point reads it.  The one closed form written out again
+here is the trapezoid revenue curve (:func:`_fraction_revenue_curve`), which
+the fraction certificate evaluates point by point, so agreement is evidence
+rather than tautology; a certificate of the equilibrium itself is to replace
+it.  The bottleneck rebuild and the certificates take a
+:class:`~tollgap.core.ParamsBlock` of sets as well as one set: their branches
+go through ``core.select`` and ``core.clamp``, which choose values and hold no
+formula, so the oracle stays independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -51,24 +53,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EquilibriumTrace:
-    """Equilibrium profiles over the car-service interval, at the segment ends.
+    """The wait profile over the car-service interval, at its segment ends.
 
-    The nodes are the ends of the wait profile's linear segments, so every
-    kink is a node and the profiles are exact between nodes by linear
-    interpolation.  Cumulative counts are cars only.
+    The nodes are the ends of the profile's linear segments, so every kink
+    is a node and the profile is exact between nodes by linear interpolation.
     """
 
     times: np.ndarray
     wait: np.ndarray
-    toll: np.ndarray
-    throughput: np.ndarray
-    cum_arrivals: np.ndarray
-    cum_departures: np.ndarray
 
 
 GAUSS_LEGENDRE_NODES = 128  # shoulder rule; 256 nodes move no piece by 1e-12 relative
 SEARCH_POINTS = 10_000  # uniform grid of the flat-toll revenue search, which only the benchmark times
-CHUNK_FLOATS = 30_000  # floats of one work array of a block search: 240 KB, 3 sets of 10 000 points
 
 
 @functools.cache
@@ -86,6 +82,12 @@ def _trapezoid(t0: float, t1: float, y0: float, y1: float) -> float:
     return select(t1 > t0, (t1 - t0) * (y1 + y0) / 2.0, 0.0)
 
 
+def _require_open_gap(params: BottleneckParams) -> None:
+    """Raise DomainError unless every set's transit costs at least its free-flow car trip."""
+    if anywhere(params.cost_gap < 0):
+        raise DomainError("the oracle requires transit_cost >= car_freeflow_cost")
+
+
 def _car_only_wait(params: BottleneckParams) -> float:
     """Car-only peak wait, rebuilt from the slope geometry.
 
@@ -97,40 +99,25 @@ def _car_only_wait(params: BottleneckParams) -> float:
     return e * (late / (e + late)) * params.total_demand / mu
 
 
-def static_bottleneck_costs(
-    params: BottleneckParams, toll: float
-) -> tuple[EquilibriumOutcome, CostBreakdown]:
-    """Rebuild the flat-toll equilibrium numerically and integrate its costs.
+def _service_window(params: BottleneckParams, toll: float) -> tuple:
+    """``(mu, peak_wait, start, peak_start, peak_end, end)`` of a flat toll's wait profile.
 
-    The wait profile is the trapezoid with peak ``clamp(gap - toll, 0,
-    car-only max wait)``, slopes equal to the schedule penalties, and
-    endpoints anchored by service-rate accounting (cars desiring the early
-    window are exactly the cars served over the rising segment, and
-    symmetrically for the late one).  Revenue and the four cost components
-    come from the trapezoid rule on each of the profile's three linear
-    segments, exact from the segment's two ends; mode counts are read off
-    the service interval.  ``params`` may be a block and ``toll`` an array:
-    every branch is then taken elementwise through ``select`` and ``clamp``.
+    The profile is the trapezoid with peak ``clamp(gap - toll, 0, car-only
+    max wait)`` and slopes equal to the schedule penalties, served at ``mu =
+    min(capacity, lam)``; its endpoints are anchored by service-rate
+    accounting (cars desiring the early window are exactly the cars served
+    over the rising segment, and symmetrically for the late one).  With no
+    queue the peak is 0 and the window is the rush.  Elementwise on a block
+    or a toll array.
     """
-    if anywhere(params.cost_gap < 0):
-        raise DomainError("simulation requires transit_cost >= car_freeflow_cost")
-    if anywhere(toll < 0):
-        raise DomainError("toll must be nonnegative")
-
-    demand, lam = params.total_demand, params.arrival_rate
+    lam = params.arrival_rate
     mu = clamp(params.capacity, hi=lam)
-    e, late = params.early_penalty, params.late_penalty
-    gap = params.cost_gap
-    # Strictly dominated car: nothing flows, everything is transit.
-    priced_out = toll > gap
     no_queue = params.capacity >= lam
+    peak_wait = select(no_queue, 0.0, clamp(params.cost_gap - toll, 0.0, _car_only_wait(params)))
 
-    car_only_wait = _car_only_wait(params)
-    peak_wait = select(no_queue, 0.0, clamp(gap - toll, 0.0, car_only_wait))
-
-    rise_len = peak_wait / e
-    fall_len = peak_wait / late
-    car_only_span = demand / mu
+    rise_len = peak_wait / params.early_penalty
+    fall_len = peak_wait / params.late_penalty
+    car_only_span = params.total_demand / mu
     flat_len = select(
         no_queue,
         params.rush_length,
@@ -141,6 +128,30 @@ def static_bottleneck_costs(
     start = peak_start - rise_len
     peak_end = peak_start + flat_len
     end = peak_end + fall_len
+    return mu, peak_wait, start, peak_start, peak_end, end
+
+
+def static_bottleneck_costs(
+    params: BottleneckParams, toll: float
+) -> tuple[EquilibriumOutcome, CostBreakdown]:
+    """Rebuild the flat-toll equilibrium numerically and integrate its costs.
+
+    The equilibrium is :func:`_service_window`'s wait profile.  Revenue and
+    the four cost components come from the trapezoid rule on each of the
+    profile's three linear segments, exact from the segment's two ends; mode
+    counts are read off the service interval.  ``params`` may be a block and
+    ``toll`` an array: every branch is then taken elementwise through
+    ``select`` and ``clamp``.
+    """
+    _require_open_gap(params)
+    if anywhere(toll < 0):
+        raise DomainError("toll must be nonnegative")
+
+    demand, lam = params.total_demand, params.arrival_rate
+    e, late = params.early_penalty, params.late_penalty
+    # Strictly dominated car: nothing flows, everything is transit.
+    priced_out = toll > params.cost_gap
+    mu, peak_wait, start, peak_start, peak_end, end = _service_window(params, toll)
 
     away = 1.0 - mu / lam
     revenue = toll * mu * (end - start)
@@ -180,124 +191,43 @@ def static_bottleneck_costs(
 def simulate_static_bottleneck(
     params: BottleneckParams, toll: float, dt: float | None = None
 ) -> tuple[EquilibriumTrace, EquilibriumOutcome, CostBreakdown]:
-    """:func:`static_bottleneck_costs` plus the equilibrium profiles at the segment ends.
+    """:func:`static_bottleneck_costs` plus the wait profile at its segment ends.
 
     The outcome and the cost are exactly those of ``static_bottleneck_costs``.
-    A segment's end is a node only when it lies past the segment's start.
+    A segment's end is a node only when it lies past the segment's start;
+    above the gap no car flows and the trace is a zero wait over the rush.
     ``dt`` is accepted and ignored: the segment ends describe the
-    piecewise-linear profiles exactly.
+    piecewise-linear profile exactly.
     """
     outcome, cost = static_bottleneck_costs(params, toll)
     if toll > params.cost_gap:
         times = np.array([0.0, params.rush_length])
-        zeros = np.zeros_like(times)
-        trace = EquilibriumTrace(times, zeros, np.full_like(times, toll), zeros, zeros, zeros)
-        return trace, outcome, cost
+        return EquilibriumTrace(times, np.zeros_like(times)), outcome, cost
 
-    mu = min(params.capacity, params.arrival_rate)
-    e, late = params.early_penalty, params.late_penalty
     start, peak_start, peak_end, end = outcome.start, outcome.peak_start, outcome.peak_end, outcome.end
     peak_wait = outcome.peak_wait
-    ends = [(start, 0.0), (peak_start, e * (peak_start - start)), (peak_end, peak_wait)]
-    ends.append((end, peak_wait - late * (end - peak_end)))
+    ends = [(start, 0.0), (peak_start, params.early_penalty * (peak_start - start)), (peak_end, peak_wait)]
+    ends.append((end, peak_wait - params.late_penalty * (end - peak_end)))
     nodes = ends[:1] + [node for prev, node in zip(ends, ends[1:]) if node[0] > prev[0]]
     times, wait = map(np.array, zip(*nodes))
-    cum_dep = mu * (times - start)
-    # FIFO inversion: the car crossing at time t arrived at t - wait(t), so
-    # the arrival curve is the departure curve read through that map.
-    s2 = peak_start - peak_wait
-    s3 = peak_end - peak_wait
-    denom_rise = max(1.0 - e, 1e-300)
-    cum_arr = np.where(
-        times <= s2,
-        mu * (times - start) / denom_rise,
-        np.where(
-            times <= s3,
-            mu * (times + peak_wait - start),
-            mu * ((times + peak_wait + late * peak_end) / (1.0 + late) - start),
-        ),
-    )
-    cum_arr = np.minimum(cum_arr, mu * (end - start))
-    trace = EquilibriumTrace(
-        times, wait, np.full_like(times, float(toll)), np.full_like(times, mu), cum_arr, cum_dep
-    )
-    return trace, outcome, cost
-
-
-def _column(values) -> np.ndarray:
-    """A set's value, or a block's values as a column, to broadcast against grid rows."""
-    return np.asarray(values, dtype=float)[..., np.newaxis]
-
-
-def _search(params: BottleneckParams, stop, curve, points: int = SEARCH_POINTS) -> tuple:
-    """Each set's first grid point of largest ``curve`` value, and that value.
-
-    A set's grid has ``points`` uniform points from 0 to its ``stop``, in
-    ``numpy.linspace``'s own arithmetic (the index times the step, with the
-    last point set to the end), so it equals the set's ``linspace`` bit for
-    bit.  ``curve(sets, grid, out)`` writes the sets' values on their grid
-    rows into ``out``.  One set gives floats; a block gives arrays, and is
-    searched ``CHUNK_FLOATS // points`` sets at a time with every chunk in
-    the same two arrays: dense arrays allocated afresh per chunk cost more
-    to fault in than to fill.
-    """
-    block = np.ndim(params.total_demand) > 0
-    n = len(params.total_demand) if block else 1
-    height = max(CHUNK_FLOATS // points, 1)
-    stop = np.broadcast_to(np.asarray(stop, dtype=float), (n,))
-    index = np.arange(points, dtype=float)
-    work = [np.empty((min(n, height), points)) for _ in range(2)]
-    argmax, best = np.empty(n), np.empty(n)
-    for first in range(0, n, height):
-        rows = slice(first, first + height)
-        grid, values = (array[: len(best[rows])] for array in work)
-        np.multiply(index, (stop[rows] / (points - 1))[:, np.newaxis], out=grid)
-        grid[:, -1] = stop[rows]
-        curve(params[rows] if block else params, grid, values)
-        i = np.argmax(values, axis=1)
-        at = np.arange(len(i)), i
-        argmax[rows], best[rows] = grid[at], values[at]
-    return (argmax, best) if block else (float(argmax[0]), float(best[0]))
-
-
-def _static_revenue_curve(
-    params: BottleneckParams, tolls: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Vectorized transcription of the flat-toll revenue curve.
-
-    On the band a toll ``T`` earns ``mu*T*(demand/lam + (gap - T)/sf*(1 - mu/lam))``,
-    which is ``T*(c0 - c1*T)`` with ``c1 = mu*(1 - mu/lam)/sf`` and
-    ``c0 = mu*demand/lam + c1*gap``.  Below the band's bottom ``lo`` every
-    user drives and pays, ``T*demand = T*(c0 - c1*lo)``, so the curve is
-    ``T*(c0 - c1*max(T, lo))`` up to the gap, and 0 above it.  With no queue
-    (``mu >= lam``) it is ``T*demand`` up to the gap: ``c1 = 0``, ``c0 = demand``.
-    ``params`` is one parameter set and ``tolls`` a vector, or a block of
-    sets, each reading its own row of ``tolls``.  The curve is built in
-    place (in ``out`` if given), since a dense grid's temporaries would
-    dominate its cost.
-    """
-    demand, lam, mu = (_column(v) for v in (params.total_demand, params.arrival_rate, params.capacity))
-    gap, factor = _column(params.cost_gap), _column(params.schedule_factor)
-    queued = mu < lam
-    c1 = np.where(queued, mu * (1 - mu / lam) / factor, 0.0)
-    c0 = np.where(queued, mu * demand / lam + c1 * gap, demand)
-    lo = np.where(queued, np.maximum(0.0, gap - demand * factor / mu), 0.0)
-    revenue = np.maximum(tolls, lo, out=out)
-    revenue *= c1
-    np.subtract(c0, revenue, out=revenue)
-    revenue *= tolls
-    revenue[tolls > gap] = 0.0
-    return revenue
+    return EquilibriumTrace(times, wait), outcome, cost
 
 
 def grid_search_static(params: BottleneckParams, points: int = SEARCH_POINTS) -> tuple[float, float]:
-    """Exhaustive flat-toll revenue argmax over ``points`` uniform tolls on [0, gap].
+    """The first flat-toll revenue argmax over ``points`` uniform tolls on [0, gap], and its revenue.
 
-    For a block, each set's argmax toll and revenue, as arrays.  ``verify``
-    certifies the optimum by :func:`flat_certificate`; this search is kept
-    for the benchmark, which times it.
+    One set; each toll's revenue ``toll*mu*(end - start)`` is read off
+    :func:`_service_window`.  A negative gap raises DomainError, as in
+    :func:`static_bottleneck_costs`.  ``verify`` certifies the optimum by
+    :func:`flat_certificate`; this search is kept for the benchmark, which
+    times it.
     """
-    return _search(params, clamp(params.cost_gap, 0.0), _static_revenue_curve, points)
+    _require_open_gap(params)
+    tolls = np.linspace(0.0, params.cost_gap, points)
+    mu, _, start, _, _, end = _service_window(params, tolls)
+    revenue = tolls * mu * (end - start)
+    i = int(np.argmax(revenue))
+    return float(tolls[i]), float(revenue[i])
 
 
 def _certify(params: BottleneckParams, curve, starts, stops) -> tuple:
@@ -384,8 +314,7 @@ def fraction_certificate(params: BottleneckParams) -> tuple[float, float, float]
     gap, where no fraction is feasible, raises DomainError; a block is in the
     domain only as a whole.
     """
-    if anywhere(params.cost_gap < 0):
-        raise DomainError("the fraction certificate requires transit_cost >= car_freeflow_cost")
+    _require_open_gap(params)
     top = np.asarray(clamp(params.cost_gap / _car_only_wait(params), hi=1.0), dtype=float)[..., np.newaxis]
     shares, revenue, residual = _certify(params, _fraction_revenue_curve, np.zeros_like(top), top)
     return 1.0 - shares, revenue, residual

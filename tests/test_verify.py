@@ -322,6 +322,24 @@ def test_a_cubic_term_in_the_oracle_flat_revenue_fails_the_shape_check(monkeypat
     assert any("oracle flat revenue off its quadratic pieces" in message for message in bounds.failures)
 
 
+def test_a_scenario_reports_the_flat_shape_once_a_point(monkeypatch):
+    # Recovery and the guarantees both read the scenario's one flat
+    # certificate; a cubic term in the oracle's revenue fails its shape once
+    # at each checked point, not once in each check.
+    real = oracle.static_bottleneck_costs
+
+    def cubic(params, toll):
+        outcome, cost = real(params, toll)
+        return outcome, dataclasses.replace(cost, revenue=cost.revenue + 1e-3 * params.total_demand * toll**3)
+
+    monkeypatch.setattr(oracle, "static_bottleneck_costs", cubic)
+    bay = builtin_scenario("bay_bridge")
+    result = verify.scenario_suite(bay)
+    shape = "oracle flat revenue off its quadratic pieces"
+    tags = [message.partition(":")[0] for message in result.failures if shape in message]
+    assert len(tags) == len(set(tags)) == len(bay.eta_sweep)
+
+
 def test_dense_grid_catches_an_optimum_a_fraction_of_a_step_off(monkeypatch):
     # No certified candidate can beat a true maximum, so a toll a quarter step of
     # a 2000-point grid below the band-top optimum fails, as it failed the dense
