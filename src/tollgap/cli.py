@@ -170,11 +170,13 @@ def cmd_analyze(scenario: Scenario, eta: float) -> int:
 
 
 def cmd_sweep(scenario: Scenario, etas: list[float], out_path: str) -> int:
-    rows = sweep.compute_rows(scenario, etas)
+    # One table for the CSV and the divergence check: one search of every (eta, jam level) set.
+    table = sweep.Sweep(scenario, etas, scenario.jam_accumulations)
+    rows = table.rows()
     sweep.write_csv(rows, out_path)
     print(f"wrote {len(rows)} rows to {out_path}")
     if len(scenario.jam_accumulations) > 1:
-        notes = sweep.nj_divergence(scenario, etas, rows)
+        notes = sweep.nj_divergence(scenario, etas, table)
         if notes:
             print("jam-accumulation sweep divergence:")
             for note in notes:
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 # numpy loads only where it is used: mfd for a scenario with a flow diagram,
 # and verify.  analyze, crossover and sweep on a fixed-capacity scenario run on
 # the standard library alone.  Inputs that overflow the model surface as a
-# DomainError from the row guard in sweep.compute_row, so numpy's
+# DomainError from the row guard in sweep.Sweep.row, so numpy's
 # floating-point RuntimeWarnings would only precede that message.
 def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .core import (
     BottleneckParams,
     CostBreakdown,
     DomainError,
+    ParamsBlock,
     TriangularMfd,
     anywhere,
     regime_thresholds,
@@ -37,6 +39,7 @@ __all__ = [
     "static_revenue",
     "static_system_cost",
     "static_optima",
+    "static_optima_many",
     "static_revenue_optimal",
     "static_sc_optimal",
     "dynamic_benchmarks",
@@ -93,11 +96,20 @@ def _excess_share(x: float | np.ndarray, log1p_x: float | np.ndarray) -> float |
     The difference cancels for small ``x``, so below ``_SERIES_CUTOFF`` the
     share is the Taylor series ``x/2 - x^2/3 + x^3/4 - x^4/5 + x^5/6``, whose
     first omitted term is under 3e-16 of it there; above the cutoff it is
-    read from the caller's ``log1p(x)``.
+    read from the caller's ``log1p(x)``.  A float computes the one it takes;
+    an array takes the divided difference everywhere, then the series where
+    it is below the cutoff.
     """
-    s = np.minimum(x, _SERIES_CUTOFF)
-    series = s * (1 / 2 - s * (1 / 3 - s * (1 / 4 - s * (1 / 5 - s / 6))))
-    return np.where(x < _SERIES_CUTOFF, series, (x - log1p_x) / np.maximum(x, _SERIES_CUTOFF))
+    if np.ndim(x) == 0:
+        return _series(x) if x < _SERIES_CUTOFF else (x - log1p_x) / x
+    share = (x - log1p_x) / np.maximum(x, _SERIES_CUTOFF)
+    small = x < _SERIES_CUTOFF
+    share[small] = _series(x[small])
+    return share
+
+
+def _series(x: float | np.ndarray) -> float | np.ndarray:
+    return x * (1 / 2 - x * (1 / 3 - x * (1 / 4 - x * (1 / 5 - x / 6))))
 
 
 def _flat_toll(
@@ -126,8 +138,9 @@ def _flat_toll(
     car = params.car_freeflow_cost * car_users
     queue_flat = flat_len * peak_flow * wait
     share = _excess_share(x, log_term)
-    queue_shoulders = (n_j / e + n_j / late) * wait * share
-    schedule = (n_j / e + n_j / late) * (wait - (n_j / lam) * log_term) * share
+    shoulders = n_j / e + n_j / late
+    queue_shoulders = shoulders * wait * share
+    schedule = shoulders * (wait - (n_j / lam) * log_term) * share
     return CostBreakdown(transit, car, queue_flat + queue_shoulders, schedule, toll * car_users)
 
 
@@ -162,54 +175,91 @@ def static_system_cost(
     return _flat_toll(params, mfd, toll)
 
 
+class _Networks(NamedTuple):
+    """The two flow-diagram fields :func:`_flat_toll` reads, as arrays of one element per set."""
+
+    max_throughput: np.ndarray
+    jam_accumulation: np.ndarray
+
+
 def _search(
-    params: BottleneckParams, mfd: TriangularMfd, goals: tuple[str, ...]
-) -> list[tuple[float, CostBreakdown]]:
-    """The optimal flat toll of each goal, "revenue" (most) or "cost" (least), with its pieces.
+    sets: Sequence[tuple[BottleneckParams, TriangularMfd]], goals: tuple[str, ...]
+) -> list[list[tuple[float, CostBreakdown]]]:
+    """The optimal flat toll of each goal at each set ``(params, mfd)``, with its pieces.
 
-    One ``DEFAULT_GRID_POINTS``-point scan of the band ``[static_lower_toll,
-    gap]`` serves every goal, and each zoom pass evaluates the brackets still
-    refining in one call (:func:`~tollgap.search.grid_refine_mins`), so a
-    search refines exactly its own goals.  The revenue curve is Lipschitz on
-    the band, so the grid resolution bounds the optimality gap; the
-    refinement makes boundary optima exact.  An empty band degenerates to the
-    toll ``gap``; at a negative gap every user rides transit, at the toll 0.
+    A goal is "revenue" (most) or "cost" (least).  The sets at a nonnegative
+    gap are searched by one :func:`~tollgap.search.grid_refine_mins` call:
+    each set's band ``[static_lower_toll, gap]`` gets its own
+    ``DEFAULT_GRID_POINTS``-point scan on the set's float parameters, the zoom
+    rows of every set and goal share ``_flat_toll`` calls on a
+    :class:`~tollgap.core.ParamsBlock` of the sets (a single set too), and
+    each bracket refines its own goal of its own set, so an optimum does not
+    depend on the other sets or goals.  The revenue curve is Lipschitz on the band, so the
+    grid resolution bounds the optimality gap; the refinement makes boundary
+    optima exact.  An empty band (``lo = gap``) gives the toll ``gap``.  The
+    pieces of all these optima come from one more ``_flat_toll`` call.  At a
+    negative gap every user rides transit, at the toll 0.
     """
-    lo, hi = static_lower_toll(params, mfd), params.cost_gap
-    if hi < 0:
-        all_transit = CostBreakdown(params.transit_cost * params.total_demand, 0.0, 0.0, 0.0, 0.0)
-        return [(0.0, all_transit)] * len(goals)
-    if hi <= lo:
-        tolls = [hi] * len(goals)
-    else:
+    priced = [(params, mfd) for params, mfd in sets if params.cost_gap >= 0]
+    block = ParamsBlock.stack([params for params, _ in priced])
+    nets = _Networks(*(np.array([getattr(net, f) for _, net in priced]) for f in _Networks._fields))
 
-        def values(toll: np.ndarray) -> list[np.ndarray]:
-            cost = _flat_toll(params, mfd, toll)
-            return [-cost.revenue if goal == "revenue" else cost.total for goal in goals]
+    def flat_toll(k, toll: np.ndarray) -> CostBreakdown:
+        """Set ``k``'s pieces, or for an index array ``k`` set ``k[r]``'s in row ``r`` of ``toll``."""
+        if np.ndim(k) == 0:
+            return _flat_toll(*priced[k], toll)
+        rows = k[:, None]
+        return _flat_toll(block[rows], _Networks(*(field[rows] for field in nets)), toll)
 
-        tolls = grid_refine_mins(values, lo, hi, DEFAULT_GRID_POINTS)
-    return [(toll, _flat_toll(params, mfd, toll)) for toll in tolls]
+    def values(k, toll: np.ndarray) -> list[np.ndarray]:
+        cost = flat_toll(k, toll)
+        return [-cost.revenue if goal == "revenue" else cost.total for goal in goals]
+
+    lo = [static_lower_toll(params, mfd) for params, mfd in priced]
+    hi = [params.cost_gap for params, _ in priced]
+    tolls = grid_refine_mins(values, lo, hi, DEFAULT_GRID_POINTS)
+    at_optima = flat_toll(np.arange(len(priced)), np.array(tolls).reshape(-1, len(goals)))
+    pieces = [getattr(at_optima, f.name) for f in dataclasses.fields(CostBreakdown)]
+    searched = iter(
+        [(toll, CostBreakdown(*(piece[r, g] for piece in pieces))) for g, toll in enumerate(row)]
+        for r, row in enumerate(tolls)
+    )
+    optima = []
+    for params, _ in sets:
+        if params.cost_gap >= 0:
+            optima.append(next(searched))
+        else:
+            all_transit = CostBreakdown(params.transit_cost * params.total_demand, 0.0, 0.0, 0.0, 0.0)
+            optima.append([(0.0, all_transit)] * len(goals))
+    return optima
+
+
+def static_optima_many(
+    sets: Sequence[tuple[BottleneckParams, TriangularMfd]],
+) -> list[tuple[tuple[float, CostBreakdown], tuple[float, CostBreakdown]]]:
+    """:func:`static_optima` of each set ``(params, mfd)``, all from one search."""
+    return [tuple(optima) for optima in _search(sets, ("revenue", "cost"))]
 
 
 def static_optima(
     params: BottleneckParams, mfd: TriangularMfd
 ) -> tuple[tuple[float, CostBreakdown], tuple[float, CostBreakdown]]:
     """Revenue-maximizing and cost-minimizing flat tolls with their cost pieces, from one search."""
-    ro, so = _search(params, mfd, ("revenue", "cost"))
-    return ro, so
+    [optima] = static_optima_many([(params, mfd)])
+    return optima
 
 
 def static_revenue_optimal(
     params: BottleneckParams, mfd: TriangularMfd
 ) -> tuple[float, CostBreakdown]:
     """Revenue-maximizing flat toll with its cost pieces, from a search of the revenue alone."""
-    [ro] = _search(params, mfd, ("revenue",))
+    [[ro]] = _search([(params, mfd)], ("revenue",))
     return ro
 
 
 def static_sc_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, CostBreakdown]:
     """System-cost-minimizing flat toll with its cost pieces, from a search of the cost alone."""
-    [so] = _search(params, mfd, ("cost",))
+    [[so]] = _search([(params, mfd)], ("cost",))
     return so
 
 

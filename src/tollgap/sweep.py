@@ -1,7 +1,9 @@
 """Discomfort-multiplier sweeps: one row of policy metrics per eta value.
 
-Rows are computed one eta at a time and written in eta order with a fixed
-8-decimal format, so identical inputs produce byte-identical CSV output.
+A :class:`Sweep` computes every row of a command at once, the urban
+flat-toll searches of all its (eta, jam level) sets as one search; rows are
+written in eta order with a fixed 8-decimal format, so identical inputs
+produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .calibration import Scenario
 from .core import DomainError, Regime, classify_regime
 
 __all__ = [
-    "SweepRow", "CSV_HEADER", "TOLLS", "REVENUES", "COSTS",
+    "SweepRow", "CSV_HEADER", "TOLLS", "REVENUES", "COSTS", "Sweep",
     "compute_row", "compute_rows", "write_csv", "nj_divergence",
 ]
 
@@ -106,73 +108,106 @@ def _require_in_range(scenario: Scenario, eta: float, numbers) -> None:
             )
 
 
-def compute_row(scenario: Scenario, eta: float) -> SweepRow:
-    """Evaluate all four policies at one discomfort multiplier.
+class Sweep:
+    """Policy metrics of a scenario at a set of etas and jam levels.
 
-    Raises :class:`DomainError` naming the CSV column when one of the row's
-    hours or dollar numbers is not finite or is negative.
+    Construction does the work: the flat-toll optima of every (eta, jam
+    level) set come from one :func:`~tollgap.mfd.static_optima_many` search
+    (a fixed-capacity scenario has one level and closed forms), and each
+    eta's trapezoid designs are computed once, as they hold an urban network
+    at its critical accumulation, where the jam level drops out; ``params``
+    carries the maximum throughput as capacity.  ``levels`` defaults to the
+    scenario's default level.  :meth:`row` builds and checks one row.
     """
-    params = scenario.params(eta)
-    regime = classify_regime(params)
-    if regime is Regime.ALL_TRANSIT:
-        # Transit dominates outright: no policy collects revenue or changes cost.
-        cost = params.transit_cost * params.total_demand
-        values = dict.fromkeys(TOLLS + REVENUES, 0.0) | dict.fromkeys(COSTS, cost)
-    else:
-        if scenario.is_mfd:
-            from . import mfd  # deferred: fixed-capacity rows never load numpy
 
-            optima = mfd.static_optima(params, scenario.mfd())
+    def __init__(self, scenario: Scenario, etas, levels=()) -> None:
+        self.scenario, self.etas = scenario, sorted(etas)
+        self._default = scenario.default_jam_accumulation if scenario.is_mfd else None
+        levels = levels or (self._default,)
+        self._params = {eta: scenario.params(eta) for eta in self.etas}
+        priced = {
+            eta: params
+            for eta, params in self._params.items()
+            if classify_regime(params) is not Regime.ALL_TRANSIT
+        }
+        self._designs = {
+            eta: (bottleneck.dynamic_revenue_optimal(params), bottleneck.dynamic_so_design(params))
+            for eta, params in priced.items()
+        }
+        keys = [(eta, nj) for eta in priced for nj in levels]
+        if scenario.is_mfd and priced:
+            from . import mfd  # deferred: fixed-capacity and all-transit rows never load numpy
+
+            nets = {nj: replace(scenario.mfd(), jam_accumulation=nj) for nj in levels}
+            optima = mfd.static_optima_many([(priced[eta], nets[nj]) for eta, nj in keys])
+        else:  # closed forms, or no set at all
+            optima = [
+                (bottleneck.static_revenue_optimal_toll(p), bottleneck.static_sc_optimal_toll(p))
+                for p in priced.values()
+            ]
+        self._optima = dict(zip(keys, optima))
+
+    def row(self, eta: float, level: float | None = None) -> SweepRow:
+        """The row at ``eta`` and jam level ``level`` (default: the scenario's).
+
+        Raises :class:`DomainError` naming the CSV column when one of the
+        row's hours or dollar numbers is not finite or is negative.
+        """
+        scenario, params = self.scenario, self._params[eta]
+        regime = classify_regime(params)
+        if regime is Regime.ALL_TRANSIT:
+            # Transit dominates outright: no policy collects revenue or changes cost.
+            cost = params.transit_cost * params.total_demand
+            values = dict.fromkeys(TOLLS + REVENUES, 0.0) | dict.fromkeys(COSTS, cost)
         else:
-            optima = (
-                bottleneck.static_revenue_optimal_toll(params),
-                bottleneck.static_sc_optimal_toll(params),
+            (tau_ro, ro), (tau_so, so) = self._optima[eta, self._default if level is None else level]
+            dyn_ro, dyn_so = self._designs[eta]
+            values = dict(
+                tau_static_ro=tau_ro, tau_static_so=tau_so,
+                rev_static_ro=ro.revenue, rev_static_so=so.revenue,
+                rev_dynamic_ro=dyn_ro.revenue, rev_dynamic_so=dyn_so.revenue,
+                sc_static_ro=ro.total, sc_static_so=so.total,
+                sc_dynamic_ro=dyn_ro.system_cost, sc_opt=dyn_so.system_cost,
             )
-        (tau_ro, ro), (tau_so, so) = optima
-        # The trapezoid schedules hold an urban network at its critical
-        # accumulation, and the params carry its maximum throughput as capacity.
-        dyn_ro = bottleneck.dynamic_revenue_optimal(params)
-        dyn_so = bottleneck.dynamic_so_design(params)
-        values = dict(
-            tau_static_ro=tau_ro, tau_static_so=tau_so,
-            rev_static_ro=ro.revenue, rev_static_so=so.revenue,
-            rev_dynamic_ro=dyn_ro.revenue, rev_dynamic_so=dyn_so.revenue,
-            sc_static_ro=ro.total, sc_static_so=so.total,
-            sc_dynamic_ro=dyn_ro.system_cost, sc_opt=dyn_so.system_cost,
-        )
-    row = SweepRow(eta, regime, value_of_time=scenario.value_of_time, **values)
-    _require_in_range(scenario, eta, zip(CSV_HEADER[2:], row.numbers()))
-    return row
+        row = SweepRow(eta, regime, value_of_time=scenario.value_of_time, **values)
+        _require_in_range(scenario, eta, zip(CSV_HEADER[2:], row.numbers()))
+        return row
+
+    def rows(self) -> list[SweepRow]:
+        """Rows for every eta at the scenario's default jam level, in eta order."""
+        return [self.row(eta) for eta in self.etas]
+
+
+def compute_row(scenario: Scenario, eta: float) -> SweepRow:
+    """Evaluate all four policies at one discomfort multiplier (see :meth:`Sweep.row`)."""
+    return Sweep(scenario, [eta]).row(eta)
 
 
 def compute_rows(scenario: Scenario, etas, max_workers: int | None = None) -> list[SweepRow]:
-    """Rows for every eta, in eta order.
+    """Rows for every eta, in eta order, from one :class:`Sweep`.
 
     ``max_workers`` is accepted and ignored: rows are computed serially.
     """
-    return [compute_row(scenario, eta) for eta in sorted(etas)]
+    return Sweep(scenario, etas).rows()
 
 
-def nj_divergence(scenario: Scenario, etas, rows=()) -> list[str]:
+def nj_divergence(scenario: Scenario, etas, table: Sweep | None = None) -> list[str]:
     """Flat-toll columns that differ across the scenario's jam levels, per eta.
 
-    Each level's rows come from the scenario with that one level.  Empty
+    Each level's rows are those of the scenario with that one level.  Empty
     with fewer than two levels, and when the flat optimum sits at the top of
     the band, where the congested-branch terms vanish and the jam level drops
-    out exactly.  ``rows`` already computed at the default jam level (a
-    default sweep's) are reused, so each (eta, jam level) row is computed once.
+    out exactly.  ``table``, a :class:`Sweep` of these etas at every level
+    already built (a sweep command's), is read instead of a new one, so each
+    (eta, jam level) set is searched once.
     """
-    if len(scenario.jam_accumulations) < 2:
+    levels = scenario.jam_accumulations
+    if len(levels) < 2:
         return []
+    table = table or Sweep(scenario, etas, levels)
     notes = []
-    known = {row.eta: row for row in rows}
-    default = scenario.default_jam_accumulation
-    levels = [(nj, replace(scenario, jam_accumulations=(nj,))) for nj in scenario.jam_accumulations]
     for eta in etas:
-        at_levels = [
-            known[eta] if nj == default and eta in known else compute_row(level, eta)
-            for nj, level in levels
-        ]
+        at_levels = [table.row(eta, nj) for nj in levels]
         for name in _FLAT:
             values = [getattr(row, name) for row in at_levels]
             spread = max(values) - min(values)

@@ -1,7 +1,8 @@
 """Byte-exact outputs of the preset commands.
 
 The default sweep CSVs are pinned by sha256 (the same values as
-``bench/common.py``); the printed reports by the files in ``tests/golden``.
+``bench/common.py``), and so is the benchmark's seeded nyc range sweep; the
+printed reports by the files in ``tests/golden``.
 A change to any computed number or to the report layout shows here.
 """
 
@@ -25,6 +26,21 @@ def test_default_sweep_csv_sha256(scenario, tmp_path, capsys):
     out = tmp_path / f"{scenario}.csv"
     assert cli.main(["sweep", "--scenario", scenario, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[scenario]
+
+
+# The seeded range sweep of the benchmark's `sweep-nyc` workload (seed 42): it
+# takes the one search of every (eta, jam level) set, as the default nyc sweep does.
+RANGE_SWEEP = ["sweep", "--scenario", "nyc", "--eta-range", "2.7376319326610368:13.339264428892937:18"]
+RANGE_CSV_SHA256 = "96f12952502d23b4991f9a4dabbd6ac725e866190febcd01645e6ef11d2e3252"
+
+
+def test_range_sweep_csv_sha256(tmp_path, capsys):
+    out = tmp_path / "range.csv"
+    assert cli.main([*RANGE_SWEEP, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RANGE_CSV_SHA256
+    assert capsys.readouterr().out == (
+        f"wrote 18 rows to {out}\njam-accumulation sweep: results identical across levels\n"
+    )
 
 
 @pytest.mark.parametrize(

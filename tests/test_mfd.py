@@ -242,7 +242,7 @@ def test_crossover_searches_refine_one_objective_each(monkeypatch):
 
     def counting(fn, lo, hi, grid_points):
         tolls = real(fn, lo, hi, grid_points)
-        objectives.append(len(tolls))
+        objectives.extend(len(per_problem) for per_problem in tolls)
         return tolls
 
     monkeypatch.setattr(mfd, "grid_refine_mins", counting)
@@ -294,6 +294,67 @@ class TestSearchRecovery:
         assert (so[0], so[1].total) == grid_refine_min(cost, lo, hi, mfd.DEFAULT_GRID_POINTS)
         assert ro[1] == mfd.static_system_cost(params, net, ro[0])
         assert so[1] == mfd.static_system_cost(params, net, so[0])
+
+
+def optima_bits(optima):
+    """Each optimum's toll and pieces as exact hex strings, so -0.0 and 0.0 differ."""
+    return [
+        [(float(toll).hex(), [float(x).hex() for x in dataclasses.astuple(cost)]) for toll, cost in pair]
+        for pair in optima
+    ]
+
+
+class TestBatchedSearch:
+    """One search of many sets gives each set what a search of it alone gives, bit for bit."""
+
+    @staticmethod
+    def check(sets):
+        batched = mfd.static_optima_many(sets)
+        alone = [mfd.static_optima(params, net) for params, net in sets]
+        assert optima_bits(batched) == optima_bits(alone)
+        for (params, net), pair in zip(sets, batched):
+            for toll, cost in pair:
+                if params.cost_gap >= 0:  # the pieces of one float evaluation at the toll
+                    assert optima_bits([[(toll, mfd.static_system_cost(params, net, toll))]]) == (
+                        optima_bits([[(toll, cost)]])
+                    )
+
+    def test_every_nyc_sweep_set(self):
+        sets = [nyc_setup(eta, nj) for eta in NYC.eta_sweep for nj in NYC.jam_accumulations]
+        assert len(sets) == 72
+        self.check(sets)
+
+    def test_sampled_draws(self):
+        rng = random.Random(5)
+        sets = []
+        for _ in range(3000):
+            params = verify.sample_params(rng)
+            sets.append((params, verify.sample_mfd(rng, params)))
+        assert sum(mfd.static_lower_toll(p, net) == 0.0 for p, net in sets) > 1000
+        self.check(sets)
+
+    def test_degenerate_bands_among_searched_sets(self):
+        params, net = nyc_setup(9.0)
+        negative = dataclasses.replace(params, transit_cost=params.car_freeflow_cost - 0.1)
+        empty = dataclasses.replace(params, transit_cost=params.car_freeflow_cost)
+        sets = [(params, net), (negative, net), (empty, net), nyc_setup(3.0, 14_000.0)]
+        assert mfd.static_lower_toll(empty, net) == empty.cost_gap == 0.0
+        self.check(sets)
+        all_transit = CostBreakdown(negative.transit_cost * negative.total_demand, 0, 0, 0, 0)
+        assert mfd.static_optima_many(sets)[1] == ((0.0, all_transit), (0.0, all_transit))
+
+    def test_lower_band_end_zero(self):
+        params, net = nyc_setup(18.0, 14_000.0)
+        assert mfd.static_lower_toll(params, net) == 0.0 < params.cost_gap
+        self.check([(params, net), nyc_setup(5.0)])
+
+    def test_single_set_and_no_set(self):
+        self.check([nyc_setup(9.0)])
+        assert mfd.static_optima_many([]) == []
+
+    def test_set_count_31_does_not_divide(self):
+        # 40 sets, 80 brackets: zoom calls of 31 rows leave partial calls.
+        self.check([nyc_setup(1.5 + 0.4 * i, NYC.jam_accumulations[i % 4]) for i in range(40)])
 
 
 class TestArrayPath:

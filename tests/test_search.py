@@ -103,11 +103,49 @@ class TestGridRefine:
         first = lambda t: t * t
         second = lambda t: (t - 0.37) ** 2 + np.sin(40.0 * t) * 1e-3
         joint = counted(lambda t: (first(t), second(t)))
-        both = grid_refine_mins(joint, 0.0, 1.0, 4096)
+        [both] = grid_refine_mins(lambda k, t: joint(t), [0.0], [1.0], 4096)
         singles = [grid_refine_min(fn, 0.0, 1.0, 4096) for fn in (first, second)]
         assert [(x, fn(x)) for x, fn in zip(both, (first, second))] == singles
         zooms = [np.shape(x) for x in joint.calls[1:]]
         assert zooms == [(2, REFINE_POINTS)] * 4 + [(1, REFINE_POINTS)]
+
+    def test_problems_match_single_calls(self):
+        # 70 problems, each with its own band and minimizer, two objectives a
+        # problem: the zoom rows of all of them share calls, and calls of 31
+        # rows do not divide the 134 brackets of the 67 nonempty bands.
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(-1.0, 1.0, 70)
+        hi = lo + rng.uniform(0.0, 3.0, 70)
+        hi[:3] = lo[:3]  # empty bands answer lo
+        centers = rng.uniform(lo - 0.5, hi + 0.5)
+        fns = [
+            (lambda t, c=c: (t - c) ** 2, lambda t, c=c: np.abs(t - c) + np.sin(9.0 * t) * 1e-3)
+            for c in centers
+        ]
+        calls, zoom_rows = [], []
+
+        def fn(k, t):
+            calls.append((np.ndim(k), np.shape(t)))
+            if np.ndim(k) == 0:
+                return [f(t) for f in fns[k]]
+            zoom_rows.extend(t)
+            c = centers[k][:, None]
+            return [(t - c) ** 2, np.abs(t - c) + np.sin(9.0 * t) * 1e-3]
+
+        got = grid_refine_mins(fn, lo, hi, 4096)
+        want = [[grid_refine_min(f, a, b, 4096)[0] for f in pair] for pair, a, b in zip(fns, lo, hi)]
+        assert got == want
+        assert got[:3] == [[a, a] for a in lo[:3]]
+        scans, zooms = calls[:70], calls[70:]
+        assert scans == [(0, (4096,))] * 70
+        assert all(ndim == 1 for ndim, _ in zooms)
+        assert max(shape[0] for _, shape in zooms) == 4096 // REFINE_POINTS
+        assert all(shape[1] == REFINE_POINTS for _, shape in zooms)
+        # Each zoom row is np.linspace over its bracket, bit for bit.
+        assert all(np.array_equal(z, np.linspace(z[0], z[-1], REFINE_POINTS)) for z in zoom_rows)
+
+    def test_no_problems(self):
+        assert grid_refine_mins(lambda k, t: (t,), [], [], 64) == []
 
     def test_search_of_4096_points_makes_at_most_8_calls(self):
         fn = counted(lambda t: np.cos(t) + 0.1 * t)

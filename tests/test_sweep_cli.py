@@ -78,16 +78,27 @@ class TestCsvOutput:
         assert sweep.nj_divergence(NYC, [1.5, 18.0]) == []
 
     def test_default_nyc_sweep_computes_each_row_once(self, monkeypatch, tmp_path, capsys):
-        real, calls = sweep.compute_row, []
+        from tollgap import mfd
 
-        def counted(*args):
-            calls.append(args[1:])
-            return real(*args)
+        calls = {"search": 0, "scan": 0, "dynamic_revenue_optimal": 0, "dynamic_so_design": 0}
 
-        monkeypatch.setattr(sweep, "compute_row", counted)
+        def counted(module, name, key, counts=lambda *args: True):
+            real = getattr(module, name)
+
+            def wrapped(*args):
+                calls[key] += counts(*args)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        counted(mfd, "grid_refine_mins", "search")
+        counted(mfd, "_flat_toll", "scan", lambda p, net, toll: getattr(toll, "shape", ()) == (4096,))
+        counted(bottleneck, "dynamic_revenue_optimal", "dynamic_revenue_optimal")
+        counted(bottleneck, "dynamic_so_design", "dynamic_so_design")
         assert cli.main(["sweep", "--scenario", "nyc", "--out", str(tmp_path / "nyc.csv")]) == 0
-        # 18 etas at 4 jam levels: the divergence check reuses the CSV's default-level rows.
-        assert len(calls) == 72
+        # 18 etas at 4 jam levels: one search of all 72 sets, each with its own
+        # scan, and one pair of trapezoid designs an eta, whatever the level.
+        assert calls == {"search": 1, "scan": 72, "dynamic_revenue_optimal": 18, "dynamic_so_design": 18}
         assert "results identical across levels" in capsys.readouterr().out
 
     def test_nj_at_the_default_level_writes_the_default_csv(self, tmp_path, capsys):
@@ -289,14 +300,17 @@ class TestCli:
         assert done.stdout.splitlines()[-1] == "[]"
 
     def test_fixed_capacity_commands_do_not_import_numpy(self, tmp_path):
-        # Only the urban model and verify load numpy; a bay_bridge command runs
-        # on the standard library, and the urban path still runs afterwards.
+        # Only the urban model and verify load numpy; a bay_bridge command, and
+        # an urban one where every user rides transit, run on the standard
+        # library, and the urban path still runs afterwards.
         script = (
             "import sys\n"
             "from tollgap import cli\n"
             "assert cli.main(['analyze', '--scenario', 'bay_bridge', '--eta', '5']) == 0\n"
             "assert cli.main(['crossover', '--scenario', 'bay_bridge']) == 0\n"
             "assert cli.main(['sweep', '--scenario', 'bay_bridge', '--out', sys.argv[1]]) == 0\n"
+            "assert cli.main(['analyze', '--scenario', 'nyc', '--eta', '1.2']) == 0\n"
+            "assert cli.main(['sweep', '--scenario', 'nyc', '--eta-range', '1:1.3:4', '--out', sys.argv[1]]) == 0\n"
             "print('check', 'numpy' in sys.modules)\n"
             "assert cli.main(['analyze', '--scenario', 'nyc', '--eta', '2']) == 0\n"
             "assert cli.main(['verify', '--scenario', 'nyc']) == 0\n"
