@@ -170,7 +170,7 @@ def cmd_analyze(scenario: Scenario, eta: float) -> int:
 
 
 def cmd_sweep(scenario: Scenario, etas: list[float], out_path: str) -> int:
-    # One table for the CSV and the divergence check: one search of every (eta, jam level) set.
+    # One table for the CSV and the divergence check: one search of each (eta, jam level) set.
     table = sweep.Sweep(scenario, etas, scenario.jam_accumulations)
     rows = table.rows()
     sweep.write_csv(rows, out_path)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,13 +23,12 @@ from .core import (
     BottleneckParams,
     CostBreakdown,
     DomainError,
-    ParamsBlock,
     TriangularMfd,
     anywhere,
     regime_thresholds,
     select,
 )
-from .search import grid_refine_mins
+from .search import bisect_root
 
 __all__ = [
     "TriangularMfd",
@@ -39,14 +37,13 @@ __all__ = [
     "static_revenue",
     "static_system_cost",
     "static_optima",
-    "static_optima_many",
     "static_revenue_optimal",
     "static_sc_optimal",
     "dynamic_benchmarks",
     "guarantees",
 ]
 
-DEFAULT_GRID_POINTS = 4096  # toll grid of the flat-toll searches
+DEFAULT_GRID_POINTS = 65  # nodes of the flat-toll searches' slope scan
 _SERIES_CUTOFF = 1e-3  # below it, _excess_share sums its Taylor series
 
 
@@ -112,36 +109,74 @@ def _series(x: float | np.ndarray) -> float | np.ndarray:
     return x * (1 / 2 - x * (1 / 3 - x * (1 / 4 - x * (1 / 5 - x / 6))))
 
 
+def _flow(params: BottleneckParams, mfd: TriangularMfd, toll: float | np.ndarray) -> tuple:
+    """The intermediates of the flat-toll formulas at ``toll`` (a float or an array).
+
+    ``(a, W, x, log1p(x), h(x), peak outflow, flat length, car users)``, with
+    ``a = n_j/mu_f``, the peak wait ``W = g - toll``, ``x = W/a`` and ``h``
+    the :func:`_excess_share`; :func:`_flat_toll` and :func:`_slopes` read them.
+    """
+    n_j = mfd.jam_accumulation
+    a = n_j / mfd.max_throughput
+    wait = np.maximum(params.cost_gap - toll, 0.0)
+    x = wait * mfd.max_throughput / n_j
+    log_term = np.log1p(x)
+    shoulder = n_j / params.schedule_factor * log_term
+    peak_flow = n_j / (a + wait)
+    flat_len = (params.total_demand - shoulder) / params.arrival_rate
+    car_users = shoulder + peak_flow * flat_len
+    return a, wait, x, log_term, _excess_share(x, log_term), peak_flow, flat_len, car_users
+
+
 def _flat_toll(
     params: BottleneckParams, mfd: TriangularMfd, toll: float | np.ndarray
 ) -> CostBreakdown:
     """Cost pieces and revenue of a flat toll, unchecked; ``toll`` is a float or an array.
 
     The one implementation of the urban flat-toll formulas: the public
-    functions and the searches evaluate it, a search on a whole grid at once.
+    functions and the searches evaluate it, a search on all its candidates at once.
     The shoulder queue and schedule are written over ``x = W/a`` through
     :func:`_excess_share`, so both stay exact as the wait goes to zero.
     """
-    n_j = mfd.jam_accumulation
-    a = n_j / mfd.max_throughput
-    lam = params.arrival_rate
-    e, late = params.early_penalty, params.late_penalty
-    wait = np.maximum(params.cost_gap - toll, 0.0)
-    x = wait * mfd.max_throughput / n_j
-    log_term = np.log1p(x)
-    shoulder = n_j / params.schedule_factor * log_term
-    peak_flow = n_j / (a + wait)
-    flat_len = (params.total_demand - shoulder) / lam
-    car_users = shoulder + peak_flow * flat_len
-
+    n_j, lam = mfd.jam_accumulation, params.arrival_rate
+    _, wait, _, log_term, share, peak_flow, flat_len, car_users = _flow(params, mfd, toll)
     transit = params.transit_cost * (params.total_demand - car_users)
     car = params.car_freeflow_cost * car_users
     queue_flat = flat_len * peak_flow * wait
-    share = _excess_share(x, log_term)
-    shoulders = n_j / e + n_j / late
+    shoulders = n_j / params.early_penalty + n_j / params.late_penalty
     queue_shoulders = shoulders * wait * share
     schedule = shoulders * (wait - (n_j / lam) * log_term) * share
     return CostBreakdown(transit, car, queue_flat + queue_shoulders, schedule, toll * car_users)
+
+
+def _share_slope(x: float | np.ndarray, share: float | np.ndarray) -> float | np.ndarray:
+    """``h'(x) = (x/(1 + x) - h)/x`` of the excess share ``h``, and 1/2 at ``x = 0``."""
+    if np.ndim(x) == 0:
+        return (x / (1 + x) - share) / x if x > 0 else 0.5
+    slope = (x / (1 + x) - share) / np.where(x > 0, x, 1.0)
+    slope[x == 0] = 0.5
+    return slope
+
+
+def _slopes(params: BottleneckParams, mfd: TriangularMfd, toll: float | np.ndarray) -> tuple:
+    """``(dR/dtoll, dSC/dtoll)``, the slopes of the revenue and the system cost, unchecked.
+
+    ``toll`` is a float or an array.  With the car users ``C`` of
+    :func:`_flow`, ``K = n_j/sf`` and the wait ``W = g - toll``: ``dR/dtoll =
+    C - toll*C'`` and ``dSC/dtoll = g*C' - d(flat queue)/dW - d(shoulders)/dW``,
+    where ``'`` is ``d/dW`` (docs/formulas.md derives each term).
+    """
+    n_j, lam = mfd.jam_accumulation, params.arrival_rate
+    a, wait, x, log_term, share, peak_flow, flat_len, car_users = _flow(params, mfd, toll)
+    k = n_j / params.schedule_factor
+    span = a + wait
+    d_cars = k / span * (1 - peak_flow / lam) - peak_flow * flat_len / span
+    d_queue_flat = peak_flow / span * (flat_len * a - k * wait / lam)
+    d_shoulders = k * (
+        _share_slope(x, share) / a * (2 * wait - n_j / lam * log_term)
+        + share * (2 - n_j / (lam * span))
+    )
+    return car_users - toll * d_cars, params.cost_gap * d_cars - d_queue_flat - d_shoulders
 
 
 def static_revenue(
@@ -175,92 +210,53 @@ def static_system_cost(
     return _flat_toll(params, mfd, toll)
 
 
-class _Networks(NamedTuple):
-    """The two flow-diagram fields :func:`_flat_toll` reads, as arrays of one element per set."""
-
-    max_throughput: np.ndarray
-    jam_accumulation: np.ndarray
-
-
-def _search(
-    sets: Sequence[tuple[BottleneckParams, TriangularMfd]], goals: tuple[str, ...]
-) -> list[list[tuple[float, CostBreakdown]]]:
-    """The optimal flat toll of each goal at each set ``(params, mfd)``, with its pieces.
-
-    A goal is "revenue" (most) or "cost" (least).  The sets at a nonnegative
-    gap are searched by one :func:`~tollgap.search.grid_refine_mins` call:
-    each set's band ``[static_lower_toll, gap]`` gets its own
-    ``DEFAULT_GRID_POINTS``-point scan on the set's float parameters, the zoom
-    rows of every set and goal share ``_flat_toll`` calls on a
-    :class:`~tollgap.core.ParamsBlock` of the sets (a single set too), and
-    each bracket refines its own goal of its own set, so an optimum does not
-    depend on the other sets or goals.  The revenue curve is Lipschitz on the band, so the
-    grid resolution bounds the optimality gap; the refinement makes boundary
-    optima exact.  An empty band (``lo = gap``) gives the toll ``gap``.  The
-    pieces of all these optima come from one more ``_flat_toll`` call.  At a
-    negative gap every user rides transit, at the toll 0.
-    """
-    priced = [(params, mfd) for params, mfd in sets if params.cost_gap >= 0]
-    block = ParamsBlock.stack([params for params, _ in priced])
-    nets = _Networks(*(np.array([getattr(net, f) for _, net in priced]) for f in _Networks._fields))
-
-    def flat_toll(k, toll: np.ndarray) -> CostBreakdown:
-        """Set ``k``'s pieces, or for an index array ``k`` set ``k[r]``'s in row ``r`` of ``toll``."""
-        if np.ndim(k) == 0:
-            return _flat_toll(*priced[k], toll)
-        rows = k[:, None]
-        return _flat_toll(block[rows], _Networks(*(field[rows] for field in nets)), toll)
-
-    def values(k, toll: np.ndarray) -> list[np.ndarray]:
-        cost = flat_toll(k, toll)
-        return [-cost.revenue if goal == "revenue" else cost.total for goal in goals]
-
-    lo = [static_lower_toll(params, mfd) for params, mfd in priced]
-    hi = [params.cost_gap for params, _ in priced]
-    tolls = grid_refine_mins(values, lo, hi, DEFAULT_GRID_POINTS)
-    at_optima = flat_toll(np.arange(len(priced)), np.array(tolls).reshape(-1, len(goals)))
-    pieces = [getattr(at_optima, f.name) for f in dataclasses.fields(CostBreakdown)]
-    searched = iter(
-        [(toll, CostBreakdown(*(piece[r, g] for piece in pieces))) for g, toll in enumerate(row)]
-        for r, row in enumerate(tolls)
-    )
-    optima = []
-    for params, _ in sets:
-        if params.cost_gap >= 0:
-            optima.append(next(searched))
-        else:
-            all_transit = CostBreakdown(params.transit_cost * params.total_demand, 0.0, 0.0, 0.0, 0.0)
-            optima.append([(0.0, all_transit)] * len(goals))
-    return optima
-
-
-def static_optima_many(
-    sets: Sequence[tuple[BottleneckParams, TriangularMfd]],
-) -> list[tuple[tuple[float, CostBreakdown], tuple[float, CostBreakdown]]]:
-    """:func:`static_optima` of each set ``(params, mfd)``, all from one search."""
-    return [tuple(optima) for optima in _search(sets, ("revenue", "cost"))]
-
-
 def static_optima(
     params: BottleneckParams, mfd: TriangularMfd
 ) -> tuple[tuple[float, CostBreakdown], tuple[float, CostBreakdown]]:
-    """Revenue-maximizing and cost-minimizing flat tolls with their cost pieces, from one search."""
-    [optima] = static_optima_many([(params, mfd)])
-    return optima
+    """Revenue-maximizing and cost-minimizing flat tolls with their cost pieces.
+
+    Each optimum is the first best of its candidates: the band's ends ``lo =
+    static_lower_toll`` and ``g``, then each root of its slope (:func:`_slopes`)
+    where the revenue stops rising or the cost stops falling.  The roots are
+    bracketed by the sign changes of the slope on ``DEFAULT_GRID_POINTS``
+    nodes of the band and refined by :func:`~tollgap.search.bisect_root` to
+    ``max((g - lo)*1e-12, 1e-15)``; an optimum is missed only where a slope
+    changes sign twice between two nodes.  Every candidate's pieces come from
+    one ``_flat_toll`` call.  An empty band (``lo = g``) gives the toll ``g``.
+    At a negative gap every user rides transit, at the toll 0.
+    """
+    if params.cost_gap < 0:
+        all_transit = CostBreakdown(params.transit_cost * params.total_demand, 0.0, 0.0, 0.0, 0.0)
+        return (0.0, all_transit), (0.0, all_transit)
+    lo, hi = static_lower_toll(params, mfd), params.cost_gap
+    candidates = [[lo, hi], [lo, hi]]
+    if lo < hi:
+        nodes = np.linspace(lo, hi, DEFAULT_GRID_POINTS)
+        xtol = max((hi - lo) * 1e-12, 1e-15)
+        # The goals' objectives R and -SC rise, then fall, over a root.
+        for goal, (found, slope) in enumerate(zip(candidates, _slopes(params, mfd, nodes))):
+            rising = slope > 0 if goal == 0 else slope < 0
+            for i in np.flatnonzero(rising[:-1] & ~rising[1:]):
+                root = bisect_root(lambda t: _slopes(params, mfd, t)[goal], nodes[i], nodes[i + 1], xtol)
+                if root is not None:
+                    found.append(float(root))
+    tolls, n_ro = candidates[0] + candidates[1], len(candidates[0])
+    cost = _flat_toll(params, mfd, np.array(tolls))
+    best = int(np.argmax(cost.revenue[:n_ro])), n_ro + int(np.argmin(cost.total[n_ro:]))
+    pieces = [getattr(cost, f.name) for f in dataclasses.fields(CostBreakdown)]
+    return tuple((tolls[i], CostBreakdown(*(piece[i] for piece in pieces))) for i in best)
 
 
 def static_revenue_optimal(
     params: BottleneckParams, mfd: TriangularMfd
 ) -> tuple[float, CostBreakdown]:
-    """Revenue-maximizing flat toll with its cost pieces, from a search of the revenue alone."""
-    [[ro]] = _search([(params, mfd)], ("revenue",))
-    return ro
+    """Revenue-maximizing flat toll with its cost pieces, from :func:`static_optima`."""
+    return static_optima(params, mfd)[0]
 
 
 def static_sc_optimal(params: BottleneckParams, mfd: TriangularMfd) -> tuple[float, CostBreakdown]:
-    """System-cost-minimizing flat toll with its cost pieces, from a search of the cost alone."""
-    [[so]] = _search([(params, mfd)], ("cost",))
-    return so
+    """System-cost-minimizing flat toll with its cost pieces, from :func:`static_optima`."""
+    return static_optima(params, mfd)[1]
 
 
 def dynamic_benchmarks(params: BottleneckParams, mfd: TriangularMfd) -> MfdDynamicBenchmarks:

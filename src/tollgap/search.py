@@ -1,88 +1,56 @@
-"""Search utilities: uniform grid scans with shared array zoom refinement, bisection."""
+"""Search utilities: a uniform grid scan with zoom refinement, bisection."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
-__all__ = ["REFINE_POINTS", "bisect_root", "grid_refine_mins", "grid_refine_min", "grid_refine_max"]
+__all__ = ["REFINE_POINTS", "bisect_root", "grid_refine_min", "grid_refine_max"]
 
-REFINE_POINTS = 129  # points of each zoom row of grid_refine_mins
+REFINE_POINTS = 129  # points of each zoom row of grid_refine_min
 
 
-def grid_refine_mins(
-    fn: Callable[..., Sequence], lo: Sequence[float], hi: Sequence[float], grid_points: int
-) -> list[list[float]]:
-    """Minimize several objectives of several problems, problem ``k`` on ``[lo[k], hi[k]]``.
+def grid_refine_min(fn: Callable, lo: float, hi: float, grid_points: int) -> tuple[float, float]:
+    """Minimize ``fn`` on [lo, hi] by a grid scan and zoom rows; returns ``(x, fn(x))``.
 
-    ``fn(k, points)`` gives one array per objective, each of the points'
-    shape: ``k`` is a problem index and ``points`` a 1-D array, or ``k`` is an
-    index array and row ``r`` of the 2-D ``points`` belongs to problem
-    ``k[r]``.  Each problem's ``grid_points``-point scan is one call.  Then
-    every bracket still refining (the two neighbours of one objective's
-    current argmin), of any problem, gets a ``REFINE_POINTS``-point zoom row;
-    the rows go to ``fn`` in calls of at most ``grid_points // REFINE_POINTS``
-    rows (at least one), and each bracket shrinks to the neighbours of its
-    row's argmin until it is no longer than ``max((hi - lo)*1e-12, 1e-15)``.
-    Each bracket stops on its own, so an answer does not depend on the other
-    objectives or problems.  The answer of each objective is the first
-    minimum among {refined point, grid argmin, ``lo``, ``hi``}, compared on
-    the values already computed, so an optimum sitting exactly on a boundary
-    is returned exactly rather than to within the refinement tolerance.  A
-    problem with ``hi <= lo`` answers ``lo``.  Returns one list of answers per
-    problem, one answer per objective.
+    ``fn`` takes a float or a numpy array.  The ``grid_points``-point scan is
+    one call.  Then the bracket (the two neighbours of the current argmin)
+    gets a ``REFINE_POINTS``-point zoom row, ``np.linspace``'s arithmetic over
+    the bracket, one call a row, and shrinks to the neighbours of the row's
+    argmin until it is no longer than ``max((hi - lo)*1e-12, 1e-15)``.  The
+    answer is the first minimum among {refined point, grid argmin, ``lo``,
+    ``hi``}, compared on the values already computed, so a minimum sitting
+    exactly on a boundary is returned exactly rather than to within the
+    refinement tolerance.  ``hi <= lo`` answers ``lo``.  The value at the
+    answer comes from one more call on the float.  The package's optima do
+    not call it: it is a brute-force reference for tests and the benchmark.
     """
     import numpy as np  # deferred: bisect_root runs without numpy
 
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    rows_per_call = max(grid_points // REFINE_POINTS, 1)
-    last = REFINE_POINTS - 1
-    # candidates[k][j]: [refined point, scan argmin, lo, hi] of objective j of problem k, as (x, value)
-    candidates = []
-    todo = []  # brackets still refining: (problem, objective, lower end, upper end)
-    tols = []
-    for k, (a, b) in enumerate(zip(lo, hi)):
-        xs = np.linspace(a, b, grid_points)
-        scans = fn(k, xs)
-        tols.append(max((b - a) * 1e-12, 1e-15))
-        if b <= a:
-            candidates.append([[(a, scan[0])] for scan in scans])
-            continue
-        found = []
-        for j, scan in enumerate(scans):
-            i = int(np.argmin(scan))
-            found.append([(xs[i], scan[i]), (xs[i], scan[i]), (a, scan[0]), (b, scan[-1])])
-            b_lo, b_hi = xs[max(i - 1, 0)], xs[min(i + 1, grid_points - 1)]
-            if b_hi - b_lo > tols[k]:
-                todo.append((k, j, b_lo, b_hi))
-        candidates.append(found)
-    steps = np.arange(REFINE_POINTS, dtype=float)
-    while todo:
-        chunk, todo = todo[:rows_per_call], todo[rows_per_call:]
-        ks, _, starts, stops = (np.array(column) for column in zip(*chunk))
-        # Row r is np.linspace(starts[r], stops[r], REFINE_POINTS), in linspace's own arithmetic.
-        zs = steps * ((stops - starts) / last)[:, None] + starts[:, None]
-        zs[:, last] = stops
-        values = fn(ks, zs)
-        argmins = [v.argmin(axis=1).tolist() for v in values]
-        for row, (k, j, b_lo, b_hi) in enumerate(chunk):
-            m = argmins[j][row]
-            candidates[k][j][0] = zs[row, m], values[j][row, m]
-            z_lo, z_hi = zs[row, max(m - 1, 0)], zs[row, min(m + 1, last)]
+    xs = np.linspace(lo, hi, grid_points)
+    scan = fn(xs)
+    candidates = [(lo, scan[0])]  # as (x, value)
+    if hi > lo:
+        i = int(np.argmin(scan))
+        # The refined point (the scan argmin until a zoom row replaces it), the scan argmin, lo, hi.
+        candidates = [(xs[i], scan[i]), (xs[i], scan[i]), (lo, scan[0]), (hi, scan[-1])]
+        tol = max((hi - lo) * 1e-12, 1e-15)
+        b_lo, b_hi = xs[max(i - 1, 0)], xs[min(i + 1, grid_points - 1)]
+        steps, last = np.arange(REFINE_POINTS, dtype=float), REFINE_POINTS - 1
+        while b_hi - b_lo > tol:
+            zs = steps * ((b_hi - b_lo) / last) + b_lo
+            zs[last] = b_hi
+            values = fn(zs)
+            m = int(np.argmin(values))
+            candidates[0] = zs[m], values[m]
+            z_lo, z_hi = zs[max(m - 1, 0)], zs[min(m + 1, last)]
             # A bracket a few ulps wide can stop shrinking before it reaches tol.
-            if tols[k] < z_hi - z_lo < b_hi - b_lo:
-                todo.append((k, j, z_lo, z_hi))
-    return [[float(min(cands, key=lambda c: c[1])[0]) for cands in found] for found in candidates]
-
-
-def grid_refine_min(fn: Callable, lo: float, hi: float, grid_points: int) -> tuple[float, float]:
-    """Minimize ``fn`` on [lo, hi] by :func:`grid_refine_mins` as its one problem; returns ``(x, fn(x))``.
-
-    ``fn`` takes a float or a numpy array; the value at the answer comes
-    from one more call on the float.
-    """
-    [[x]] = grid_refine_mins(lambda k, t: (fn(t),), [lo], [hi], grid_points)
+            if not z_hi - z_lo < b_hi - b_lo:
+                break
+            b_lo, b_hi = z_lo, z_hi
+    x = float(min(candidates, key=lambda c: c[1])[0])
     return x, fn(x)
 
 

@@ -1,9 +1,9 @@
 """Discomfort-multiplier sweeps: one row of policy metrics per eta value.
 
-A :class:`Sweep` computes every row of a command at once, the urban
-flat-toll searches of all its (eta, jam level) sets as one search; rows are
-written in eta order with a fixed 8-decimal format, so identical inputs
-produce byte-identical CSV output.
+A :class:`Sweep` computes every row of a command at once, one urban
+flat-toll search per (eta, jam level) set; rows are written in eta order
+with a fixed 8-decimal format, so identical inputs produce byte-identical
+CSV output.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ def _require_in_range(scenario: Scenario, eta: float, numbers) -> None:
 class Sweep:
     """Policy metrics of a scenario at a set of etas and jam levels.
 
-    Construction does the work: the flat-toll optima of every (eta, jam
-    level) set come from one :func:`~tollgap.mfd.static_optima_many` search
-    (a fixed-capacity scenario has one level and closed forms), and each
+    Construction does the work: the flat-toll optima of each (eta, jam
+    level) set come from one :func:`~tollgap.mfd.static_optima` search (a
+    fixed-capacity scenario has one level and closed forms), and each
     eta's trapezoid designs are computed once, as they hold an urban network
     at its critical accumulation, where the jam level drops out; ``params``
     carries the maximum throughput as capacity.  ``levels`` defaults to the
@@ -139,7 +139,7 @@ class Sweep:
             from . import mfd  # deferred: fixed-capacity and all-transit rows never load numpy
 
             nets = {nj: replace(scenario.mfd(), jam_accumulation=nj) for nj in levels}
-            optima = mfd.static_optima_many([(priced[eta], nets[nj]) for eta, nj in keys])
+            optima = [mfd.static_optima(priced[eta], nets[nj]) for eta, nj in keys]
         else:  # closed forms, or no set at all
             optima = [
                 (bottleneck.static_revenue_optimal_toll(p), bottleneck.static_sc_optimal_toll(p))

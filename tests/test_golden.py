@@ -29,7 +29,7 @@ def test_default_sweep_csv_sha256(scenario, tmp_path, capsys):
 
 
 # The seeded range sweep of the benchmark's `sweep-nyc` workload (seed 42): it
-# takes the one search of every (eta, jam level) set, as the default nyc sweep does.
+# searches every (eta, jam level) set, as the default nyc sweep does.
 RANGE_SWEEP = ["sweep", "--scenario", "nyc", "--eta-range", "2.7376319326610368:13.339264428892937:18"]
 RANGE_CSV_SHA256 = "96f12952502d23b4991f9a4dabbd6ac725e866190febcd01645e6ef11d2e3252"
 
@@ -61,6 +61,8 @@ def test_range_sweep_csv_sha256(tmp_path, capsys):
         # The second seed of the committed verify bench records.
         (["verify", "--seed", "9173", "--cases", "1000"], "verify_seed9173_cases1000.txt"),
         (["verify"], "verify_seed42_cases1000.txt"),  # the random suites' defaults
+        # The cost optimum sits inside the band, at a root of its slope.
+        (["analyze", "--scenario", "nyc", "--eta", "24"], "analyze_nyc_24.txt"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys):

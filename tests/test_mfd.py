@@ -9,7 +9,7 @@ import pytest
 
 from tollgap import BottleneckParams, CostBreakdown, DomainError, ParameterError, Regime, TriangularMfd
 from tollgap import bottleneck as bn
-from tollgap import cli, mfd, verify
+from tollgap import mfd, verify
 from tollgap.calibration import builtin_scenario
 from tollgap.core import classify_regime, regime_thresholds
 from tollgap.search import grid_refine_max, grid_refine_min
@@ -235,21 +235,6 @@ class TestGuarantees:
         assert len(floored) > 2000 and 0 < sum(floored) < len(floored)
 
 
-def test_crossover_searches_refine_one_objective_each(monkeypatch):
-    # A search of the revenue optimum refines the revenue alone.
-    objectives = []
-    real = mfd.grid_refine_mins
-
-    def counting(fn, lo, hi, grid_points):
-        tolls = real(fn, lo, hi, grid_points)
-        objectives.extend(len(per_problem) for per_problem in tolls)
-        return tolls
-
-    monkeypatch.setattr(mfd, "grid_refine_mins", counting)
-    cli.crossover_eta(NYC)
-    assert objectives and set(objectives) == {1}
-
-
 def sampled_bands(seed: int, per_regime: int):
     """Seeded urban draws with a nonempty toll band, in all three regimes."""
     rng = random.Random(seed)
@@ -261,6 +246,56 @@ def sampled_bands(seed: int, per_regime: int):
             if params.cost_gap > mfd.static_lower_toll(params, net):
                 draws.append((regime, params, net))
     return draws
+
+
+class TestSlopes:
+    """The closed-form slopes of the revenue and the system cost against differences of the pieces."""
+
+    @staticmethod
+    def differences(params, net, toll, step):
+        """Central differences of revenue and total cost at ``toll``; one-sided, of second order, at ``g``."""
+
+        def values(t):
+            cost = mfd._flat_toll(params, net, t)
+            return np.array([cost.revenue, cost.total])
+
+        if toll == params.cost_gap:
+            return (3 * values(toll) - 4 * values(toll - step) + values(toll - 2 * step)) / (2 * step)
+        return (values(toll + step) - values(toll - step)) / (2 * step)
+
+    @pytest.mark.parametrize("regime, params, net", sampled_bands(seed=14, per_regime=4))
+    def test_slopes_match_differences(self, regime, params, net):
+        # Inside the band, at its top (x = 0, the share slope's own branch) and
+        # on both sides of the share's series cutoff.
+        lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
+        a = net.jam_accumulation / net.max_throughput
+        step = (hi - lo) * 1e-6
+        tolls = [lo + (hi - lo) * f for f in (0.1, 0.5, 0.9)] + [hi]
+        tolls += [hi - a * x for x in (0.999e-3, 1.001e-3) if hi - a * x - step > lo]
+        for toll in tolls:
+            got = np.array(mfd._slopes(params, net, toll))
+            want = self.differences(params, net, toll, step)
+            value = mfd._flat_toll(params, net, toll)
+            scale = np.abs(want) + np.abs([value.revenue, value.total]) / (hi - lo)
+            assert np.all(np.abs(got - want) <= 1e-7 * scale), (toll, got, want)
+
+    @pytest.mark.parametrize("regime, params, net", sampled_bands(seed=11, per_regime=4))
+    def test_array_equals_float_calls(self, regime, params, net):
+        lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
+        a = net.jam_accumulation / net.max_throughput
+        tolls = np.append(np.linspace(lo, hi, 257), [hi - a * 0.999e-3, hi - a * 1.001e-3])
+        both = mfd._slopes(params, net, tolls)
+        for got, want in zip(both, zip(*(mfd._slopes(params, net, float(t)) for t in tolls))):
+            assert got.shape == tolls.shape
+            assert got.tolist() == list(want)
+
+    def test_share_slope_at_zero_and_beyond(self):
+        x = np.array([0.0, 1e-300, 2.0])
+        slope = mfd._share_slope(x, mfd._excess_share(x, np.log1p(x)))
+        assert mfd._share_slope(0.0, 0.0) == slope[0] == 0.5
+        assert slope[1] == pytest.approx(0.5, rel=1e-15)
+        # h(2) = 1 - log(3)/2, so h'(2) = (2/3 - h(2))/2.
+        assert slope[2] == pytest.approx((2 / 3 - 1 + math.log(3) / 2) / 2, rel=1e-15)
 
 
 class TestSearchRecovery:
@@ -285,15 +320,45 @@ class TestSearchRecovery:
             checked += 1
 
     @pytest.mark.parametrize("regime, params, net", sampled_bands(seed=13, per_regime=3))
-    def test_joint_search_matches_single_searches(self, regime, params, net):
+    def test_optima_no_worse_than_the_grid(self, regime, params, net):
+        # The grid search of 4096 points and zoom rows is the brute-force reference.
         lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
         ro, so = mfd.static_optima(params, net)
         revenue = lambda t: mfd.static_revenue(params, net, t)
         cost = lambda t: mfd.static_system_cost(params, net, t).total
-        assert (ro[0], ro[1].revenue) == grid_refine_max(revenue, lo, hi, mfd.DEFAULT_GRID_POINTS)
-        assert (so[0], so[1].total) == grid_refine_min(cost, lo, hi, mfd.DEFAULT_GRID_POINTS)
-        assert ro[1] == mfd.static_system_cost(params, net, ro[0])
-        assert so[1] == mfd.static_system_cost(params, net, so[0])
+        _, grid_ro = grid_refine_max(revenue, lo, hi, 4096)
+        _, grid_so = grid_refine_min(cost, lo, hi, 4096)
+        # A grid's float optimum on a flat top can beat the root's value by some ulps.
+        assert ro[1].revenue >= grid_ro * (1 - 1e-14)
+        assert so[1].total <= grid_so * (1 + 1e-14)
+
+    def test_optima_sit_where_their_slopes_say(self):
+        # An optimum inside the band is a root of its slope, to the bisection's
+        # tolerance: the revenue rises before it and falls after it, the cost the
+        # other way.  One at a band end has its objective falling into the band.
+        rng = random.Random(21)
+        where = {"lo": 0, "g": 0, "inside": 0}
+        checked = 0
+        while checked < 600:
+            params = verify.sample_params(rng, regime=("low", "mid", "high")[checked % 3])
+            net = verify.sample_mfd(rng, params)
+            lo, hi = mfd.static_lower_toll(params, net), params.cost_gap
+            if hi <= lo:
+                continue
+            xtol = max((hi - lo) * 1e-12, 1e-15)
+            for goal, (toll, _) in enumerate(mfd.static_optima(params, net)):
+                rising = lambda t: (1 if goal == 0 else -1) * mfd._slopes(params, net, t)[goal]
+                if toll == lo:
+                    assert rising(lo) <= 0, (params, net, goal)
+                    where["lo"] += 1
+                elif toll == hi:
+                    assert rising(hi) >= 0, (params, net, goal)
+                    where["g"] += 1
+                else:
+                    assert rising(toll - xtol) >= 0 >= rising(toll + xtol), (params, net, goal)
+                    where["inside"] += 1
+            checked += 1
+        assert all(where.values()), where
 
 
 def optima_bits(optima):
@@ -304,25 +369,23 @@ def optima_bits(optima):
     ]
 
 
-class TestBatchedSearch:
-    """One search of many sets gives each set what a search of it alone gives, bit for bit."""
+class TestSearchPieces:
+    """Each optimum's pieces are those of a float call at its toll, bit for bit."""
 
     @staticmethod
     def check(sets):
-        batched = mfd.static_optima_many(sets)
-        alone = [mfd.static_optima(params, net) for params, net in sets]
-        assert optima_bits(batched) == optima_bits(alone)
-        for (params, net), pair in zip(sets, batched):
-            for toll, cost in pair:
-                if params.cost_gap >= 0:  # the pieces of one float evaluation at the toll
-                    assert optima_bits([[(toll, mfd.static_system_cost(params, net, toll))]]) == (
-                        optima_bits([[(toll, cost)]])
-                    )
+        for params, net in sets:
+            optima = mfd.static_optima(params, net)
+            if params.cost_gap >= 0:
+                at_tolls = [(toll, mfd.static_system_cost(params, net, toll)) for toll, _ in optima]
+                assert optima_bits([optima]) == optima_bits([at_tolls])
 
     def test_every_nyc_sweep_set(self):
+        # Every set of the default nyc sweep has both optima at the band top.
         sets = [nyc_setup(eta, nj) for eta in NYC.eta_sweep for nj in NYC.jam_accumulations]
         assert len(sets) == 72
         self.check(sets)
+        assert all(mfd.static_optima(p, net)[i][0] == p.cost_gap for p, net in sets for i in (0, 1))
 
     def test_sampled_draws(self):
         rng = random.Random(5)
@@ -333,28 +396,20 @@ class TestBatchedSearch:
         assert sum(mfd.static_lower_toll(p, net) == 0.0 for p, net in sets) > 1000
         self.check(sets)
 
-    def test_degenerate_bands_among_searched_sets(self):
+    def test_degenerate_bands(self):
         params, net = nyc_setup(9.0)
         negative = dataclasses.replace(params, transit_cost=params.car_freeflow_cost - 0.1)
         empty = dataclasses.replace(params, transit_cost=params.car_freeflow_cost)
-        sets = [(params, net), (negative, net), (empty, net), nyc_setup(3.0, 14_000.0)]
         assert mfd.static_lower_toll(empty, net) == empty.cost_gap == 0.0
-        self.check(sets)
+        self.check([(empty, net)])
+        assert [toll for toll, _ in mfd.static_optima(empty, net)] == [0.0, 0.0]
         all_transit = CostBreakdown(negative.transit_cost * negative.total_demand, 0, 0, 0, 0)
-        assert mfd.static_optima_many(sets)[1] == ((0.0, all_transit), (0.0, all_transit))
+        assert mfd.static_optima(negative, net) == ((0.0, all_transit), (0.0, all_transit))
 
     def test_lower_band_end_zero(self):
         params, net = nyc_setup(18.0, 14_000.0)
         assert mfd.static_lower_toll(params, net) == 0.0 < params.cost_gap
-        self.check([(params, net), nyc_setup(5.0)])
-
-    def test_single_set_and_no_set(self):
-        self.check([nyc_setup(9.0)])
-        assert mfd.static_optima_many([]) == []
-
-    def test_set_count_31_does_not_divide(self):
-        # 40 sets, 80 brackets: zoom calls of 31 rows leave partial calls.
-        self.check([nyc_setup(1.5 + 0.4 * i, NYC.jam_accumulations[i % 4]) for i in range(40)])
+        self.check([(params, net)])
 
 
 class TestArrayPath:

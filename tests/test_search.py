@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tollgap.search import (
-    REFINE_POINTS,
-    bisect_root,
-    grid_refine_max,
-    grid_refine_min,
-    grid_refine_mins,
-)
+from tollgap.search import REFINE_POINTS, bisect_root, grid_refine_max, grid_refine_min
 
 
 class TestBisectRoot:
@@ -97,59 +91,12 @@ class TestGridRefine:
         assert value == 0.0
         assert 0.5 <= x <= 0.5 + 1e-12
 
-    def test_two_objectives_match_single_calls(self):
-        # One minimum at lo (its bracket starts half as wide) and one inside,
-        # so the two objectives stop after different numbers of passes.
-        first = lambda t: t * t
-        second = lambda t: (t - 0.37) ** 2 + np.sin(40.0 * t) * 1e-3
-        joint = counted(lambda t: (first(t), second(t)))
-        [both] = grid_refine_mins(lambda k, t: joint(t), [0.0], [1.0], 4096)
-        singles = [grid_refine_min(fn, 0.0, 1.0, 4096) for fn in (first, second)]
-        assert [(x, fn(x)) for x, fn in zip(both, (first, second))] == singles
-        zooms = [np.shape(x) for x in joint.calls[1:]]
-        assert zooms == [(2, REFINE_POINTS)] * 4 + [(1, REFINE_POINTS)]
-
-    def test_problems_match_single_calls(self):
-        # 70 problems, each with its own band and minimizer, two objectives a
-        # problem: the zoom rows of all of them share calls, and calls of 31
-        # rows do not divide the 134 brackets of the 67 nonempty bands.
-        rng = np.random.default_rng(3)
-        lo = rng.uniform(-1.0, 1.0, 70)
-        hi = lo + rng.uniform(0.0, 3.0, 70)
-        hi[:3] = lo[:3]  # empty bands answer lo
-        centers = rng.uniform(lo - 0.5, hi + 0.5)
-        fns = [
-            (lambda t, c=c: (t - c) ** 2, lambda t, c=c: np.abs(t - c) + np.sin(9.0 * t) * 1e-3)
-            for c in centers
-        ]
-        calls, zoom_rows = [], []
-
-        def fn(k, t):
-            calls.append((np.ndim(k), np.shape(t)))
-            if np.ndim(k) == 0:
-                return [f(t) for f in fns[k]]
-            zoom_rows.extend(t)
-            c = centers[k][:, None]
-            return [(t - c) ** 2, np.abs(t - c) + np.sin(9.0 * t) * 1e-3]
-
-        got = grid_refine_mins(fn, lo, hi, 4096)
-        want = [[grid_refine_min(f, a, b, 4096)[0] for f in pair] for pair, a, b in zip(fns, lo, hi)]
-        assert got == want
-        assert got[:3] == [[a, a] for a in lo[:3]]
-        scans, zooms = calls[:70], calls[70:]
-        assert scans == [(0, (4096,))] * 70
-        assert all(ndim == 1 for ndim, _ in zooms)
-        assert max(shape[0] for _, shape in zooms) == 4096 // REFINE_POINTS
-        assert all(shape[1] == REFINE_POINTS for _, shape in zooms)
-        # Each zoom row is np.linspace over its bracket, bit for bit.
-        assert all(np.array_equal(z, np.linspace(z[0], z[-1], REFINE_POINTS)) for z in zoom_rows)
-
-    def test_no_problems(self):
-        assert grid_refine_mins(lambda k, t: (t,), [], [], 64) == []
-
     def test_search_of_4096_points_makes_at_most_8_calls(self):
         fn = counted(lambda t: np.cos(t) + 0.1 * t)
         x, _ = grid_refine_min(fn, 0.0, 10.0, 4096)
         assert abs(x - (math.pi - math.asin(0.1))) <= 1e-7  # float-flat near its minimum
         assert len(fn.calls) <= 8
         assert np.shape(fn.calls[0]) == (4096,) and isinstance(fn.calls[-1], float)
+        # Each zoom row is np.linspace over its bracket, bit for bit.
+        zooms = fn.calls[1:-1]
+        assert zooms and all(np.array_equal(z, np.linspace(z[0], z[-1], REFINE_POINTS)) for z in zooms)

@@ -91,14 +91,16 @@ class TestCsvOutput:
 
             monkeypatch.setattr(module, name, wrapped)
 
-        counted(mfd, "grid_refine_mins", "search")
-        counted(mfd, "_flat_toll", "scan", lambda p, net, toll: getattr(toll, "shape", ()) == (4096,))
+        counted(mfd, "static_optima", "search")
+        counted(mfd, "_slopes", "scan", lambda p, net, toll: getattr(toll, "shape", ()) == (65,))
         counted(bottleneck, "dynamic_revenue_optimal", "dynamic_revenue_optimal")
         counted(bottleneck, "dynamic_so_design", "dynamic_so_design")
         assert cli.main(["sweep", "--scenario", "nyc", "--out", str(tmp_path / "nyc.csv")]) == 0
-        # 18 etas at 4 jam levels: one search of all 72 sets, each with its own
-        # scan, and one pair of trapezoid designs an eta, whatever the level.
-        assert calls == {"search": 1, "scan": 72, "dynamic_revenue_optimal": 18, "dynamic_so_design": 18}
+        # 18 etas at 4 jam levels: one search of each of the 72 sets, each with
+        # its own slope scan, and one pair of trapezoid designs an eta, whatever the level.
+        assert calls == {
+            "search": 72, "scan": 72, "dynamic_revenue_optimal": 18, "dynamic_so_design": 18
+        }
         assert "results identical across levels" in capsys.readouterr().out
 
     def test_nj_at_the_default_level_writes_the_default_csv(self, tmp_path, capsys):
